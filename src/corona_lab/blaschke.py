@@ -5,15 +5,14 @@ zero a is (conj(a)/|a|) (a - z) / (1 - conj(a) z), with the convention that
 the unimodular prefactor is -1 when a = 0, so the factor degenerates to z.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .disc_geometry import MobiusAut, canonical_angle, check_disc, pseudo_distance
+from .disc_geometry import MobiusAut, canonical_angle, check_disc
 from .errors import ConstructionError, DomainError, InfeasibleError
-from .serialize import as_complex, complex_list, cpair, strict_keys
+from .serialize import complex_list, cpair, strict_keys
 
 DEFAULT_THIN_THRESHOLD = 0.9
 
@@ -66,19 +65,19 @@ class BlaschkeProduct:
         return complex(out) if out.ndim == 0 else out
 
     def derivative(self, z):
-        """Analytic derivative via the product rule; valid at zeros too."""
+        """Analytic derivative by the product rule; valid at zeros too.
+
+        One pass over the zeros carries the partial product P and its
+        derivative D through D <- D f + P f', P <- P f, with no division.
+        """
         z = np.asarray(z, dtype=complex)
-        factors = [blaschke_factor(a, z) for a in self.zeros]
-        derivs = [_blaschke_factor_derivative(a, z) for a in self.zeros]
-        total = np.zeros(z.shape, dtype=complex)
-        for j in range(len(self.zeros)):
-            term = derivs[j]
-            for k in range(len(self.zeros)):
-                if k != j:
-                    term = term * factors[k]
-            total = total + term
-        total = total * np.exp(1j * self.rotation)
-        return complex(total) if total.ndim == 0 else total
+        p = np.full(z.shape, np.exp(1j * self.rotation), dtype=complex)
+        d = np.zeros(z.shape, dtype=complex)
+        for a in self.zeros:
+            f = blaschke_factor(a, z)
+            d = d * f + p * _blaschke_factor_derivative(a, z)
+            p = p * f
+        return complex(d) if d.ndim == 0 else d
 
     def scaled(self, extra_rotation: float) -> "BlaschkeProduct":
         return BlaschkeProduct(self.zeros, self.rotation + float(extra_rotation))
@@ -101,10 +100,11 @@ class BlaschkeProduct:
 def min_modulus_on_disc(b: BlaschkeProduct, radius: float,
                         n_radial: int = MIN_GRID_RADIAL,
                         n_angular: int = MIN_GRID_ANGULAR) -> float:
-    """Grid minimum of |b| over the closed disc of the given radius.
+    """Measured minimum of |b| over a polar grid on the closed disc of the
+    given radius.
 
-    The grid minimum never undershoots the true minimum, so it is sound as a
-    witness that the true minimum exceeds a lower bound.
+    A grid minimum is at least the true minimum, so it is a measurement, not
+    a lower bound; modulus_lower_bound gives a bound.
     """
     if not (0 <= radius < 1):
         raise DomainError("radius must lie in [0, 1)")
@@ -129,6 +129,12 @@ def modulus_lower_bound(b: BlaschkeProduct, eta: float) -> float:
     return max(0.0, 1.0 - m * gap_sum)
 
 
+def _transport(zeros, m: MobiusAut) -> np.ndarray:
+    """The zeros moved by m.inverse, z -> (z - c)/(1 - conj(c) z), as one array."""
+    zs = np.array(zeros, dtype=complex)
+    return m.inverse(zs) if zs.size else zs
+
+
 def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
     """Blaschke product equal to z -> b((z + c)/(1 + conj(c) z)) pointwise.
 
@@ -139,7 +145,7 @@ def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
         m = c
     else:
         m = MobiusAut(c)
-    new_zeros = tuple(complex(m.inverse(a)) for a in b.zeros)
+    new_zeros = tuple(complex(w) for w in _transport(b.zeros, m))
     raw = BlaschkeProduct(new_zeros, 0.0)
     anchor = 0j
     if any(abs(z) < 1e-6 for z in new_zeros):
@@ -161,10 +167,9 @@ def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray
     and bound[k] = (1+|c|)/(1-|c|) (1 - |z_k|); actual <= bound always.
     """
     c = check_disc(c, "c")
-    m = MobiusAut(c)
-    actual = np.array([1 - abs(m.inverse(a)) for a in b.zeros])
+    actual = 1 - np.abs(_transport(b.zeros, MobiusAut(c)))
     factor = (1 + abs(c)) / (1 - abs(c))
-    bound = np.array([factor * (1 - abs(a)) for a in b.zeros])
+    bound = factor * (1 - np.abs(np.array(b.zeros, dtype=complex)))
     return actual, bound
 
 
@@ -208,19 +213,15 @@ class DiscSequence:
 def carleson_diagnostics(seq: DiscSequence) -> tuple[float, list[float]]:
     """Separation constant and per-point tails of an interior sequence.
 
-    tails[k] = prod_{j != k} pseudo_distance(z_j, z_k), computed by a direct
-    double loop in index order; the constant is the minimum tail.  Duplicate
-    points give a zero constant.
+    tails[k] = prod_{j != k} pseudo_distance(z_j, z_k), the product taken over
+    the rows of one pseudo-distance matrix whose diagonal is set to one; the
+    constant is the minimum tail.  Duplicate points give a zero constant.
     """
-    pts = seq.points
-    tails = []
-    for k in range(len(pts)):
-        prod = 1.0
-        for j in range(len(pts)):
-            if j != k:
-                prod *= pseudo_distance(pts[j], pts[k])
-        tails.append(prod)
-    return min(tails), tails
+    z = np.array(seq.points, dtype=complex)
+    dist = np.abs(z[:, None] - z[None, :]) / np.abs(1 - np.conj(z)[None, :] * z[:, None])
+    np.fill_diagonal(dist, 1.0)
+    tails = np.prod(dist, axis=0)
+    return float(tails.min()), tails.tolist()
 
 
 @dataclass(frozen=True)
@@ -336,10 +337,7 @@ class LadderConstruction:
 
 
 def _transported_gap_sum(zeros, c: complex) -> float:
-    if not zeros:
-        return 0.0
-    m = MobiusAut(c)
-    return float(sum(1 - abs(m.inverse(z)) for z in zeros))
+    return float(np.sum(1 - np.abs(_transport(zeros, MobiusAut(c)))))
 
 
 def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: float,
@@ -380,8 +378,17 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
         if not home.contains(z):
             raise DomainError(f"zero {z} lies outside the home sector")
 
-    mods = sorted(abs(z) for z in zeros)
-    outermost = mods[-1] if mods else 0.0
+    zs = np.array(zeros, dtype=complex)
+    # hypot rounds like abs() on a Python complex, so the cut radii are the
+    # moduli the sector check saw, bit for bit
+    moduli = np.hypot(zs.real, zs.imag)
+    order = np.argsort(moduli, kind="stable")
+    by_modulus = zs[order]
+    mods = moduli[order]
+    # tail sums start at the first zero of each modulus, so tied zeros
+    # (conjugate pairs) enter a tail together
+    tail_start = np.searchsorted(mods, mods, "left")
+    outermost = float(mods[-1]) if mods.size else 0.0
 
     s_values = [ell]
     r_values = []
@@ -396,7 +403,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
         r_values.append(r_j)
         delta = eps * (1 - eta) / (1 + eta)
 
-        inner = [z for z in zeros if abs(z) < r_j]
+        inner = by_modulus[:np.searchsorted(mods, r_j, "left")]
         pick = None
         for n in range(next_candidate, len(candidates)):
             if _transported_gap_sum(inner, candidates.points[n]) < delta / 2:
@@ -411,15 +418,12 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
         chosen_points.append(c)
         next_candidate = pick + 1
 
-        s_next = None
-        for m_val in mods:
-            if m_val <= r_j:
-                continue
-            tail = [z for z in zeros if abs(z) >= m_val]
-            if _transported_gap_sum(tail, c) < delta / 2:
-                s_next = m_val
-                break
-        if s_next is None:
+        gaps = 1 - np.abs(_transport(by_modulus, MobiusAut(c)))
+        tails = np.cumsum(gaps[::-1])[::-1]
+        ok = np.flatnonzero((mods > r_j) & (tails[tail_start] < delta / 2))
+        if ok.size:
+            s_next = float(mods[ok[0]])
+        else:
             # no qualifying zero modulus: place the cut past every zero
             s_next = max((outermost + 1) / 2, (r_j + 1) / 2)
         if not (r_j < s_next < 1):
@@ -427,27 +431,21 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
                 f"rung {j}: no admissible next radius above {r_j}", rung=j)
         s_values.append(s_next)
 
-        rung_zeros = tuple(z for z in zeros if abs(z) < r_j or abs(z) >= s_next)
+        rung_zeros = tuple(zs[(moduli < r_j) | (moduli >= s_next)])
         composed = compose_with_mobius(BlaschkeProduct(rung_zeros), c)
         measured = min_modulus_on_disc(composed, eta, n_radial, n_angular)
         records.append(RungRecord(j, eta, eps, measured))
 
+    # zeros at or beyond the final cut stay outside the partition
     bands, odd_gaps, even_gaps = [], [], []
-    n_rungs = len(r_values)
-    for z in zeros:
-        r = abs(z)
-        placed = False
-        for j in range(n_rungs):
+    for z, r in zip(zeros, moduli):
+        for j in range(len(r_values)):
             if s_values[j] <= r < r_values[j]:
                 bands.append(z)
-                placed = True
                 break
             if r_values[j] <= r < s_values[j + 1]:
                 (odd_gaps if j % 2 == 0 else even_gaps).append(z)
-                placed = True
                 break
-        # zeros at or beyond the final cut stay outside the partition
-        del placed
 
     return LadderConstruction(
         ell=ell,
@@ -459,14 +457,6 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
         verification=tuple(records),
         source_zeros=zeros,
     )
-
-
-def zeros_to_dict(b: BlaschkeProduct) -> dict:
-    return b.to_dict()
-
-
-def zeros_from_dict(d: dict, where: str = "zeros") -> BlaschkeProduct:
-    return BlaschkeProduct.from_dict(d, where)
 
 
 def selftest() -> list[tuple[str, bool]]:

@@ -13,9 +13,8 @@ import sys
 
 from . import blaschke, corona, disc_geometry, hoffman, measures
 from .blaschke import BlaschkeProduct, DiscSequence, construct_ladder
-from .corona import (BezoutCertificate, CoronaInstance, DEFAULT_GRID, bezout_exact,
-                     bezout_numeric, check_certificate, cluster_scenario,
-                     measure_delta)
+from .corona import (BezoutCertificate, CoronaInstance, bezout_exact, bezout_numeric,
+                     check_certificate, cluster_scenario, measure_delta)
 from .disc_geometry import OrthogonalArc
 from .errors import ConfigError, CoronaLabError
 from .functions import POLYNOMIAL, FunctionSpec
@@ -26,23 +25,6 @@ from .quadrature import DEFAULT_NODES
 from .serialize import as_complex, complex_list, dumps, load_json, strict_keys
 
 NODES_ENV = "CORONA_LAB_NODES"
-
-SELFTEST_MODULES = {
-    "corona-solve": (corona,),
-    "corona-check": (corona,),
-    "delta": (corona,),
-    "cluster-scenario": (corona,),
-    "interp-check": (blaschke,),
-    "blaschke-eval": (disc_geometry, blaschke),
-    "ladder": (blaschke,),
-    "hoffman-trace": (hoffman,),
-    "l2-identity": (hoffman,),
-    "measure-fit": (measures,),
-    "quartiles": (measures,),
-    "pushforward": (measures,),
-    "align-arcs": (measures,),
-}
-
 
 def _parse_inline(text: str, where: str):
     try:
@@ -60,7 +42,7 @@ def _require(args, attr: str, flag: str):
 
 
 def _resolve_nodes(args) -> int:
-    if getattr(args, "nodes", None) is not None:
+    if args.nodes is not None:
         value = args.nodes
     else:
         env = os.environ.get(NODES_ENV)
@@ -216,7 +198,11 @@ def _cmd_measure_fit(args) -> int:
         entries.append((FunctionSpec.from_dict(item["function"],
                                                f"{infile}.targets[{i}].function"),
                         as_complex(item["value"], f"{infile}.targets[{i}].value")))
-    partition = [(float(a), float(b)) for a, b in doc["partition"]]
+    try:
+        partition = [(float(a), float(b)) for a, b in doc["partition"]]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{infile}.partition: expected a list of numeric "
+                          f"[start, end] pairs, got {doc['partition']!r}") from None
     window = float(doc["window"]) if "window" in doc else None
     fit = fit_simple_density(TargetFunctional(tuple(entries)), partition,
                              eps=args.eps, window=window)
@@ -274,11 +260,6 @@ def _cmd_cluster_scenario(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--selftest", action="store_true",
                    help="run this module's invariant suite and exit")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized verification grids")
-    p.add_argument("--nodes", type=int, default=None,
-                   help=f"quadrature node count (default {DEFAULT_NODES}, "
-                        f"env {NODES_ENV})")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -294,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "exact", "numeric"), default="auto")
     p.add_argument("--degree-cap", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_corona_solve)
+    p.set_defaults(handler=_cmd_corona_solve, selftest_modules=(corona,))
     _add_common(p)
 
     p = sub.add_parser("corona-check", help="verify a certificate independently")
@@ -302,24 +283,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="certificate JSON")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=10000)
-    p.set_defaults(handler=_cmd_corona_check)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random verification points")
+    p.set_defaults(handler=_cmd_corona_check, selftest_modules=(corona,))
     _add_common(p)
 
     p = sub.add_parser("delta", help="measure min of sum |f_k| over the grid")
     p.add_argument("--in", dest="infile", help="instance JSON")
-    p.set_defaults(handler=_cmd_delta)
+    p.set_defaults(handler=_cmd_delta, selftest_modules=(corona,))
     _add_common(p)
 
     p = sub.add_parser("interp-check", help="separation diagnostics of a sequence")
     p.add_argument("--points", help="sequence JSON")
-    p.set_defaults(handler=_cmd_interp_check)
+    p.set_defaults(handler=_cmd_interp_check, selftest_modules=(blaschke,))
     _add_common(p)
 
     p = sub.add_parser("blaschke-eval", help="evaluate a finite Blaschke product")
     p.add_argument("--zeros", help='inline JSON, e.g. "[[0,0]]"')
     p.add_argument("--rotation", type=float, default=0.0)
     p.add_argument("--at", help='inline JSON point, e.g. "[0.3,0]"')
-    p.set_defaults(handler=_cmd_blaschke_eval)
+    p.set_defaults(handler=_cmd_blaschke_eval, selftest_modules=(disc_geometry, blaschke))
     _add_common(p)
 
     p = sub.add_parser("ladder", help="staged sector construction over a zero set")
@@ -328,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", help="inline JSON list of tolerances")
     p.add_argument("--eta", help="inline JSON list of radii")
     p.add_argument("--ell", type=float)
-    p.set_defaults(handler=_cmd_ladder)
+    p.set_defaults(handler=_cmd_ladder, selftest_modules=(blaschke,))
     _add_common(p)
 
     p = sub.add_parser("hoffman-trace", help="sample f o L_c along a sequence (CSV)")
@@ -337,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-radius", type=float, default=0.9)
     p.add_argument("--grid-size", type=int, default=40)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(handler=_cmd_hoffman_trace)
+    p.set_defaults(handler=_cmd_hoffman_trace, selftest_modules=(hoffman,))
     _add_common(p)
 
     p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")
@@ -345,20 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotation", type=float, default=0.0)
     p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
     p.add_argument("--n-fft", type=int, default=4096)
-    p.set_defaults(handler=_cmd_l2_identity)
+    p.set_defaults(handler=_cmd_l2_identity, selftest_modules=(hoffman,))
     _add_common(p)
 
     p = sub.add_parser("measure-fit", help="fit a step density to integral targets")
     p.add_argument("--in", dest="infile",
                    help='JSON file {"targets": [...], "partition": [...]}')
     p.add_argument("--eps", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_measure_fit)
+    p.set_defaults(handler=_cmd_measure_fit, selftest_modules=(measures,))
     _add_common(p)
 
     p = sub.add_parser("quartiles", help="quartile angles and case tag of a density")
     p.add_argument("--density", help="density JSON")
     p.add_argument("--window", type=float, default=3.141592653589793)
-    p.set_defaults(handler=_cmd_quartiles)
+    p.set_defaults(handler=_cmd_quartiles, selftest_modules=(measures,))
     _add_common(p)
 
     p = sub.add_parser("pushforward", help="density of the image measure under L_c")
@@ -366,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", help="inline JSON point")
     p.add_argument("--samples", type=int, default=0,
                    help="emit a CSV of this many samples instead of JSON")
-    p.set_defaults(handler=_cmd_pushforward)
+    p.add_argument("--nodes", type=int, default=None,
+                   help=f"quadrature node count (default {DEFAULT_NODES}, "
+                        f"env {NODES_ENV})")
+    p.set_defaults(handler=_cmd_pushforward, selftest_modules=(measures,))
     _add_common(p)
 
     p = sub.add_parser("align-arcs", help="move a density's quartile arc onto a target")
@@ -374,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--case", choices=("a", "b", "c"))
-    p.set_defaults(handler=_cmd_align_arcs)
+    p.set_defaults(handler=_cmd_align_arcs, selftest_modules=(measures,))
     _add_common(p)
 
     p = sub.add_parser("cluster-scenario", help="simultaneous limits along a sequence")
@@ -382,16 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="sequence JSON")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--min-tail", type=int, default=3)
-    p.set_defaults(handler=_cmd_cluster_scenario)
+    p.set_defaults(handler=_cmd_cluster_scenario, selftest_modules=(corona,))
     _add_common(p)
 
     return parser
 
 
-def _run_selftest(command: str) -> int:
+def _run_selftest(modules) -> int:
     passed = 0
     total = 0
-    for module in SELFTEST_MODULES[command]:
+    for module in modules:
         for name, ok in module.selftest():
             total += 1
             passed += bool(ok)
@@ -405,7 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.selftest:
-            return _run_selftest(args.command)
+            return _run_selftest(args.selftest_modules)
         return args.handler(args)
     except ConfigError as e:
         sys.stderr.write(dumps(e.payload()))

@@ -4,7 +4,8 @@ produce Bezout solutions sum_k u_k f_k = 1, and verify certificates.
 Two solver paths: an exact one through Gaussian-rational gcd arithmetic for
 polynomial data, and a least-squares one with a polynomial ansatz fitted on
 boundary nodes.  Residuals of analytic expressions attain their maximum on
-the boundary, so boundary verification grids are sound for the interior.
+the boundary, so verification samples the boundary; the reported residual is
+the maximum over those samples, a measurement rather than a bound.
 """
 
 import math
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disc_geometry import check_disc
-from .errors import DomainError, ExtractionError, UnsolvableError
+from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
 from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
-                        poly_one, poly_to_complex)
+                        poly_to_complex)
 from .functions import POLYNOMIAL, FunctionSpec
 from .serialize import cpair, strict_keys
 
@@ -63,8 +64,15 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "grid") -> "GridSpec":
         strict_keys(d, required=("radial", "angular", "boundary", "ratio"), where=where)
-        return cls(int(d["radial"]), int(d["angular"]), int(d["boundary"]),
-                   float(d["ratio"]))
+        values = {}
+        for key, kind in (("radial", int), ("angular", int), ("boundary", int),
+                          ("ratio", float)):
+            try:
+                values[key] = kind(d[key])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{where}.{key}: expected a number, got {d[key]!r}") from None
+        return cls(**values)
 
 
 DEFAULT_GRID = GridSpec(radial=8, angular=64, boundary=256, ratio=0.5)
@@ -230,8 +238,8 @@ def bezout_numeric(instance: CoronaInstance, degree_cap: int,
     """Least-squares polynomial solutions of degree at most degree_cap.
 
     The linear system sum_k u_k(z) f_k(z) = 1 is imposed on boundary nodes;
-    since the residual is analytic, its boundary maximum on the finer
-    verification grid bounds it everywhere inside.  The certificate is
+    since the residual is analytic, its maximum lies on the boundary, where
+    it is sampled on the finer verification grid.  The certificate is
     returned with passing=False rather than raising when the residual stays
     above tol, so callers can inspect how close the cap came.
     """

@@ -85,14 +85,6 @@ class MobiusAut:
         return complex(out) if out.ndim == 0 else out
 
 
-def mobius_apply(m: MobiusAut, z):
-    return m.apply(z)
-
-
-def mobius_inverse_apply(m: MobiusAut, z):
-    return m.inverse(z)
-
-
 def pseudo_disc_euclidean(c, eta: float) -> tuple[complex, float]:
     """Euclidean center and radius of {z : pseudo_distance(z, c) <= eta}.
 

@@ -92,3 +92,9 @@ class ExtractionError(CoronaLabError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+    def payload(self) -> dict:
+        d = super().payload()
+        if self.report is not None:
+            d["report"] = self.report
+        return d

@@ -129,16 +129,18 @@ def schwarz_check(seq: DiscSequence, b: BlaschkeProduct | None = None,
     if b is None:
         b = BlaschkeProduct(seq.points)
     tails = seq.separation_tails if b.zeros == seq.points else None
-    rows = []
-    for j, c in enumerate(seq.points):
-        inv = (1 - abs(c) ** 2) * abs(b.derivative(c))
-        if inv > 1 + tol:
-            raise DomainError(
-                f"invariant derivative {inv} exceeds one at point {j}; "
-                "evaluation is unreliable this close to the boundary")
-        rows.append(SchwarzRow(j, c, b(c), float(inv),
-                               float(tails[j]) if tails is not None else None))
-    return rows
+    pts = np.array(seq.points, dtype=complex)
+    values = b(pts)
+    inv = (1 - np.abs(pts) ** 2) * np.abs(b.derivative(pts))
+    bad = np.flatnonzero(inv > 1 + tol)
+    if bad.size:
+        j = int(bad[0])
+        raise DomainError(
+            f"invariant derivative {float(inv[j])} exceeds one at point {j}; "
+            "evaluation is unreliable this close to the boundary")
+    return [SchwarzRow(j, c, complex(values[j]), float(inv[j]),
+                       float(tails[j]) if tails is not None else None)
+            for j, c in enumerate(seq.points)]
 
 
 @dataclass(frozen=True)

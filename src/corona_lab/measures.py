@@ -14,7 +14,8 @@ from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_dis
                             geodesic_endpoints, orthogonal_circle)
 from .errors import DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
-from .quadrature import (DEFAULT_NODES, integrate_piecewise, integrate_uniform_checked)
+from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
+                         integrate_piecewise, integrate_uniform_checked)
 from .serialize import strict_keys
 
 TWO_PI = 2 * math.pi
@@ -200,18 +201,8 @@ class DensityFit:
     mass_error: float
 
 
-def _bin_integral(f: FunctionSpec, a: float, b: float, panel_scale: int = 64) -> complex:
-    # Gauss-Legendre on [a, b] against dm; panels scale with arc length
-    from .quadrature import _GL_W, _GL_X
-    panels = max(1, int(math.ceil((b - a) / TWO_PI * panel_scale)))
-    edges = np.linspace(a, b, panels + 1)
-    total = 0j
-    for lo, hi in zip(edges, edges[1:]):
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        vals = np.asarray(f(np.exp(1j * (mid + half * _GL_X))), dtype=complex)
-        total += np.sum(vals * _GL_W) * half
-    return total / TWO_PI
-
+# Gauss-Legendre panels per full circle when integrating a target over a bin
+BIN_PANELS = 64
 
 MASS_ROW_WEIGHT = 1e6
 
@@ -255,8 +246,14 @@ def fit_simple_density(targets, partition, eps: float,
         density = SimpleDensity(tuple((a, b, uniform_value) for a, b in bins))
         return DensityFit(density, tuple(), 0.0)
 
-    target_cols = np.array([[_bin_integral(f, a, b) for a, b in bins]
-                            for f, _ in entries])
+    # one evaluation of each target on the nodes of every bin, summed per bin
+    panels = [max(1, math.ceil((b - a) / TWO_PI * BIN_PANELS)) for a, b in bins]
+    x, w = gauss_legendre_panels(bins, panels)
+    starts = GL_ORDER * np.cumsum([0] + panels[:-1])
+    boundary = np.exp(1j * x)
+    target_cols = np.array([
+        np.add.reduceat(np.asarray(f(boundary), dtype=complex) * w, starts) / TWO_PI
+        for f, _ in entries])
     target_vals = np.array([v for _, v in entries])
 
     rows = [MASS_ROW_WEIGHT * weights]

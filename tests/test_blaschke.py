@@ -64,6 +64,40 @@ def test_derivative_matches_central_difference():
         assert abs(b.derivative(z) - num) < 1e-6
 
 
+def _factor_arrays(zeros, z):
+    """Reference (n, m) arrays of every factor and its derivative."""
+    a = np.array(zeros)[:, None]
+    u = np.conj(a) / np.abs(a)
+    den = 1 - np.conj(a) * z[None, :]
+    return u * (a - z[None, :]) / den, u * (np.abs(a) ** 2 - 1) / den ** 2
+
+
+def test_value_and_derivative_match_direct_product():
+    rng = np.random.default_rng(20261018)
+    rotation = 0.7
+    for _ in range(5):
+        zeros = tuple(random_zero(rng) for _ in range(25))
+        b = BlaschkeProduct(zeros, rotation)
+        theta = rng.uniform(-np.pi, np.pi, 264)
+        radius = np.concatenate([0.97 * np.sqrt(rng.uniform(0, 1, 200)), np.ones(64)])
+        z = radius * np.exp(1j * theta)
+        f, fp = _factor_arrays(zeros, z)
+        value = np.exp(1j * rotation) * np.prod(f, axis=0)
+        np.testing.assert_allclose(b(z), value, rtol=1e-13)
+        # B' = B * sum_j f_j'/f_j away from the zeros
+        np.testing.assert_allclose(b.derivative(z), value * np.sum(fp / f, axis=0),
+                                   rtol=1e-12)
+        # at a zero a_k, B vanishes and B' = f_k'(a_k) prod_{j != k} f_j(a_k)
+        a = np.array(zeros)
+        f, fp = _factor_arrays(zeros, a)
+        np.fill_diagonal(f, 1)
+        want = np.exp(1j * rotation) * np.diag(fp) * np.prod(f, axis=0)
+        assert np.all(b(a) == 0)
+        got = b.derivative(a)
+        assert np.all(got != 0)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
 def test_product_and_scaled():
     b1 = BlaschkeProduct((0.3,), 0.2)
     b2 = BlaschkeProduct((0.5j,), -0.1)
@@ -155,6 +189,17 @@ def test_geometric_sequence_diagnostics():
     assert min(tails) < tails[0] and min(tails) < tails[-1]
 
 
+def test_carleson_diagnostics_match_pairwise_product():
+    rng = np.random.default_rng(20261019)
+    pts = tuple(random_zero(rng, 0.98) for _ in range(60))
+    const, tails = carleson_diagnostics(DiscSequence(pts))
+    want = [math.prod(pseudo_distance(w, z) for j, w in enumerate(pts) if j != k)
+            for k, z in enumerate(pts)]
+    np.testing.assert_allclose(tails, want, rtol=1e-12)
+    assert const == min(tails)
+    assert DiscSequence((0.3, 0.5j, 0.3)).carleson_constant == 0.0
+
+
 def test_sector_membership():
     sec = Sector(0.5, 0.75, 0.85)
     assert sec.contains(0.8)
@@ -185,6 +230,22 @@ def test_ladder_frozen_instance():
         assert abs(r - (2 * s + 1) / 3) < 1e-15
     for rec in lad.verification:
         assert rec.min_modulus > 1 - rec.eps
+
+
+def test_ladder_conjugate_pairs_frozen():
+    # each modulus is shared by a conjugate pair, so both zeros must enter a
+    # tail sum together; values computed with the per-modulus scan
+    radii = [1 - 0.5 * 1.6 ** -k for k in range(1, 16)]
+    zeros = tuple(r * np.exp(sign * 0.05j * (1 + k % 4))
+                  for k, r in enumerate(radii) for sign in (1, -1))
+    cands = DiscSequence(tuple(1 - 3.0 ** -n for n in range(1, 25)))
+    lad = construct_ladder(zeros, cands, [0.5, 0.25, 0.125], [0.5, 0.75, 0.875], 0.5)
+    assert lad.s_values == (0.5, 0.9971578290569595, 0.9982236431605997,
+                            0.9988897769753748)
+    assert lad.r_values == (0.6666666666666666, 0.9981052193713064,
+                            0.9988157621070665)
+    assert lad.chosen_indices == (0, 7, 9)
+    assert [len(p) for p in lad.partition] == [4, 20, 0]
 
 
 def test_ladder_partition_is_disjoint_cover():

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from corona_lab.cli import main
+from corona_lab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -240,11 +241,40 @@ def test_cluster_scenario_cli(capsys, tmp_path):
     assert abs(rep["limits"][0][0] - (1 - 2.0 ** -20)) < 1e-15
 
 
+def test_cluster_scenario_failure_reports_stage_counts(capsys, tmp_path):
+    fns = write(tmp_path, "fns.json", {"functions": [
+        {"kind": "polynomial", "data": {"coeffs": [[0, 0], [1, 0]]}},
+    ]})
+    pts = write(tmp_path, "pts.json",
+                {"points": [[1 - 2.0 ** -j, 0.0] for j in range(1, 6)]})
+    rc, _, err = run(capsys, "cluster-scenario", "--functions", fns,
+                     "--points", pts, "--eps", "1e-9")
+    assert rc == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ExtractionError"
+    assert payload["report"]["stage_counts"] == [1]
+
+
 def test_selftest_flag_needs_no_other_flags(capsys):
-    for cmd in ("ladder", "corona-solve", "l2-identity", "align-arcs"):
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(commands) == 13
+    for cmd in commands:
         rc, out, _ = run(capsys, cmd, "--selftest")
-        assert rc == 0
+        assert rc == 0, cmd
         assert "passed" in out
+
+
+def test_flags_only_where_they_take_effect(capsys, tmp_path):
+    points = write(tmp_path, "pts.json", {"points": [[0.1, 0.0], [0.5, 0.0]]})
+    assert run(capsys, "interp-check", "--points", points)[0] == 0
+    rc, _, err = run(capsys, "interp-check", "--points", points, "--seed", "1")
+    assert rc == 2
+    assert "--seed" in err
+    rc, _, err = run(capsys, "interp-check", "--points", points, "--nodes", "9")
+    assert rc == 2
+    assert "--nodes" in err
 
 
 def test_exit_code_two_on_usage_errors(capsys, tmp_path):
@@ -259,6 +289,26 @@ def test_exit_code_two_on_usage_errors(capsys, tmp_path):
     assert rc == 2
     payload = json.loads(err)
     assert "--candidates" in payload["message"]
+
+
+def test_measure_fit_malformed_partition_names_key(capsys, tmp_path):
+    spec = write(tmp_path, "fit.json", {"targets": [], "partition": [[0.1]]})
+    rc, _, err = run(capsys, "measure-fit", "--in", spec)
+    assert rc == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "partition" in payload["message"]
+
+
+def test_delta_non_numeric_grid_names_key(capsys, tmp_path):
+    inst = write(tmp_path, "inst.json", {
+        "functions": [{"kind": "polynomial", "data": {"coeffs": [[1, 0]]}}],
+        "grid": {"radial": "x", "angular": 64, "boundary": 256, "ratio": 0.5}})
+    rc, _, err = run(capsys, "delta", "--in", inst)
+    assert rc == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "grid.radial" in payload["message"]
 
 
 def test_exit_code_two_on_unknown_key(capsys, tmp_path):

@@ -104,6 +104,14 @@ def test_schwarz_foreign_product_has_no_tails():
     assert all(abs(r.value) > 0.1 for r in rows)
 
 
+def test_schwarz_check_names_first_point_above_one():
+    # B(z) = z has invariant 1 - |c|^2; a negative tol puts points 2 and 3
+    # above the threshold, and the error names the first of them
+    seq = DiscSequence((0.9, 0.8, 0.1, 0.2))
+    with pytest.raises(DomainError, match="at point 2;"):
+        schwarz_check(seq, BlaschkeProduct((0j,)), tol=-0.5)
+
+
 def test_schwarz_thin_sequence_tail_large():
     seq = DiscSequence(tuple(1 - 40.0 ** -j for j in range(1, 11)))
     rows = schwarz_check(seq)
