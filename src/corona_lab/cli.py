@@ -22,7 +22,8 @@ from .hoffman import compose_trace, l2_distance_to_identity
 from .measures import (SimpleDensity, TargetFunctional, align_arcs,
                        fit_simple_density, pushforward_density, quartiles)
 from .quadrature import DEFAULT_NODES
-from .serialize import as_complex, complex_list, dumps, load_json, strict_keys
+from .serialize import (as_complex, as_number, complex_list, dumps, load_json,
+                        strict_keys)
 
 NODES_ENV = "CORONA_LAB_NODES"
 
@@ -203,7 +204,7 @@ def _cmd_measure_fit(args) -> int:
     except (TypeError, ValueError):
         raise ConfigError(f"{infile}.partition: expected a list of numeric "
                           f"[start, end] pairs, got {doc['partition']!r}") from None
-    window = float(doc["window"]) if "window" in doc else None
+    window = as_number(doc["window"], f"{infile}.window") if "window" in doc else None
     fit = fit_simple_density(TargetFunctional(tuple(entries)), partition,
                              eps=args.eps, window=window)
     payload = fit.density.to_dict()

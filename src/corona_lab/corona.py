@@ -1,11 +1,15 @@
 """Corona-type solvers: measure the joint lower bound of a function tuple,
 produce Bezout solutions sum_k u_k f_k = 1, and verify certificates.
 
-Two solver paths: an exact one through Gaussian-rational gcd arithmetic for
-polynomial data, and a least-squares one with a polynomial ansatz fitted on
-boundary nodes.  Residuals of analytic expressions attain their maximum on
-the boundary, so verification samples the boundary; the reported residual is
-the maximum over those samples, a measurement rather than a bound.
+Two solver paths: an exact one for polynomial data, through
+Gaussian-integer subresultant gcds (exactpoly), and a least-squares one
+with a polynomial ansatz fitted on boundary nodes.  Residuals of analytic
+expressions attain their maximum on the boundary, so verification samples
+the boundary; the reported residual_sup is the maximum over those samples,
+a measurement rather than a bound.  When every function and every solution
+is a polynomial, the certificate also carries residual_bound, the
+coefficient l1 norm of sum_k u_k f_k - 1 formed exactly from the float
+coefficients and rounded up: a true bound on the whole closed disc.
 """
 
 import math
@@ -14,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disc_geometry import check_disc
-from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
+from .errors import DomainError, ExtractionError, UnsolvableError
 from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
-                        poly_to_complex)
+                        poly_to_complex, residual_l1_bound)
 from .functions import POLYNOMIAL, FunctionSpec
-from .serialize import cpair, strict_keys
+from .serialize import as_number, cpair, strict_keys
 
 INSIDE_TOL = 1e-9
 
@@ -64,14 +68,9 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "grid") -> "GridSpec":
         strict_keys(d, required=("radial", "angular", "boundary", "ratio"), where=where)
-        values = {}
-        for key, kind in (("radial", int), ("angular", int), ("boundary", int),
-                          ("ratio", float)):
-            try:
-                values[key] = kind(d[key])
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{where}.{key}: expected a number, got {d[key]!r}") from None
+        values = {key: as_number(d[key], f"{where}.{key}", kind)
+                  for key, kind in (("radial", int), ("angular", int),
+                                    ("boundary", int), ("ratio", float))}
         return cls(**values)
 
 
@@ -141,7 +140,7 @@ class CoronaInstance:
         grid = (GridSpec.from_dict(d["grid"], f"{where}.grid")
                 if "grid" in d else DEFAULT_GRID)
         if "delta_hat" in d:
-            return cls(fns, grid, float(d["delta_hat"]))
+            return cls(fns, grid, as_number(d["delta_hat"], f"{where}.delta_hat"))
         return cls.build(fns, grid)
 
 
@@ -152,6 +151,9 @@ class BezoutCertificate:
     residual_sup is the measured maximum of |sum u_k f_k - 1| on the
     verification nodes; norms holds a sup estimate per solution; passing
     records whether the residual met the requested tolerance.
+    residual_bound, present only when every function and solution is a
+    polynomial, is a float at least the coefficient l1 norm of the exact
+    residual polynomial, so it bounds |sum u_k f_k - 1| on the closed disc.
     """
 
     solutions: tuple
@@ -159,24 +161,32 @@ class BezoutCertificate:
     norms: tuple
     passing: bool
     method: str
+    residual_bound: float | None = None
 
     def to_dict(self) -> dict:
-        return {"solutions": [u.to_dict() for u in self.solutions],
-                "residual_sup": self.residual_sup,
-                "norms": list(self.norms),
-                "passing": self.passing,
-                "method": self.method}
+        out = {"solutions": [u.to_dict() for u in self.solutions],
+               "residual_sup": self.residual_sup,
+               "norms": list(self.norms),
+               "passing": self.passing,
+               "method": self.method}
+        if self.residual_bound is not None:
+            out["residual_bound"] = self.residual_bound
+        return out
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "certificate") -> "BezoutCertificate":
         strict_keys(d, required=("solutions",),
-                    optional=("residual_sup", "norms", "passing", "method"),
+                    optional=("residual_sup", "norms", "passing", "method",
+                              "residual_bound"),
                     where=where)
         sols = tuple(FunctionSpec.from_dict(u, f"{where}.solutions[{i}]")
                      for i, u in enumerate(d["solutions"]))
-        return cls(sols, float(d.get("residual_sup", math.nan)),
-                   tuple(float(x) for x in d.get("norms", ())),
-                   bool(d.get("passing", False)), str(d.get("method", "unknown")))
+        bound = d.get("residual_bound")
+        return cls(sols, as_number(d.get("residual_sup", math.nan), f"{where}.residual_sup"),
+                   tuple(as_number(x, f"{where}.norms[{i}]")
+                         for i, x in enumerate(d.get("norms", ()))),
+                   bool(d.get("passing", False)), str(d.get("method", "unknown")),
+                   None if bound is None else as_number(bound, f"{where}.residual_bound"))
 
 
 def _residual_on_nodes(functions, solutions, theta) -> float:
@@ -187,6 +197,15 @@ def _residual_on_nodes(functions, solutions, theta) -> float:
     return float(np.max(np.abs(acc - 1)))
 
 
+def _residual_bound(functions, solutions) -> float | None:
+    """residual_l1_bound of the float coefficients when every function and
+    every solution is a polynomial; None otherwise."""
+    if any(f.kind != POLYNOMIAL for f in (*functions, *solutions)):
+        return None
+    return residual_l1_bound([f.payload[0] for f in functions],
+                             [u.payload[0] for u in solutions])
+
+
 def verification_nodes(grid: GridSpec) -> np.ndarray:
     """Boundary nodes for residual checks, deliberately distinct from (and
     finer than) the fit nodes so the check is out of sample."""
@@ -195,7 +214,7 @@ def verification_nodes(grid: GridSpec) -> np.ndarray:
 
 
 def bezout_exact(instance: CoronaInstance, tol: float = 1e-10) -> BezoutCertificate:
-    """Exact solutions via Gaussian-rational gcd arithmetic.
+    """Exact solutions via the Gaussian-integer subresultant gcd.
 
     Needs polynomial data.  The gcd of the tuple decides everything: a unit
     gcd gives polynomial solutions straight from the Bezout cofactors; a gcd
@@ -230,7 +249,8 @@ def bezout_exact(instance: CoronaInstance, tol: float = 1e-10) -> BezoutCertific
     theta = verification_nodes(instance.grid)
     residual = _residual_on_nodes(instance.functions, solutions, theta)
     norms = tuple(u.sup_norm_estimate() for u in solutions)
-    return BezoutCertificate(solutions, residual, norms, residual <= tol, "exact")
+    return BezoutCertificate(solutions, residual, norms, residual <= tol, "exact",
+                             _residual_bound(instance.functions, solutions))
 
 
 def bezout_numeric(instance: CoronaInstance, degree_cap: int,
@@ -270,7 +290,8 @@ def bezout_numeric(instance: CoronaInstance, degree_cap: int,
     residual = _residual_on_nodes(instance.functions, solutions,
                                   verification_nodes(instance.grid))
     norms = tuple(u.sup_norm_estimate() for u in solutions)
-    return BezoutCertificate(solutions, residual, norms, residual <= tol, "numeric")
+    return BezoutCertificate(solutions, residual, norms, residual <= tol, "numeric",
+                             _residual_bound(instance.functions, solutions))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ from scipy.optimize import nnls
 
 from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
                             geodesic_endpoints, orthogonal_circle)
-from .errors import DomainError, InfeasibleError, QuadratureError
+from .errors import ConfigError, DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
 from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
                          integrate_piecewise, integrate_uniform_checked)
-from .serialize import strict_keys
+from .serialize import as_number, strict_keys
 
 TWO_PI = 2 * math.pi
 
@@ -137,7 +137,12 @@ class SimpleDensity:
     @classmethod
     def from_dict(cls, d: dict, where: str = "density") -> "SimpleDensity":
         strict_keys(d, required=("pieces",), where=where)
-        return cls(tuple(tuple(float(x) for x in p) for p in d["pieces"]))
+        pieces = d["pieces"]
+        if not isinstance(pieces, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) for p in pieces):
+            raise ConfigError(f"{where}.pieces: expected a list of [start, end, value] lists")
+        return cls(tuple(tuple(as_number(x, f"{where}.pieces[{i}]") for x in p)
+                         for i, p in enumerate(pieces)))
 
 
 def poisson_kernel(z, theta):

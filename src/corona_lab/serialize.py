@@ -25,6 +25,14 @@ def as_complex(pair, where: str = "value") -> complex:
     return complex(re, im)
 
 
+def as_number(value, where: str = "value", kind=float):
+    """kind(value), or ConfigError naming where."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
 def complex_list(pairs, where: str = "list") -> list:
     if not isinstance(pairs, (list, tuple)):
         raise ConfigError(f"{where}: expected a list of [re, im] pairs")

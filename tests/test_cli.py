@@ -63,6 +63,7 @@ def test_corona_solve_check_pipeline(capsys, tmp_path):
     cert = json.loads(open(cert_path).read())
     assert cert["method"] == "exact"
     assert cert["residual_sup"] < 1e-12
+    assert cert["residual_bound"] == 0.0
 
     rc, out, _ = run(capsys, "corona-check", "--in", inst,
                      "--cert", cert_path, "--tol", "1e-10")
@@ -309,6 +310,34 @@ def test_delta_non_numeric_grid_names_key(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "ConfigError"
     assert "grid.radial" in payload["message"]
+
+
+def _assert_names_key(rc, err, key):
+    assert rc == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert key in payload["message"]
+
+
+def test_non_numeric_delta_hat_names_key(capsys, tmp_path):
+    inst = write(tmp_path, "inst.json", {
+        "functions": [{"kind": "polynomial", "data": {"coeffs": [[1, 0]]}}],
+        "delta_hat": "x"})
+    rc, _, err = run(capsys, "corona-solve", "--in", inst)
+    _assert_names_key(rc, err, "delta_hat")
+
+
+def test_measure_fit_non_numeric_window_names_key(capsys, tmp_path):
+    spec = write(tmp_path, "fit.json", {"targets": [], "partition": [[0.0, 0.1]],
+                                        "window": "x"})
+    rc, _, err = run(capsys, "measure-fit", "--in", spec)
+    _assert_names_key(rc, err, "window")
+
+
+def test_non_numeric_density_piece_names_key(capsys, tmp_path):
+    density = write(tmp_path, "d.json", {"pieces": [["a", 0.2, 1]]})
+    rc, _, err = run(capsys, "quartiles", "--density", density)
+    _assert_names_key(rc, err, "pieces[0]")
 
 
 def test_exit_code_two_on_unknown_key(capsys, tmp_path):

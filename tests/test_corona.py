@@ -1,6 +1,7 @@
 """Delta measurement, Bezout solvers, certificate checks, cluster values."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from corona_lab.corona import (DEFAULT_GRID, BezoutCertificate, CoronaInstance,
                                GridSpec, bezout_exact, bezout_numeric,
                                check_certificate, cluster_scenario,
                                measure_delta, verification_nodes)
-from corona_lab.errors import (DomainError, ExtractionError, UnsolvableError)
+from corona_lab.errors import (ConfigError, DomainError, ExtractionError,
+                               UnsolvableError)
 from corona_lab.functions import FunctionSpec, constant_function, identity_function
 
 ANCHOR = (FunctionSpec.polynomial([0, 0, 1]),       # z^2
@@ -75,6 +77,7 @@ def test_exact_solver_anchor_certificate():
     u1, u2 = cert.solutions
     assert u1.payload[0] == (4 + 0j,)
     assert u2.payload[0] == (-2 + 0j, -4 + 0j)
+    assert cert.residual_bound == 0.0          # 4 z^2 + (-4z - 2)(z - 1/2) == 1
 
 
 def test_exact_solver_common_zero_unsolvable():
@@ -93,6 +96,8 @@ def test_exact_solver_outside_gcd_gives_rational_solutions():
     assert cert.passing
     assert cert.residual_sup < 1e-10
     assert all(u.kind == "rational" for u in cert.solutions)
+    assert cert.residual_bound is None
+    assert "residual_bound" not in cert.to_dict()
 
 
 def test_exact_solver_rejects_non_polynomials():
@@ -108,6 +113,71 @@ def test_exact_solver_near_collinear_norm_growth():
     cert = bezout_exact(CoronaInstance.build((f1, f2)))
     assert max(cert.norms) > 1e5
     assert cert.residual_sup < 1e-8
+
+
+def _exact_residual_sup_squared(instance, cert, theta) -> Fraction:
+    """max |sum u_k f_k - 1|^2 at the float points e^{i theta} inside the
+    closed disc, each evaluated in exact rational arithmetic."""
+    worst = Fraction(0)
+    for z in np.exp(1j * theta):
+        zr, zi = Fraction(z.real), Fraction(z.imag)
+        if zr * zr + zi * zi > 1:
+            continue
+        acc_r, acc_i = Fraction(-1), Fraction(0)
+        for f, u in zip(instance.functions, cert.solutions):
+            vals = []
+            for coeffs in (f.payload[0], u.payload[0]):
+                vr, vi = Fraction(0), Fraction(0)
+                for c in reversed(coeffs):
+                    vr, vi = vr * zr - vi * zi + Fraction(c.real), vr * zi + vi * zr + Fraction(c.imag)
+                vals.append((vr, vi))
+            (ar, ai), (br, bi) = vals
+            acc_r, acc_i = acc_r + ar * br - ai * bi, acc_i + ar * bi + ai * br
+        worst = max(worst, acc_r * acc_r + acc_i * acc_i)
+    return worst
+
+
+def test_residual_bound_dominates_the_exact_residual():
+    # residual_sup is measured in floating point and, for exact cofactors, is
+    # mostly rounding of the evaluation itself, so it may exceed the bound;
+    # the bound must dominate the residual evaluated exactly.
+    rng = np.random.default_rng(91)
+    theta = verification_nodes(DEFAULT_GRID)[::5]
+    for d in (1, 3, 5):
+        funcs = tuple(FunctionSpec.polynomial(rng.normal(size=d + 1)
+                                              + 1j * rng.normal(size=d + 1))
+                      for _ in range(2))
+        inst = CoronaInstance.build(funcs)
+        for cert in (bezout_exact(inst), bezout_numeric(inst, degree_cap=d)):
+            exact = _exact_residual_sup_squared(inst, cert, theta)
+            assert Fraction(cert.residual_bound) ** 2 >= exact > 0
+            assert cert.residual_bound < 1e-10
+
+
+def test_residual_bound_needs_polynomial_data():
+    inst = CoronaInstance.build((FunctionSpec.finite_blaschke((0.5,)),
+                                 constant_function(1)))
+    assert bezout_numeric(inst, degree_cap=4).residual_bound is None
+
+
+def test_certificate_roundtrip_keeps_residual_bound():
+    cert = bezout_numeric(CoronaInstance.build(ANCHOR), degree_cap=2)
+    again = BezoutCertificate.from_dict(cert.to_dict())
+    assert again.residual_bound == cert.residual_bound > 0
+    bad = dict(cert.to_dict(), residual_bound="x")
+    with pytest.raises(ConfigError, match="residual_bound"):
+        BezoutCertificate.from_dict(bad)
+
+
+def test_exact_solver_degree_20_pair():
+    # full 53-bit coefficients at degree 20: the exact identity guard must hold
+    rng = np.random.default_rng(2020)
+    part = lambda: rng.uniform(0.5, 1.0, 21) * rng.choice((-1.0, 1.0), 21)
+    funcs = tuple(FunctionSpec.polynomial(part() + 1j * part()) for _ in range(2))
+    cert = bezout_exact(CoronaInstance.build(funcs))   # the identity guard raises on failure
+    assert cert.passing
+    assert all(len(u.payload[0]) == 20 for u in cert.solutions)
+    assert cert.residual_bound < 1e-12
 
 
 def test_numeric_solver_anchor():
