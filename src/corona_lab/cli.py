@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import blaschke, corona, disc_geometry, hoffman, measures
 from .blaschke import BlaschkeProduct, DiscSequence, construct_ladder
 from .corona import (BezoutCertificate, CoronaInstance, bezout_exact, bezout_numeric,
@@ -22,8 +24,8 @@ from .hoffman import compose_trace, l2_distance_to_identity
 from .measures import (SimpleDensity, TargetFunctional, align_arcs,
                        fit_simple_density, pushforward_density, quartiles)
 from .quadrature import DEFAULT_NODES
-from .serialize import (as_complex, as_number, complex_list, dumps, load_json,
-                        strict_keys)
+from .serialize import (as_complex, as_list, as_number, complex_list, csv_text, dumps,
+                        load_json, strict_keys)
 
 NODES_ENV = "CORONA_LAB_NODES"
 
@@ -49,10 +51,7 @@ def _resolve_nodes(args) -> int:
         env = os.environ.get(NODES_ENV)
         if env is None:
             return DEFAULT_NODES
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"{NODES_ENV} must be an integer, got {env!r}")
+        value = as_number(env, NODES_ENV, int)
     if value < 4:
         raise ConfigError("node count must be at least 4")
     return value
@@ -77,8 +76,7 @@ def _emit(args, payload: dict) -> None:
 def _load_functions(path: str) -> tuple:
     doc = load_json(path)
     strict_keys(doc, required=("functions",), where=path)
-    return tuple(FunctionSpec.from_dict(f, f"{path}.functions[{i}]")
-                 for i, f in enumerate(doc["functions"]))
+    return tuple(as_list(doc["functions"], f"{path}.functions", FunctionSpec.from_dict))
 
 
 def _load_density(path: str) -> SimpleDensity:
@@ -159,8 +157,10 @@ def _cmd_ladder(args) -> int:
     strict_keys(zeros_doc, required=("zeros",), where=zeros_path)
     zeros = complex_list(zeros_doc["zeros"], f"{zeros_path}.zeros")
     candidates = _load_sequence(_require(args, "candidates", "--candidates"))
-    eps_seq = _parse_inline(_require(args, "eps", "--eps"), "--eps")
-    eta_seq = _parse_inline(_require(args, "eta", "--eta"), "--eta")
+    eps_seq = as_list(_parse_inline(_require(args, "eps", "--eps"), "--eps"),
+                      "--eps", as_number)
+    eta_seq = as_list(_parse_inline(_require(args, "eta", "--eta"), "--eta"),
+                      "--eta", as_number)
     ladder = construct_ladder(zeros, candidates, eps_seq, eta_seq,
                               _require(args, "ell", "--ell"))
     _emit(args, ladder.to_dict())
@@ -192,13 +192,13 @@ def _cmd_measure_fit(args) -> int:
     doc = load_json(infile)
     strict_keys(doc, required=("targets", "partition"), optional=("window",),
                 where=infile)
-    entries = []
-    for i, item in enumerate(doc["targets"]):
-        strict_keys(item, required=("function", "value"),
-                    where=f"{infile}.targets[{i}]")
-        entries.append((FunctionSpec.from_dict(item["function"],
-                                               f"{infile}.targets[{i}].function"),
-                        as_complex(item["value"], f"{infile}.targets[{i}].value")))
+
+    def target(item, where):
+        strict_keys(item, required=("function", "value"), where=where)
+        return (FunctionSpec.from_dict(item["function"], f"{where}.function"),
+                as_complex(item["value"], f"{where}.value"))
+
+    entries = as_list(doc["targets"], f"{infile}.targets", target)
     try:
         partition = [(float(a), float(b)) for a, b in doc["partition"]]
     except (TypeError, ValueError):
@@ -228,12 +228,8 @@ def _cmd_pushforward(args) -> int:
     nodes = _resolve_nodes(args)
     payload = {"mass": u.mass(nodes), "breakpoints": list(u.breakpoints)}
     if args.samples:
-        import numpy as np
         theta = np.linspace(-np.pi, np.pi, args.samples, endpoint=False)
-        vals = u(theta)
-        lines = ["theta,u\n"]
-        lines += [f"{t:.17g},{v:.17g}\n" for t, v in zip(theta, vals)]
-        _emit_text(args, "".join(lines))
+        _emit_text(args, csv_text("theta,u", (theta, u(theta))))
     else:
         _emit(args, payload)
     return 0

@@ -22,7 +22,7 @@ from .errors import DomainError, ExtractionError, UnsolvableError
 from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
                         poly_to_complex, residual_l1_bound)
 from .functions import POLYNOMIAL, FunctionSpec
-from .serialize import as_number, cpair, strict_keys
+from .serialize import as_list, as_number, cpair, strict_keys
 
 INSIDE_TOL = 1e-9
 
@@ -135,8 +135,7 @@ class CoronaInstance:
     def from_dict(cls, d: dict, where: str = "instance") -> "CoronaInstance":
         strict_keys(d, required=("functions",), optional=("grid", "delta_hat"),
                     where=where)
-        fns = tuple(FunctionSpec.from_dict(f, f"{where}.functions[{i}]")
-                    for i, f in enumerate(d["functions"]))
+        fns = tuple(as_list(d["functions"], f"{where}.functions", FunctionSpec.from_dict))
         grid = (GridSpec.from_dict(d["grid"], f"{where}.grid")
                 if "grid" in d else DEFAULT_GRID)
         if "delta_hat" in d:
@@ -179,31 +178,20 @@ class BezoutCertificate:
                     optional=("residual_sup", "norms", "passing", "method",
                               "residual_bound"),
                     where=where)
-        sols = tuple(FunctionSpec.from_dict(u, f"{where}.solutions[{i}]")
-                     for i, u in enumerate(d["solutions"]))
+        sols = tuple(as_list(d["solutions"], f"{where}.solutions", FunctionSpec.from_dict))
         bound = d.get("residual_bound")
         return cls(sols, as_number(d.get("residual_sup", math.nan), f"{where}.residual_sup"),
-                   tuple(as_number(x, f"{where}.norms[{i}]")
-                         for i, x in enumerate(d.get("norms", ()))),
+                   tuple(as_list(d.get("norms", ()), f"{where}.norms", as_number)),
                    bool(d.get("passing", False)), str(d.get("method", "unknown")),
                    None if bound is None else as_number(bound, f"{where}.residual_bound"))
 
 
-def _residual_on_nodes(functions, solutions, theta) -> float:
-    z = np.exp(1j * theta)
+def _residual_sup(functions, solutions, z) -> float:
+    """Maximum of |sum_k f_k u_k - 1| over the points z."""
     acc = np.zeros(z.shape, dtype=complex)
     for f, u in zip(functions, solutions):
         acc = acc + np.asarray(f(z), dtype=complex) * np.asarray(u(z), dtype=complex)
     return float(np.max(np.abs(acc - 1)))
-
-
-def _residual_bound(functions, solutions) -> float | None:
-    """residual_l1_bound of the float coefficients when every function and
-    every solution is a polynomial; None otherwise."""
-    if any(f.kind != POLYNOMIAL for f in (*functions, *solutions)):
-        return None
-    return residual_l1_bound([f.payload[0] for f in functions],
-                             [u.payload[0] for u in solutions])
 
 
 def verification_nodes(grid: GridSpec) -> np.ndarray:
@@ -211,6 +199,20 @@ def verification_nodes(grid: GridSpec) -> np.ndarray:
     finer than) the fit nodes so the check is out of sample."""
     n = 2 * grid.boundary + 17
     return np.linspace(-np.pi, np.pi, n, endpoint=False)
+
+
+def _certificate(instance: CoronaInstance, solutions: tuple, tol: float,
+                 method: str) -> BezoutCertificate:
+    """Certificate for the solutions, checked on the verification nodes."""
+    fns = instance.functions
+    z = np.exp(1j * verification_nodes(instance.grid))
+    residual = _residual_sup(fns, solutions, z)
+    norms = tuple(u.sup_norm_estimate() for u in solutions)
+    bound = None
+    if all(f.kind == POLYNOMIAL for f in (*fns, *solutions)):
+        bound = residual_l1_bound([f.payload[0] for f in fns],
+                                  [u.payload[0] for u in solutions])
+    return BezoutCertificate(solutions, residual, norms, residual <= tol, method, bound)
 
 
 def bezout_exact(instance: CoronaInstance, tol: float = 1e-10) -> BezoutCertificate:
@@ -245,12 +247,7 @@ def bezout_exact(instance: CoronaInstance, tol: float = 1e-10) -> BezoutCertific
         solutions = tuple(
             FunctionSpec.rational(poly_to_complex(c) or [0j], gcd_coeffs)
             for c in cofactors)
-
-    theta = verification_nodes(instance.grid)
-    residual = _residual_on_nodes(instance.functions, solutions, theta)
-    norms = tuple(u.sup_norm_estimate() for u in solutions)
-    return BezoutCertificate(solutions, residual, norms, residual <= tol, "exact",
-                             _residual_bound(instance.functions, solutions))
+    return _certificate(instance, solutions, tol, "exact")
 
 
 def bezout_numeric(instance: CoronaInstance, degree_cap: int,
@@ -287,11 +284,7 @@ def bezout_numeric(instance: CoronaInstance, degree_cap: int,
     solutions = tuple(
         FunctionSpec.polynomial(coeffs[k * n_unknown_per:(k + 1) * n_unknown_per])
         for k in range(n_funcs))
-    residual = _residual_on_nodes(instance.functions, solutions,
-                                  verification_nodes(instance.grid))
-    norms = tuple(u.sup_norm_estimate() for u in solutions)
-    return BezoutCertificate(solutions, residual, norms, residual <= tol, "numeric",
-                             _residual_bound(instance.functions, solutions))
+    return _certificate(instance, solutions, tol, "numeric")
 
 
 @dataclass(frozen=True)
@@ -325,11 +318,7 @@ def check_certificate(instance: CoronaInstance, cert: BezoutCertificate,
     radii = np.concatenate([radii, np.ones(samples - radii.size)])
     z = np.concatenate([radii * np.exp(1j * theta),
                         np.exp(1j * verification_nodes(instance.grid))])
-
-    acc = np.zeros(z.shape, dtype=complex)
-    for f, u in zip(instance.functions, cert.solutions):
-        acc = acc + np.asarray(f(z), dtype=complex) * np.asarray(u(z), dtype=complex)
-    residual = float(np.max(np.abs(acc - 1)))
+    residual = _residual_sup(instance.functions, cert.solutions, z)
     norm_sup = max((u.sup_norm_estimate() for u in cert.solutions), default=0.0)
     return CheckReport(residual, norm_sup, z.size, residual <= tol)
 

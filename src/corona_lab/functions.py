@@ -11,7 +11,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .errors import ConfigError, DomainError
-from .serialize import complex_list, cpair, strict_keys
+from .serialize import as_number, complex_list, cpair, strict_keys
 
 POLYNOMIAL = "polynomial"
 FINITE_BLASCHKE = "finite_blaschke"
@@ -139,8 +139,8 @@ class FunctionSpec:
         if kind == FINITE_BLASCHKE:
             strict_keys(data, required=("zeros",), optional=("rotation",),
                         where=f"{where}.data")
-            return cls.finite_blaschke(complex_list(data["zeros"], f"{where}.zeros"),
-                                       float(data.get("rotation", 0.0)))
+            rotation = as_number(data.get("rotation", 0.0), f"{where}.rotation")
+            return cls.finite_blaschke(complex_list(data["zeros"], f"{where}.zeros"), rotation)
         if kind == RATIONAL:
             strict_keys(data, required=("num", "den"), where=f"{where}.data")
             return cls.rational(complex_list(data["num"], f"{where}.num"),

@@ -8,7 +8,6 @@ zeros, and measure how far a product sits from the identity map in the
 boundary L2 norm after recentering.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, DiscSequence, compose_with_mobius
 from .disc_geometry import MobiusAut, check_disc
 from .errors import AliasingError, DomainError
+from .serialize import csv_text
 
 DEFAULT_GRID_RADIUS = 0.9
 DEFAULT_GRID_SIZE = 40
@@ -63,12 +63,12 @@ class CompositionTrace:
     tail_start: int | None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("grid_re,grid_im,j,re,im\n")
-        for j in range(len(self.c_values)):
-            for g, v in zip(self.grid, self.samples[j]):
-                buf.write(f"{g.real:.17g},{g.imag:.17g},{j},{v.real:.17g},{v.imag:.17g}\n")
-        return buf.getvalue()
+        rows, size = self.samples.shape
+        grid = np.tile(self.grid, rows)
+        values = self.samples.ravel()
+        return csv_text("grid_re,grid_im,j,re,im",
+                        (grid.real, grid.imag, np.repeat(np.arange(rows), size),
+                         values.real, values.imag))
 
 
 def compose_trace(f, seq, grid_radius: float = DEFAULT_GRID_RADIUS,
@@ -152,7 +152,10 @@ class L2Report:
     distance is |a_0|^2 + (|a_1| - 1)^2 + sum_{k != 0,1} |a_k|^2, which
     collapses to parseval + 1 - 2|a_1|.  parseval records sum |a_k|^2 (one
     for an inner function up to rounding) and alias_energy the share of
-    energy in the top half of the resolved band.
+    energy in the top half of the resolved band.  gamma is 0.0 when
+    |a_1| <= 8 eps (eps = 2^-52, so 1.8e-15) at every n_fft: each
+    coefficient averages unit-modulus samples rounded to a few eps, and even
+    products, whose a_1 vanishes exactly, give about 4 eps at most.
     """
 
     distance: float
@@ -205,7 +208,7 @@ def l2_distance_to_identity(b: BlaschkeProduct, c=0j,
             "increase n_fft", energy=alias_energy)
 
     a1 = coeffs[1]
-    gamma = float(np.angle(a1)) if a1 != 0 else 0.0
+    gamma = float(np.angle(a1)) if abs(a1) > 8 * np.finfo(float).eps else 0.0
     parseval = float(np.sum(energy))
     dist_sq = max(0.0, parseval + 1 - 2 * abs(a1))
     return L2Report(math.sqrt(dist_sq), gamma, coeffs, parseval, alias_energy, n_fft)

@@ -1,22 +1,27 @@
 """Step densities on the circle: fitting, quartiles, alignment, pushforward.
 
 A density is a finite list of half-open arcs with nonnegative constant
-values, normalized against dm = d(theta)/2pi to total mass one.
+values, normalized against dm = d(theta)/2pi to total mass one.  Values, cdf,
+tail, mass, quartiles and breakpoints are read by bisection from one array
+form built on first use: sorted starts, ends, values and two-sided prefix masses.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
                             geodesic_endpoints, orthogonal_circle)
-from .errors import ConfigError, DomainError, InfeasibleError, QuadratureError
+from .errors import DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
 from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
                          integrate_piecewise, integrate_uniform_checked)
-from .serialize import as_number, strict_keys
+from .serialize import as_list, as_number, strict_keys
 
 TWO_PI = 2 * math.pi
 
@@ -30,8 +35,21 @@ CASE_STRADDLE = "straddle"
 CASE_RIGHT = "right"
 
 
-def _piece_mass(a: float, b: float, coeff: float) -> float:
-    return coeff * (b - a) / TWO_PI
+def _sorted_arcs(arcs: list, label: str, window: float | None = None) -> list:
+    """Float arcs (start, end, ...) checked to lie inside [-pi, pi] and the
+    optional +-window, sorted by start.  An arc may start up to 1e-15 before
+    the previous one ends (rounded touching arcs) but not end before it, so
+    the ends come out sorted too."""
+    for idx, arc in enumerate(arcs):
+        if not (-math.pi <= arc[0] < arc[1] <= math.pi):
+            raise DomainError(f"{label} {idx}: need -pi <= start < end <= pi")
+        if window is not None and not (-window <= arc[0] and arc[1] <= window):
+            raise DomainError(f"{label} {idx}: outside window (+-{window})")
+    out = sorted(arcs, key=lambda arc: arc[0])
+    for prev, arc in zip(out, out[1:]):
+        if arc[0] < prev[1] - 1e-15 or arc[1] < prev[1]:
+            raise DomainError(f"{label}s overlap")
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,29 +59,34 @@ class SimpleDensity:
     pieces: tuple
 
     def __post_init__(self):
-        cleaned = []
+        pieces = []
         for idx, piece in enumerate(self.pieces):
             if len(piece) != 3:
                 raise DomainError(f"piece {idx}: expected (start, end, value)")
-            a, b, c = (float(piece[0]), float(piece[1]), float(piece[2]))
-            if not (-math.pi <= a < b <= math.pi):
-                raise DomainError(f"piece {idx}: need -pi <= start < end <= pi")
+            a, b, c = float(piece[0]), float(piece[1]), float(piece[2])
             if c < 0:
                 raise DomainError(f"piece {idx}: negative value")
-            cleaned.append((a, b, c))
-        cleaned.sort(key=lambda p: p[0])
-        for (a1, b1, _), (a2, _, _) in zip(cleaned, cleaned[1:]):
-            if a2 < b1 - 1e-15:
-                raise DomainError("pieces overlap")
-        mass = sum(_piece_mass(*p) for p in cleaned)
+            pieces.append((a, b, c))
+        cleaned = _sorted_arcs(pieces, "piece")
+        mass = sum(c * (b - a) / TWO_PI for a, b, c in cleaned)
         if abs(mass - 1) > MASS_TOL:
             raise DomainError(f"total mass {mass} differs from 1 beyond {MASS_TOL}")
         object.__setattr__(self, "pieces", tuple(cleaned))
 
+    @cached_property
+    def _steps(self) -> tuple:
+        """(starts, ends, values, left, right): left[k] is the mass before
+        piece k summed from -pi, right[k] the mass from piece k on summed
+        from pi; cumsum adds in sequence, as a running sum would."""
+        starts, ends, values = np.array(list(zip(*self.pieces)))
+        masses = values * (ends - starts) / TWO_PI
+        return (starts, ends, values, np.concatenate(([0.0], np.cumsum(masses))),
+                np.concatenate((np.cumsum(masses[::-1])[::-1], [0.0])))
+
     @classmethod
     def normalized(cls, pieces) -> "SimpleDensity":
         """Scale the values so the total mass is exactly one."""
-        mass = sum(_piece_mass(float(a), float(b), float(c)) for a, b, c in pieces)
+        mass = sum(float(c) * (float(b) - float(a)) / TWO_PI for a, b, c in pieces)
         if mass <= 0:
             raise DomainError("cannot normalize a density with zero mass")
         return cls(tuple((a, b, c / mass) for a, b, c in pieces))
@@ -74,40 +97,35 @@ class SimpleDensity:
 
     def __call__(self, theta):
         th = canonical_angle(theta)
-        out = np.zeros(np.shape(th))
-        for a, b, c in self.pieces:
-            out = np.where((th >= a) & (th < b), c, out)
+        starts, ends, values, _, _ = self._steps
+        # the last piece starting at or before th holds it unless it ended
+        k = np.searchsorted(starts, th, "right") - 1
+        out = np.where((k >= 0) & (th < ends[k]), values[k], 0.0)
         return float(out) if out.ndim == 0 else out
 
     def mass(self) -> float:
-        return sum(_piece_mass(*p) for p in self.pieces)
+        return float(self._steps[3][-1])
 
     def cdf(self, theta: float) -> float:
         """Mass of [-pi, theta)."""
         theta = float(theta)
-        acc = 0.0
-        for a, b, c in self.pieces:
-            if theta <= a:
-                break
-            acc += _piece_mass(a, min(theta, b), c)
-        return acc
+        starts, ends, values, left, _ = self._steps
+        # pieces i..j-1 hold theta (two only in the overlap slack), added in order
+        i, j = bisect_right(ends, theta), bisect_left(starts, theta)
+        cut = values[i:j] * (theta - starts[i:j]) / TWO_PI
+        return reduce(add, cut.tolist(), float(left[i]))
 
     def tail(self, theta: float) -> float:
         """Mass of [theta, pi), accumulated from the right for mirror symmetry."""
         theta = float(theta)
-        acc = 0.0
-        for a, b, c in reversed(self.pieces):
-            if theta >= b:
-                break
-            acc += _piece_mass(max(theta, a), b, c)
-        return acc
+        starts, ends, values, _, right = self._steps
+        i, j = bisect_right(ends, theta), bisect_left(starts, theta)
+        cut = values[i:j] * (ends[i:j] - theta) / TWO_PI
+        return reduce(add, cut[::-1].tolist(), float(right[j]))
 
     def breakpoints(self) -> list[float]:
-        out = []
-        for a, b, _ in self.pieces:
-            out.append(a)
-            out.append(b)
-        return sorted(set(out))
+        starts, ends = self._steps[:2]
+        return sorted(set(np.stack((starts, ends), axis=1).ravel().tolist()))
 
     def split_at(self, angles) -> list[tuple[float, float, float]]:
         """Piece list refined so every given angle is a piece endpoint."""
@@ -137,12 +155,8 @@ class SimpleDensity:
     @classmethod
     def from_dict(cls, d: dict, where: str = "density") -> "SimpleDensity":
         strict_keys(d, required=("pieces",), where=where)
-        pieces = d["pieces"]
-        if not isinstance(pieces, (list, tuple)) or not all(
-                isinstance(p, (list, tuple)) for p in pieces):
-            raise ConfigError(f"{where}.pieces: expected a list of [start, end, value] lists")
-        return cls(tuple(tuple(as_number(x, f"{where}.pieces[{i}]") for x in p)
-                         for i, p in enumerate(pieces)))
+        return cls(tuple(as_list(d["pieces"], f"{where}.pieces",
+                                 lambda p, at: tuple(as_list(p, at, as_number)))))
 
 
 def poisson_kernel(z, theta):
@@ -228,18 +242,7 @@ def fit_simple_density(targets, partition, eps: float,
         entries = targets.entries
     else:
         entries = TargetFunctional(tuple(targets)).entries
-    bins = []
-    for idx, (a, b) in enumerate(partition):
-        a, b = float(a), float(b)
-        if not (-math.pi <= a < b <= math.pi):
-            raise DomainError(f"partition bin {idx}: need -pi <= start < end <= pi")
-        if window is not None and not (-window <= a and b <= window):
-            raise DomainError(f"partition bin {idx}: outside window (+-{window})")
-        bins.append((a, b))
-    bins.sort()
-    for (a1, b1), (a2, _) in zip(bins, bins[1:]):
-        if a2 < b1 - 1e-15:
-            raise DomainError("partition bins overlap")
+    bins = _sorted_arcs([(float(a), float(b)) for a, b in partition], "partition bin", window)
     if not bins:
         raise DomainError("partition must be nonempty")
 
@@ -305,29 +308,22 @@ def quartiles(s: SimpleDensity, window: float = math.pi) -> QuartilePair:
 
     alpha is the leftmost angle with a quarter of the mass below it and beta
     the rightmost angle with a quarter above; ties on flat stretches resolve
-    outward, and the scans mirror each other so symmetric densities return
-    beta == -alpha exactly.  The tag classifies by the mass mu on
-    [0, window): mu <= 1/4 left, mu <= 3/4 straddle, else right.
+    outward, and the left and right prefix masses mirror each other so
+    symmetric densities return beta == -alpha exactly.  The tag uses the
+    mass mu on [0, window): left if mu <= 1/4, straddle if mu <= 3/4, else right.
     """
     quarter = 0.25
-    alpha = None
-    acc = 0.0
-    for a, b, c in s.pieces:
-        m = _piece_mass(a, b, c)
-        if c > 0 and acc + m >= quarter:
-            alpha = a + (quarter - acc) * TWO_PI / c
-            break
-        acc += m
-    beta = None
-    acc = 0.0
-    for a, b, c in reversed(s.pieces):
-        m = _piece_mass(a, b, c)
-        if c > 0 and acc + m >= quarter:
-            beta = b - (quarter - acc) * TWO_PI / c
-            break
-        acc += m
-    if alpha is None or beta is None:
+    starts, ends, values, left, right = s._steps
+    # alpha lies in the first live piece through which the mass from the
+    # left reaches a quarter, beta in the last one for the mass from the right
+    live = values > 0
+    first = np.flatnonzero(live & (left[1:] >= quarter))
+    last = np.flatnonzero(live & (right[:-1] >= quarter))
+    if not first.size or not last.size:
         raise DomainError("density too degenerate for quartiles")
+    k, m = first[0], last[-1]
+    alpha = float(starts[k] + (quarter - left[k]) * TWO_PI / values[k])
+    beta = float(ends[m] - (quarter - right[m + 1]) * TWO_PI / values[m])
     if abs(s.cdf(alpha) - quarter) > QUARTILE_TOL or abs(s.tail(beta) - quarter) > QUARTILE_TOL:
         raise DomainError("quartile mass equations failed; density malformed")
 

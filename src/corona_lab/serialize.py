@@ -1,10 +1,12 @@
-"""JSON helpers: complex values travel as [re, im] pairs, dicts are strict.
+"""JSON and CSV helpers: complex values travel as [re, im] pairs, dicts are strict.
 
-All emitters go through ``dumps`` so identical inputs produce byte identical
-files.
+All emitters go through ``dumps`` or ``csv_text`` so identical inputs
+produce byte identical files.
 """
 
 import json
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -29,14 +31,19 @@ def as_number(value, where: str = "value", kind=float):
     """kind(value), or ConfigError naming where."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
+def as_list(value, where: str = "list", item=None) -> list:
+    """Entries of a JSON list, each read as item(entry, "where[i]") if given."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return [x if item is None else item(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+
 def complex_list(pairs, where: str = "list") -> list:
-    if not isinstance(pairs, (list, tuple)):
-        raise ConfigError(f"{where}: expected a list of [re, im] pairs")
-    return [as_complex(p, f"{where}[{i}]") for i, p in enumerate(pairs)]
+    return as_list(pairs, where, as_complex)
 
 
 def strict_keys(d: dict, required, optional=(), where: str = "object") -> None:
@@ -54,6 +61,13 @@ def strict_keys(d: dict, required, optional=(), where: str = "object") -> None:
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(header: str, columns) -> str:
+    """CSV of equal-length real columns under header, each value as %.17g."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = np.column_stack(columns).ravel().tolist()
+    return header + "\n" + row * len(columns[0]) % tuple(values)
 
 
 def load_json(path: str):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corona_lab.cli import build_parser, main
+from corona_lab.measures import SimpleDensity, pushforward_density
 
 
 def run(capsys, *argv):
@@ -338,6 +339,58 @@ def test_non_numeric_density_piece_names_key(capsys, tmp_path):
     density = write(tmp_path, "d.json", {"pieces": [["a", 0.2, 1]]})
     rc, _, err = run(capsys, "quartiles", "--density", density)
     _assert_names_key(rc, err, "pieces[0]")
+
+
+POLY_ONE = {"kind": "polynomial", "data": {"coeffs": [[1, 0]]}}
+POINTS = {"points": [[0.5, 0.0], [0.75, 0.0]]}
+
+
+@pytest.mark.parametrize("case", ["rotation", "functions", "cluster_functions",
+                                  "solutions", "targets", "eps", "grid_count"])
+def test_malformed_input_names_key(capsys, tmp_path, case):
+    files = {"f.json": {"kind": "finite_blaschke",
+                        "data": {"zeros": [[0.5, 0]], "rotation": "x"}},
+             "inst.json": {"functions": 3},
+             "good.json": {"functions": [POLY_ONE]},
+             "cert.json": {"solutions": 7},
+             "fit.json": {"targets": 5, "partition": [[0.0, 0.1]]},
+             "zeros.json": {"zeros": [[0.5, 0.0]]},
+             "pts.json": POINTS,
+             "grid.json": {"functions": [POLY_ONE],
+                           "grid": {"radial": 8, "angular": 1e400,
+                                    "boundary": 256, "ratio": 0.5}}}
+    paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
+    argv, key = {
+        "rotation": (["hoffman-trace", "--function", paths["f.json"],
+                      "--points", paths["pts.json"]], "rotation"),
+        "functions": (["delta", "--in", paths["inst.json"]], "functions"),
+        "cluster_functions": (["cluster-scenario", "--functions", paths["inst.json"],
+                               "--points", paths["pts.json"]], "functions"),
+        "solutions": (["corona-check", "--in", paths["good.json"],
+                       "--cert", paths["cert.json"]], "solutions"),
+        "targets": (["measure-fit", "--in", paths["fit.json"]], "targets"),
+        "eps": (["ladder", "--zeros", paths["zeros.json"], "--candidates",
+                 paths["pts.json"], "--eps", '"a"', "--eta", "[0.5]",
+                 "--ell", "0.5"], "--eps"),
+        "grid_count": (["delta", "--in", paths["grid.json"]], "grid.angular"),
+    }[case]
+    rc, _, err = run(capsys, *argv)
+    _assert_names_key(rc, err, key)
+
+
+def test_pushforward_csv_matches_per_row_formatting(capsys, tmp_path):
+    level = 2 * math.pi / 0.75
+    pieces = [[-0.5, 0.25, level / 4], [0.25, 1.0, 3 * level / 4]]
+    density = write(tmp_path, "d.json", {"pieces": pieces})
+    rc, out, _ = run(capsys, "pushforward", "--density", density,
+                     "--c", "[0.3,-0.2]", "--samples", "64")
+    assert rc == 0
+    s = SimpleDensity.from_dict({"pieces": pieces})
+    u = pushforward_density(s, 0.3 - 0.2j)
+    theta = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+    expected = "theta,u\n" + "".join(f"{t:.17g},{v:.17g}\n"
+                                     for t, v in zip(theta, u(theta)))
+    assert out == expected
 
 
 def test_exit_code_two_on_unknown_key(capsys, tmp_path):

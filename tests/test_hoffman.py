@@ -76,6 +76,19 @@ def test_trace_csv_layout():
     assert tr.to_csv() == compose_trace(identity_function(), seq, grid_size=8).to_csv()
 
 
+def test_trace_csv_matches_per_row_formatting():
+    # the row-by-row f-string writer the shared CSV helper replaced
+    seq = DiscSequence(tuple(1 - 2.0 ** -j for j in range(1, 13)))
+    f = FunctionSpec.finite_blaschke((0.3 - 0.2j, -0.5j), 0.7)
+    tr = compose_trace(f, seq, grid_size=24)
+    tr.samples[0, 0] = complex(-0.0, 1e-300)
+    rows = ["grid_re,grid_im,j,re,im\n"]
+    for j in range(len(tr.c_values)):
+        for g, v in zip(tr.grid, tr.samples[j]):
+            rows.append(f"{g.real:.17g},{g.imag:.17g},{j},{v.real:.17g},{v.imag:.17g}\n")
+    assert tr.to_csv() == "".join(rows)
+
+
 def test_schwarz_single_zero_invariant_is_one():
     for _ in range(10):
         c = complex(0.8 * RNG.uniform(0, 1)
@@ -149,6 +162,13 @@ def test_l2_parseval_and_gamma():
         assert abs(rep.parseval - 1) < 1e-8
         if abs(rep.coefficients[1]) > 0:
             assert abs(rep.gamma - np.angle(rep.coefficients[1])) < 1e-14
+
+
+def test_l2_gamma_is_zero_at_rounding_level():
+    # B is even, so a_1 vanishes exactly; the FFT leaves only rounding in it
+    rep = l2_distance_to_identity(BlaschkeProduct((0.5, -0.5)), n_fft=1024)
+    assert 0 < abs(rep.coefficients[1]) < 1e-15
+    assert rep.gamma == 0.0
 
 
 def test_l2_node_count_validation():

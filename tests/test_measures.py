@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corona_lab.disc_geometry import OrthogonalArc, orthogonal_circle
+from corona_lab.disc_geometry import OrthogonalArc, canonical_angle, orthogonal_circle
 from corona_lab.errors import (ConfigError, DomainError, InfeasibleError,
                                QuadratureError)
 from corona_lab.functions import FunctionSpec, constant_function, identity_function
@@ -16,6 +18,7 @@ from corona_lab.measures import (CASE_LEFT, CASE_RIGHT, CASE_STRADDLE,
 from corona_lab.quadrature import integrate_piecewise
 
 RNG = np.random.default_rng(771005)
+TWO_PI = 2 * math.pi
 
 
 def random_density(rng, max_pieces=4):
@@ -29,6 +32,179 @@ def random_density(rng, max_pieces=4):
     if not pieces:
         return SimpleDensity.uniform()
     return SimpleDensity.normalized(tuple(pieces))
+
+
+# The per-piece scans the array form replaced, kept as the oracle it must
+# match with ==: cumsum adds the masses in the same order these loops do.
+def _oracle_mass(a, b, c):
+    return c * (b - a) / TWO_PI
+
+
+def oracle_call(s, theta):
+    th = canonical_angle(theta)
+    out = np.zeros(np.shape(th))
+    for a, b, c in s.pieces:
+        out = np.where((th >= a) & (th < b), c, out)
+    return float(out) if out.ndim == 0 else out
+
+
+def oracle_cdf(s, theta):
+    acc = 0.0
+    for a, b, c in s.pieces:
+        if theta <= a:
+            break
+        acc += _oracle_mass(a, min(theta, b), c)
+    return acc
+
+
+def oracle_tail(s, theta):
+    acc = 0.0
+    for a, b, c in reversed(s.pieces):
+        if theta >= b:
+            break
+        acc += _oracle_mass(max(theta, a), b, c)
+    return acc
+
+
+def oracle_total(s):
+    acc = 0.0
+    for p in s.pieces:
+        acc += _oracle_mass(*p)
+    return acc
+
+
+def oracle_quartile_angles(s):
+    alpha = beta = None
+    acc = 0.0
+    for a, b, c in s.pieces:
+        m = _oracle_mass(a, b, c)
+        if c > 0 and acc + m >= 0.25:
+            alpha = a + (0.25 - acc) * TWO_PI / c
+            break
+        acc += m
+    acc = 0.0
+    for a, b, c in reversed(s.pieces):
+        m = _oracle_mass(a, b, c)
+        if c > 0 and acc + m >= 0.25:
+            beta = b - (0.25 - acc) * TWO_PI / c
+            break
+        acc += m
+    return alpha, beta
+
+
+def rough_density(rng, n):
+    """n pieces with gaps, touching pieces, pieces starting inside the
+    1e-15 overlap slack, zero values, and ends at -pi and pi."""
+    cuts = np.sort(rng.uniform(-math.pi, math.pi, 2 * n))
+    cuts[0] = -math.pi if rng.random() < 0.3 else cuts[0]
+    cuts[-1] = math.pi if rng.random() < 0.3 else cuts[-1]
+    pieces = []
+    for k in range(n):
+        a, b = float(cuts[2 * k]), float(cuts[2 * k + 1])
+        if pieces and rng.random() < 0.4:
+            a = pieces[-1][1] - (1e-15 * rng.random() if rng.random() < 0.4 else 0.0)
+        c = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 3.0))
+        pieces.append((a, b, c))
+    if all(c == 0 for _, _, c in pieces):
+        pieces[0] = (*pieces[0][:2], 1.0)
+    return SimpleDensity.normalized(tuple(pieces))
+
+
+def probe_angles(s, rng):
+    edges = np.array([x for a, b, _ in s.pieces for x in (a, b)])
+    return np.concatenate([
+        edges, np.nextafter(edges, -4.0), np.nextafter(edges, 4.0),
+        [-math.pi, math.pi, np.nextafter(math.pi, 0.0), 0.0, 2 * math.pi],
+        rng.uniform(-4.0, 4.0, 16)])
+
+
+def assert_matches_oracle(s, thetas):
+    assert np.array_equal(s(thetas), oracle_call(s, thetas))
+    grid = thetas.reshape(-1, 1)
+    assert np.array_equal(s(grid), oracle_call(s, grid))
+    for t in thetas.tolist():
+        assert s(t) == oracle_call(s, t)
+        assert type(s(t)) is float
+        assert s.cdf(t) == oracle_cdf(s, t)
+        assert s.tail(t) == oracle_tail(s, t)
+    assert s.mass() == oracle_total(s)
+    assert s.breakpoints() == sorted({x for a, b, _ in s.pieces for x in (a, b)})
+    alpha, beta = oracle_quartile_angles(s)
+    if alpha is not None and beta is not None:
+        qp = quartiles(s)
+        assert (qp.alpha, qp.beta) == (alpha, beta)
+
+
+def test_density_core_matches_per_piece_scans():
+    rng = np.random.default_rng(20261018)
+    for n in [1, 2, 3, 5, 8, 13, 30, 60] * 6:
+        s = rough_density(rng, n)
+        assert_matches_oracle(s, probe_angles(s, rng))
+
+
+def test_density_core_on_touching_and_overlapping_edges():
+    # the second piece starts 8e-16 inside the first (within the slack), a
+    # zero piece touches it, and gaps follow
+    b1 = 0.5
+    a2 = b1 - 8e-16
+    s = SimpleDensity.normalized(((-1.0, b1, 1.0), (a2, 1.0, 2.0),
+                                  (1.0, 1.9, 0.0), (2.0, math.pi, 0.5)))
+    mid = (a2 + b1) / 2
+    assert a2 < mid < b1          # inside both pieces: cdf and tail cut two
+    thetas = np.array([-1.0, a2, mid, b1, 1.0, 1.5, 1.9, 2.0, math.pi, -math.pi])
+    assert_matches_oracle(s, thetas)
+    assert s(mid) == s.pieces[1][2]   # the later piece wins on the overlap
+    assert s.breakpoints() == [-1.0, a2, b1, 1.0, 1.9, 2.0, math.pi]
+
+
+def test_quartile_tie_at_a_piece_end_resolves_outward():
+    # masses 1/4, 1/4, 1/2 exactly: a quarter is reached at the end of the
+    # first piece, so alpha sits there and not at the start of the second
+    s = SimpleDensity(((-2.0, -1.0, math.pi / 2), (0.0, 1.0, math.pi / 2),
+                       (1.5, 2.5, math.pi)))
+    assert s.cdf(-1.0) == 0.25
+    assert_matches_oracle(s, probe_angles(s, np.random.default_rng(1)))
+    assert quartiles(s).alpha == -1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 1.0),
+                          st.just(0.0) | st.floats(0.01, 4.0), st.booleans()),
+                min_size=1, max_size=12),
+       st.lists(st.floats(-7.0, 7.0), max_size=6))
+def test_density_core_property(raw, extra):
+    # widths, gaps (dropped when touching) and values laid out left to right
+    total = sum(g * (not touch) + w for g, w, _, touch in raw)
+    scale = 2 * math.pi / total
+    pieces, x = [], -math.pi
+    for gap, width, value, touch in raw:
+        x = x if touch else min(x + gap * scale, math.pi)
+        end = min(x + width * scale, math.pi)
+        if x < end:
+            pieces.append((x, end, value))
+        x = end
+    if not pieces or sum(c * (b - a) for a, b, c in pieces) <= 0:
+        return
+    s = SimpleDensity.normalized(tuple(pieces))
+    thetas = np.concatenate([probe_angles(s, np.random.default_rng(0)), extra])
+    assert_matches_oracle(s, thetas)
+    # the mirror image has the mirrored tail, bit for bit
+    mirror = SimpleDensity(tuple((-b, -a, c) for a, b, c in s.pieces))
+    for t in thetas.tolist():
+        assert mirror.tail(-t) == s.cdf(t)
+        assert mirror.cdf(-t) == s.tail(t)
+
+
+def test_nested_piece_is_an_overlap():
+    # a piece that ends before its neighbour is an overlap, not the
+    # rounding of touching pieces, even inside the 1e-15 slack
+    b1 = 0.5
+    a2 = float(np.nextafter(np.nextafter(b1, -1.0), -1.0))
+    b2 = float(np.nextafter(b1, -1.0))
+    with pytest.raises(DomainError, match="pieces overlap"):
+        SimpleDensity.normalized(((0.0, b1, 1.0), (a2, b2, 1.0)))
+    with pytest.raises(DomainError, match="partition bins overlap"):
+        fit_simple_density((), [(0.0, b1), (a2, b2)], eps=1e-3)
 
 
 def test_density_validation():
