@@ -5,6 +5,7 @@ zero a is (conj(a)/|a|) (a - z) / (1 - conj(a) z), with the convention that
 the unimodular prefactor is -1 when a = 0, so the factor degenerates to z.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .disc_geometry import MobiusAut, canonical_angle, check_disc
 from .errors import ConstructionError, DomainError, InfeasibleError
-from .serialize import complex_list, cpair, strict_keys
+from .serialize import as_number, complex_list, cpair, strict_keys
 
 DEFAULT_THIN_THRESHOLD = 0.9
 
@@ -51,7 +52,10 @@ class BlaschkeProduct:
     def __post_init__(self):
         zs = tuple(check_disc(z, "zero") for z in self.zeros)
         object.__setattr__(self, "zeros", zs)
-        object.__setattr__(self, "rotation", float(canonical_angle(float(self.rotation))))
+        rot = float(self.rotation)
+        if not math.isfinite(rot):
+            raise DomainError("rotation must be finite")
+        object.__setattr__(self, "rotation", float(canonical_angle(rot)))
 
     @property
     def degree(self) -> int:
@@ -94,7 +98,7 @@ class BlaschkeProduct:
     def from_dict(cls, d: dict, where: str = "blaschke") -> "BlaschkeProduct":
         strict_keys(d, required=("zeros",), optional=("rotation",), where=where)
         zeros = complex_list(d["zeros"], f"{where}.zeros")
-        return cls(tuple(zeros), float(d.get("rotation", 0.0)))
+        return cls(tuple(zeros), as_number(d.get("rotation", 0.0), f"{where}.rotation"))
 
 
 def min_modulus_on_disc(b: BlaschkeProduct, radius: float,

@@ -36,11 +36,14 @@ def _parse_inline(text: str, where: str):
         raise ConfigError(f"{where}: invalid inline JSON ({e})")
 
 
-def _require(args, attr: str, flag: str):
-    # required flags stay optional at parse time so --selftest works alone
-    value = getattr(args, attr, None)
-    if value is None:
-        raise ConfigError(f"missing required flag {flag}")
+def _count(text: str) -> int:
+    """argparse type of a sample count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -95,8 +98,7 @@ def _load_sequence(path: str) -> DiscSequence:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_corona_solve(args) -> int:
-    infile = _require(args, "infile", "--in")
-    inst = CoronaInstance.from_dict(load_json(infile), infile)
+    inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     method = args.method
     if method == "auto":
         all_poly = all(f.kind == POLYNOMIAL for f in inst.functions)
@@ -110,10 +112,8 @@ def _cmd_corona_solve(args) -> int:
 
 
 def _cmd_corona_check(args) -> int:
-    infile = _require(args, "infile", "--in")
-    cert_path = _require(args, "cert", "--cert")
-    inst = CoronaInstance.from_dict(load_json(infile), infile)
-    cert = BezoutCertificate.from_dict(load_json(cert_path), cert_path)
+    inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
+    cert = BezoutCertificate.from_dict(load_json(args.cert), args.cert)
     report = check_certificate(inst, cert, tol=args.tol, seed=args.seed,
                                samples=args.samples)
     _emit(args, report.to_dict())
@@ -121,15 +121,14 @@ def _cmd_corona_check(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    infile = _require(args, "infile", "--in")
-    inst = CoronaInstance.from_dict(load_json(infile), infile)
+    inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     report = measure_delta(inst.functions, inst.grid)
     _emit(args, report.to_dict())
     return 0
 
 
 def _cmd_interp_check(args) -> int:
-    seq = _load_sequence(_require(args, "points", "--points"))
+    seq = _load_sequence(args.points)
     _emit(args, {
         "count": len(seq),
         "gap_sum": seq.gap_sum,
@@ -140,11 +139,10 @@ def _cmd_interp_check(args) -> int:
 
 
 def _cmd_blaschke_eval(args) -> int:
-    raw = _require(args, "zeros", "--zeros")
-    zeros = complex_list(_parse_inline(raw, "--zeros"), "--zeros")
+    zeros = complex_list(_parse_inline(args.zeros, "--zeros"), "--zeros")
     b = BlaschkeProduct(tuple(zeros), args.rotation)
-    at = as_complex(_parse_inline(_require(args, "at", "--at"), "--at"), "--at")
-    if abs(at) > 1 + 1e-12:
+    at = as_complex(_parse_inline(args.at, "--at"), "--at")
+    if not abs(at) <= 1 + 1e-12:
         raise ConfigError("--at must lie in the closed unit disc")
     value = b(at)
     _emit(args, {"value": [value.real, value.imag]})
@@ -152,25 +150,20 @@ def _cmd_blaschke_eval(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    zeros_path = _require(args, "zeros", "--zeros")
-    zeros_doc = load_json(zeros_path)
-    strict_keys(zeros_doc, required=("zeros",), where=zeros_path)
-    zeros = complex_list(zeros_doc["zeros"], f"{zeros_path}.zeros")
-    candidates = _load_sequence(_require(args, "candidates", "--candidates"))
-    eps_seq = as_list(_parse_inline(_require(args, "eps", "--eps"), "--eps"),
-                      "--eps", as_number)
-    eta_seq = as_list(_parse_inline(_require(args, "eta", "--eta"), "--eta"),
-                      "--eta", as_number)
-    ladder = construct_ladder(zeros, candidates, eps_seq, eta_seq,
-                              _require(args, "ell", "--ell"))
+    zeros_doc = load_json(args.zeros)
+    strict_keys(zeros_doc, required=("zeros",), where=args.zeros)
+    zeros = complex_list(zeros_doc["zeros"], f"{args.zeros}.zeros")
+    candidates = _load_sequence(args.candidates)
+    eps_seq = as_list(_parse_inline(args.eps, "--eps"), "--eps", as_number)
+    eta_seq = as_list(_parse_inline(args.eta, "--eta"), "--eta", as_number)
+    ladder = construct_ladder(zeros, candidates, eps_seq, eta_seq, args.ell)
     _emit(args, ladder.to_dict())
     return 0
 
 
 def _cmd_hoffman_trace(args) -> int:
-    fn_path = _require(args, "function", "--function")
-    f = FunctionSpec.from_dict(load_json(fn_path), fn_path)
-    seq = _load_sequence(_require(args, "points", "--points"))
+    f = FunctionSpec.from_dict(load_json(args.function), args.function)
+    seq = _load_sequence(args.points)
     trace = compose_trace(f, seq, grid_radius=args.grid_radius,
                           grid_size=args.grid_size, tol=args.tol)
     _emit_text(args, trace.to_csv())
@@ -178,8 +171,7 @@ def _cmd_hoffman_trace(args) -> int:
 
 
 def _cmd_l2_identity(args) -> int:
-    raw = _require(args, "zeros", "--zeros")
-    zeros = complex_list(_parse_inline(raw, "--zeros"), "--zeros")
+    zeros = complex_list(_parse_inline(args.zeros, "--zeros"), "--zeros")
     b = BlaschkeProduct(tuple(zeros), args.rotation)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
     report = l2_distance_to_identity(b, c, n_fft=args.n_fft)
@@ -188,7 +180,7 @@ def _cmd_l2_identity(args) -> int:
 
 
 def _cmd_measure_fit(args) -> int:
-    infile = _require(args, "infile", "--in")
+    infile = args.infile
     doc = load_json(infile)
     strict_keys(doc, required=("targets", "partition"), optional=("window",),
                 where=infile)
@@ -198,12 +190,14 @@ def _cmd_measure_fit(args) -> int:
         return (FunctionSpec.from_dict(item["function"], f"{where}.function"),
                 as_complex(item["value"], f"{where}.value"))
 
+    def arc(item, where):
+        bounds = as_list(item, where, as_number)
+        if len(bounds) != 2:
+            raise ConfigError(f"{where}: expected a [start, end] pair, got {item!r}")
+        return tuple(bounds)
+
     entries = as_list(doc["targets"], f"{infile}.targets", target)
-    try:
-        partition = [(float(a), float(b)) for a, b in doc["partition"]]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{infile}.partition: expected a list of numeric "
-                          f"[start, end] pairs, got {doc['partition']!r}") from None
+    partition = as_list(doc["partition"], f"{infile}.partition", arc)
     window = as_number(doc["window"], f"{infile}.window") if "window" in doc else None
     fit = fit_simple_density(TargetFunctional(tuple(entries)), partition,
                              eps=args.eps, window=window)
@@ -215,38 +209,36 @@ def _cmd_measure_fit(args) -> int:
 
 
 def _cmd_quartiles(args) -> int:
-    s = _load_density(_require(args, "density", "--density"))
+    s = _load_density(args.density)
     qp = quartiles(s, window=args.window)
     _emit(args, {"alpha": qp.alpha, "beta": qp.beta, "case_tag": qp.case_tag})
     return 0
 
 
 def _cmd_pushforward(args) -> int:
-    s = _load_density(_require(args, "density", "--density"))
-    c = as_complex(_parse_inline(_require(args, "c", "--c"), "--c"), "--c")
+    s = _load_density(args.density)
+    c = as_complex(_parse_inline(args.c, "--c"), "--c")
     u = pushforward_density(s, c)
     nodes = _resolve_nodes(args)
-    payload = {"mass": u.mass(nodes), "breakpoints": list(u.breakpoints)}
     if args.samples:
         theta = np.linspace(-np.pi, np.pi, args.samples, endpoint=False)
         _emit_text(args, csv_text("theta,u", (theta, u(theta))))
     else:
-        _emit(args, payload)
+        _emit(args, {"mass": u.mass(nodes), "breakpoints": list(u.breakpoints)})
     return 0
 
 
 def _cmd_align_arcs(args) -> int:
-    s = _load_density(_require(args, "density", "--density"))
-    target = OrthogonalArc(_require(args, "alpha", "--alpha"),
-                           _require(args, "beta", "--beta"))
-    aligned = align_arcs(s, target, _require(args, "case", "--case"))
+    s = _load_density(args.density)
+    target = OrthogonalArc(args.alpha, args.beta)
+    aligned = align_arcs(s, target, args.case)
     _emit(args, aligned.to_dict())
     return 0
 
 
 def _cmd_cluster_scenario(args) -> int:
-    fns = _load_functions(_require(args, "functions", "--functions"))
-    seq = _load_sequence(_require(args, "points", "--points"))
+    fns = _load_functions(args.functions)
+    seq = _load_sequence(args.points)
     report = cluster_scenario(fns, seq, eps=args.eps, min_tail=args.min_tail)
     _emit(args, report.to_dict())
     return 0
@@ -254,141 +246,143 @@ def _cmd_cluster_scenario(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--selftest", action="store_true",
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as ConfigError, so main reports it as JSON.
+    add_subparsers builds the subcommand parsers from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+class _Selftest(argparse.Action):
+    """Runs the subcommand's module suites as soon as it is parsed and exits,
+    as --help does, so required flags may be absent: status 0 if every
+    check passes, 1 otherwise."""
+
+    def __init__(self, option_strings, dest, modules, help=None):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help=help)
+        self.modules = modules
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        passed = total = 0
+        for module in self.modules:
+            for name, ok in module.selftest():
+                total += 1
+                passed += bool(ok)
+                print(f"{'ok' if ok else 'FAIL'}  {name}")
+        print(f"selftest: {passed}/{total} passed")
+        parser.exit(0 if passed == total else 1)
+
+
+def _add_common(p: argparse.ArgumentParser, handler, *modules) -> None:
+    p.set_defaults(handler=handler)
+    p.add_argument("--selftest", action=_Selftest, modules=modules,
                    help="run this module's invariant suite and exit")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corona-lab",
         description="Constructions on the unit disc: Blaschke products, "
                     "circle densities, and Bezout certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("corona-solve", help="solve sum u_k f_k = 1 for an instance")
-    p.add_argument("--in", dest="infile", help="instance JSON")
+    p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--method", choices=("auto", "exact", "numeric"), default="auto")
     p.add_argument("--degree-cap", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_corona_solve, selftest_modules=(corona,))
-    _add_common(p)
+    _add_common(p, _cmd_corona_solve, corona)
 
     p = sub.add_parser("corona-check", help="verify a certificate independently")
-    p.add_argument("--in", dest="infile", help="instance JSON")
-    p.add_argument("--cert", help="certificate JSON")
+    p.add_argument("--in", dest="infile", required=True, help="instance JSON")
+    p.add_argument("--cert", required=True, help="certificate JSON")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random verification points")
-    p.set_defaults(handler=_cmd_corona_check, selftest_modules=(corona,))
-    _add_common(p)
+    _add_common(p, _cmd_corona_check, corona)
 
     p = sub.add_parser("delta", help="measure min of sum |f_k| over the grid")
-    p.add_argument("--in", dest="infile", help="instance JSON")
-    p.set_defaults(handler=_cmd_delta, selftest_modules=(corona,))
-    _add_common(p)
+    p.add_argument("--in", dest="infile", required=True, help="instance JSON")
+    _add_common(p, _cmd_delta, corona)
 
     p = sub.add_parser("interp-check", help="separation diagnostics of a sequence")
-    p.add_argument("--points", help="sequence JSON")
-    p.set_defaults(handler=_cmd_interp_check, selftest_modules=(blaschke,))
-    _add_common(p)
+    p.add_argument("--points", required=True, help="sequence JSON")
+    _add_common(p, _cmd_interp_check, blaschke)
 
     p = sub.add_parser("blaschke-eval", help="evaluate a finite Blaschke product")
-    p.add_argument("--zeros", help='inline JSON, e.g. "[[0,0]]"')
+    p.add_argument("--zeros", required=True, help='inline JSON, e.g. "[[0,0]]"')
     p.add_argument("--rotation", type=float, default=0.0)
-    p.add_argument("--at", help='inline JSON point, e.g. "[0.3,0]"')
-    p.set_defaults(handler=_cmd_blaschke_eval, selftest_modules=(disc_geometry, blaschke))
-    _add_common(p)
+    p.add_argument("--at", required=True, help='inline JSON point, e.g. "[0.3,0]"')
+    _add_common(p, _cmd_blaschke_eval, disc_geometry, blaschke)
 
     p = sub.add_parser("ladder", help="staged sector construction over a zero set")
-    p.add_argument("--zeros", help='JSON file {"zeros": [...]}')
-    p.add_argument("--candidates", help="sequence JSON")
-    p.add_argument("--eps", help="inline JSON list of tolerances")
-    p.add_argument("--eta", help="inline JSON list of radii")
-    p.add_argument("--ell", type=float)
-    p.set_defaults(handler=_cmd_ladder, selftest_modules=(blaschke,))
-    _add_common(p)
+    p.add_argument("--zeros", required=True, help='JSON file {"zeros": [...]}')
+    p.add_argument("--candidates", required=True, help="sequence JSON")
+    p.add_argument("--eps", required=True, help="inline JSON list of tolerances")
+    p.add_argument("--eta", required=True, help="inline JSON list of radii")
+    p.add_argument("--ell", type=float, required=True)
+    _add_common(p, _cmd_ladder, blaschke)
 
     p = sub.add_parser("hoffman-trace", help="sample f o L_c along a sequence (CSV)")
-    p.add_argument("--function", help="function JSON")
-    p.add_argument("--points", help="sequence JSON")
+    p.add_argument("--function", required=True, help="function JSON")
+    p.add_argument("--points", required=True, help="sequence JSON")
     p.add_argument("--grid-radius", type=float, default=0.9)
     p.add_argument("--grid-size", type=int, default=40)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(handler=_cmd_hoffman_trace, selftest_modules=(hoffman,))
-    _add_common(p)
+    _add_common(p, _cmd_hoffman_trace, hoffman)
 
     p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")
-    p.add_argument("--zeros", help="inline JSON list of zeros")
+    p.add_argument("--zeros", required=True, help="inline JSON list of zeros")
     p.add_argument("--rotation", type=float, default=0.0)
     p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
     p.add_argument("--n-fft", type=int, default=4096)
-    p.set_defaults(handler=_cmd_l2_identity, selftest_modules=(hoffman,))
-    _add_common(p)
+    _add_common(p, _cmd_l2_identity, hoffman)
 
     p = sub.add_parser("measure-fit", help="fit a step density to integral targets")
-    p.add_argument("--in", dest="infile",
+    p.add_argument("--in", dest="infile", required=True,
                    help='JSON file {"targets": [...], "partition": [...]}')
     p.add_argument("--eps", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_measure_fit, selftest_modules=(measures,))
-    _add_common(p)
+    _add_common(p, _cmd_measure_fit, measures)
 
     p = sub.add_parser("quartiles", help="quartile angles and case tag of a density")
-    p.add_argument("--density", help="density JSON")
+    p.add_argument("--density", required=True, help="density JSON")
     p.add_argument("--window", type=float, default=3.141592653589793)
-    p.set_defaults(handler=_cmd_quartiles, selftest_modules=(measures,))
-    _add_common(p)
+    _add_common(p, _cmd_quartiles, measures)
 
     p = sub.add_parser("pushforward", help="density of the image measure under L_c")
-    p.add_argument("--density", help="density JSON")
-    p.add_argument("--c", help="inline JSON point")
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--density", required=True, help="density JSON")
+    p.add_argument("--c", required=True, help="inline JSON point")
+    p.add_argument("--samples", type=_count, default=0,
                    help="emit a CSV of this many samples instead of JSON")
     p.add_argument("--nodes", type=int, default=None,
                    help=f"quadrature node count (default {DEFAULT_NODES}, "
                         f"env {NODES_ENV})")
-    p.set_defaults(handler=_cmd_pushforward, selftest_modules=(measures,))
-    _add_common(p)
+    _add_common(p, _cmd_pushforward, measures)
 
     p = sub.add_parser("align-arcs", help="move a density's quartile arc onto a target")
-    p.add_argument("--density", help="density JSON")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--case", choices=("a", "b", "c"))
-    p.set_defaults(handler=_cmd_align_arcs, selftest_modules=(measures,))
-    _add_common(p)
+    p.add_argument("--density", required=True, help="density JSON")
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--case", choices=("a", "b", "c"), required=True)
+    _add_common(p, _cmd_align_arcs, measures)
 
     p = sub.add_parser("cluster-scenario", help="simultaneous limits along a sequence")
-    p.add_argument("--functions", help='JSON file {"functions": [...]}')
-    p.add_argument("--points", help="sequence JSON")
+    p.add_argument("--functions", required=True, help='JSON file {"functions": [...]}')
+    p.add_argument("--points", required=True, help="sequence JSON")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--min-tail", type=int, default=3)
-    p.set_defaults(handler=_cmd_cluster_scenario, selftest_modules=(corona,))
-    _add_common(p)
+    _add_common(p, _cmd_cluster_scenario, corona)
 
     return parser
 
 
-def _run_selftest(modules) -> int:
-    passed = 0
-    total = 0
-    for module in modules:
-        for name, ok in module.selftest():
-            total += 1
-            passed += bool(ok)
-            print(f"{'ok' if ok else 'FAIL'}  {name}")
-    print(f"selftest: {passed}/{total} passed")
-    return 0 if passed == total else 1
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.selftest:
-            return _run_selftest(args.selftest_modules)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as e:
         sys.stderr.write(dumps(e.payload()))

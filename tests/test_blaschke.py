@@ -11,7 +11,7 @@ from corona_lab.blaschke import (BlaschkeProduct, DiscSequence, Sector,
                                  min_modulus_on_disc, modulus_lower_bound,
                                  sector_filter, transport_tail_bounds)
 from corona_lab.disc_geometry import MobiusAut, pseudo_distance
-from corona_lab.errors import ConstructionError, DomainError, InfeasibleError
+from corona_lab.errors import ConfigError, ConstructionError, DomainError, InfeasibleError
 
 RNG = np.random.default_rng(771002)
 
@@ -53,6 +53,12 @@ def test_rotation_canonicalized():
     b = BlaschkeProduct((0.5,), 2 * math.pi + 0.25)
     assert abs(b.rotation - 0.25) < 1e-12
     assert -math.pi <= b.rotation < math.pi
+
+
+@pytest.mark.parametrize("rotation", [math.nan, math.inf, -math.inf])
+def test_non_finite_rotation_rejected(rotation):
+    with pytest.raises(DomainError, match="rotation"):
+        BlaschkeProduct((0.5,), rotation)
 
 
 def test_derivative_matches_central_difference():
@@ -311,3 +317,8 @@ def test_serialization_roundtrip():
     assert again.rotation == b.rotation
     seq = DiscSequence((0.1, 0.2 + 0.3j))
     assert DiscSequence.from_dict(seq.to_dict()).points == seq.points
+
+
+def test_from_dict_non_numeric_rotation_names_key():
+    with pytest.raises(ConfigError, match=r"b\.rotation"):
+        BlaschkeProduct.from_dict({"zeros": [[0.5, 0]], "rotation": "x"}, "b")

@@ -3,10 +3,14 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import corona_lab
 from corona_lab.cli import build_parser, main
 from corona_lab.measures import SimpleDensity, pushforward_density
 
@@ -15,7 +19,7 @@ def run(capsys, *argv):
     """Invoke the entry point, returning (exit_code, stdout, stderr)."""
     try:
         rc = main(list(argv))
-    except SystemExit as e:       # argparse usage errors
+    except SystemExit as e:       # --selftest and --help exit from the parser
         rc = e.code
     out = capsys.readouterr()
     return rc, out.out, out.err
@@ -39,6 +43,19 @@ def test_blaschke_eval_rejects_exterior_point(capsys):
                      "--at", "[2,0]")
     assert rc == 2
     assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_blaschke_eval_rejects_nan_input(capsys):
+    rc, out, err = run(capsys, "blaschke-eval", "--zeros", "[[0,0]]",
+                       "--at", "[NaN,0]")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+    assert "--at" in json.loads(err)["message"]
+    rc, out, err = run(capsys, "blaschke-eval", "--zeros", "[[0,0]]",
+                       "--at", "[0.3,0]", "--rotation", "nan")
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "rotation must be finite"}
 
 
 def test_quartiles_uniform(capsys, tmp_path):
@@ -300,6 +317,9 @@ def test_measure_fit_malformed_partition_names_key(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "ConfigError"
     assert "partition" in payload["message"]
+    spec = write(tmp_path, "fit.json", {"targets": [], "partition": [[0.1, "x"]]})
+    rc, _, err = run(capsys, "measure-fit", "--in", spec)
+    _assert_names_key(rc, err, "partition[0][1]")
 
 
 def test_delta_non_numeric_grid_names_key(capsys, tmp_path):
@@ -437,3 +457,72 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     rc, _, err = run(capsys, "corona-solve", "--in", inst, "--out", bad)
     assert rc == 2
     assert "--out" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([], "command"),
+    (["no-such-command"], "command"),
+    (["delta", "--in", "x.json", "--bogus"], "--bogus"),
+    (["corona-check", "--in", "x.json", "--cert", "c.json", "--samples", "ten"], "--samples"),
+    (["corona-solve", "--in", "x.json", "--method", "zz"], "--method"),
+    (["corona-solve", "--method", "exact"], "--in"),
+])
+def test_every_usage_error_is_one_json_config_error(capsys, argv, flag):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)            # the whole of stderr is one object
+    assert payload["error"] == "ConfigError"
+    assert flag in payload["message"]
+
+
+def test_missing_required_flags_are_all_named(capsys):
+    rc, _, err = run(capsys, "align-arcs", "--alpha", "0.1")
+    assert rc == 2
+    assert json.loads(err)["message"] == (
+        "the following arguments are required: --density, --beta, --case")
+
+
+@pytest.mark.parametrize("command", ["corona-check", "pushforward"])
+def test_negative_samples_is_a_usage_error(capsys, tmp_path, command):
+    inst = write(tmp_path, "inst.json", {"functions": [
+        {"kind": "polynomial", "data": {"coeffs": [[0, 0], [0, 0], [1, 0]]}},
+        {"kind": "polynomial", "data": {"coeffs": [[-0.5, 0], [1, 0]]}},
+    ]})
+    cert = write(tmp_path, "cert.json", {"solutions": [
+        {"kind": "polynomial", "data": {"coeffs": [[4, 0]]}},
+        {"kind": "polynomial", "data": {"coeffs": [[-2, 0], [-4, 0]]}},
+    ]})
+    density = write(tmp_path, "d.json", {"pieces": [[-0.5, 0.5, 2 * math.pi]]})
+    argv = {"corona-check": ["--in", inst, "--cert", cert, "--samples", "-1"],
+            "pushforward": ["--density", density, "--c", "[0.3,0]", "--samples", "-3"]}
+    rc, out, err = run(capsys, command, *argv[command])
+    assert out == ""
+    _assert_names_key(rc, err, "--samples")
+
+
+def test_selftest_with_other_flags_runs_only_the_suite(capsys, tmp_path):
+    _, alone, _ = run(capsys, "corona-solve", "--selftest")
+    out_path = tmp_path / "cert.json"
+    rc, out, err = run(capsys, "corona-solve", "--in", str(tmp_path / "missing.json"),
+                       "--method", "exact", "--out", str(out_path), "--selftest")
+    assert (rc, out, err) == (0, alone, "")
+    assert not out_path.exists()
+
+
+def test_in_process_calls_match_fresh_processes(capsys, tmp_path):
+    # A, B, A in one process must give the bytes of a fresh process per call:
+    # the parser keeps no state from one call to the next
+    a = ["blaschke-eval", "--zeros", "[[0.5,0.1]]", "--at", "[0.3,-0.2]",
+         "--rotation", "1.25"]
+    b = ["l2-identity", "--zeros", "[[0.5,0.1],[0,0.2]]", "--c", "[0.1,0]"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corona_lab.__file__)))
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "corona_lab"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    expected = {"a": fresh(a), "b": fresh(b)}
+    for name, argv in (("a", a), ("b", b), ("a", a)):
+        assert run(capsys, *argv) == expected[name]
+    assert expected["a"][0] == 0 and expected["b"][0] == 0
