@@ -7,7 +7,9 @@ seed produce byte-identical outputs.  Exit codes: 0 success, 1 domain error
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -45,6 +47,27 @@ def _count(text: str) -> int:
     if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
+
+
+def _real(lo: float = -math.inf, hi: float = math.inf, hi_closed: bool = False):
+    """argparse type of a finite float in (lo, hi), or in (lo, hi] if hi_closed."""
+    interval = f"({lo!r}, {hi!r}{']' if hi_closed else ')'}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and lo < value and (value <= hi if hi_closed else value < hi):
+            return value
+        raise argparse.ArgumentTypeError(f"expected a finite number in {interval}, got {text!r}")
+    return parse
+
+
+_FINITE = _real()
+_POSITIVE = _real(0.0)
+_RADIUS = _real(0.0, 1.0)
+_WINDOW = _real(0.0, math.pi, hi_closed=True)
 
 
 def _resolve_nodes(args) -> int:
@@ -282,7 +305,10 @@ def _add_common(p: argparse.ArgumentParser, handler, *modules) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it keeps no state between parse_args
+    calls, so every main call reuses it instead of building 13 subparsers."""
     parser = _Parser(
         prog="corona-lab",
         description="Constructions on the unit disc: Blaschke products, "
@@ -293,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--method", choices=("auto", "exact", "numeric"), default="auto")
     p.add_argument("--degree-cap", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-8)
     _add_common(p, _cmd_corona_solve, corona)
 
     p = sub.add_parser("corona-check", help="verify a certificate independently")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--cert", required=True, help="certificate JSON")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-8)
     p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random verification points")
@@ -324,15 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True, help="sequence JSON")
     p.add_argument("--eps", required=True, help="inline JSON list of tolerances")
     p.add_argument("--eta", required=True, help="inline JSON list of radii")
-    p.add_argument("--ell", type=float, required=True)
+    p.add_argument("--ell", type=_RADIUS, required=True)
     _add_common(p, _cmd_ladder, blaschke)
 
     p = sub.add_parser("hoffman-trace", help="sample f o L_c along a sequence (CSV)")
     p.add_argument("--function", required=True, help="function JSON")
     p.add_argument("--points", required=True, help="sequence JSON")
-    p.add_argument("--grid-radius", type=float, default=0.9)
+    p.add_argument("--grid-radius", type=_RADIUS, default=0.9)
     p.add_argument("--grid-size", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     _add_common(p, _cmd_hoffman_trace, hoffman)
 
     p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")
@@ -345,12 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure-fit", help="fit a step density to integral targets")
     p.add_argument("--in", dest="infile", required=True,
                    help='JSON file {"targets": [...], "partition": [...]}')
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_POSITIVE, default=1e-3)
     _add_common(p, _cmd_measure_fit, measures)
 
     p = sub.add_parser("quartiles", help="quartile angles and case tag of a density")
     p.add_argument("--density", required=True, help="density JSON")
-    p.add_argument("--window", type=float, default=3.141592653589793)
+    p.add_argument("--window", type=_WINDOW, default=math.pi)
     _add_common(p, _cmd_quartiles, measures)
 
     p = sub.add_parser("pushforward", help="density of the image measure under L_c")
@@ -365,15 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("align-arcs", help="move a density's quartile arc onto a target")
     p.add_argument("--density", required=True, help="density JSON")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", type=_FINITE, required=True)
+    p.add_argument("--beta", type=_FINITE, required=True)
     p.add_argument("--case", choices=("a", "b", "c"), required=True)
     _add_common(p, _cmd_align_arcs, measures)
 
     p = sub.add_parser("cluster-scenario", help="simultaneous limits along a sequence")
     p.add_argument("--functions", required=True, help='JSON file {"functions": [...]}')
     p.add_argument("--points", required=True, help="sequence JSON")
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=_POSITIVE, default=1e-6)
     p.add_argument("--min-tail", type=int, default=3)
     _add_common(p, _cmd_cluster_scenario, corona)
 

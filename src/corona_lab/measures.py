@@ -13,7 +13,6 @@ from functools import cached_property, reduce
 from operator import add
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
                             geodesic_endpoints, orthogonal_circle)
@@ -224,6 +223,13 @@ class DensityFit:
 BIN_PANELS = 64
 
 MASS_ROW_WEIGHT = 1e6
+
+
+def nnls(a, b):
+    """scipy.optimize.nnls, imported on first use: scipy.optimize costs more
+    to import than the rest of the package together, and only fits need it."""
+    from scipy.optimize import nnls as solve
+    return solve(a, b)
 
 
 def fit_simple_density(targets, partition, eps: float,

@@ -68,6 +68,8 @@ def test_quartiles_uniform(capsys, tmp_path):
     assert abs(rep["alpha"] + 0.1) < 1e-12
     assert abs(rep["beta"] - 0.1) < 1e-12
     assert rep["case_tag"] == "straddle"
+    # the closed end of the window's range is its default
+    assert run(capsys, "quartiles", "--density", path, "--window", repr(math.pi)) == (0, out, "")
 
 
 def test_corona_solve_check_pipeline(capsys, tmp_path):
@@ -466,6 +468,25 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     (["corona-check", "--in", "x.json", "--cert", "c.json", "--samples", "ten"], "--samples"),
     (["corona-solve", "--in", "x.json", "--method", "zz"], "--method"),
     (["corona-solve", "--method", "exact"], "--in"),
+    (["corona-solve", "--in", "x.json", "--tol", "0"], "--tol"),
+    (["corona-check", "--in", "x.json", "--cert", "c.json", "--tol", "nan"], "--tol"),
+    (["corona-check", "--in", "x.json", "--cert", "c.json", "--tol", "-1"], "--tol"),
+    (["quartiles", "--density", "d.json", "--window", "nan"], "--window"),
+    (["quartiles", "--density", "d.json", "--window", "-1"], "--window"),
+    (["quartiles", "--density", "d.json", "--window", "0"], "--window"),
+    (["quartiles", "--density", "d.json", "--window", "3.1415926535897936"], "--window"),
+    (["hoffman-trace", "--function", "f.json", "--points", "p.json",
+      "--grid-radius", "1"], "--grid-radius"),
+    (["hoffman-trace", "--function", "f.json", "--points", "p.json", "--tol", "inf"], "--tol"),
+    (["ladder", "--zeros", "z.json", "--candidates", "p.json", "--eps", "[0.5]",
+      "--eta", "[0.5]", "--ell", "0"], "--ell"),
+    (["measure-fit", "--in", "x.json", "--eps=-inf"], "--eps"),
+    (["cluster-scenario", "--functions", "f.json", "--points", "p.json",
+      "--eps", "nan"], "--eps"),
+    (["align-arcs", "--density", "d.json", "--alpha", "inf", "--beta", "0.1",
+      "--case", "a"], "--alpha"),
+    (["align-arcs", "--density", "d.json", "--alpha", "0.1", "--beta", "nan",
+      "--case", "a"], "--beta"),
 ])
 def test_every_usage_error_is_one_json_config_error(capsys, argv, flag):
     rc, out, err = run(capsys, *argv)
@@ -509,20 +530,49 @@ def test_selftest_with_other_flags_runs_only_the_suite(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def _src_env():
+    """Environment of a fresh process that imports this corona_lab."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corona_lab.__file__)))
+
+
 def test_in_process_calls_match_fresh_processes(capsys, tmp_path):
-    # A, B, A in one process must give the bytes of a fresh process per call:
-    # the parser keeps no state from one call to the next
+    # One parser serves every main call of the process; calls that leave
+    # through a usage error, --selftest or --help leave no state in it, so
+    # each call gives the bytes of a fresh process.
     a = ["blaschke-eval", "--zeros", "[[0.5,0.1]]", "--at", "[0.3,-0.2]",
          "--rotation", "1.25"]
     b = ["l2-identity", "--zeros", "[[0.5,0.1],[0,0.2]]", "--c", "[0.1,0]"]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corona_lab.__file__)))
+    usage = ["blaschke-eval", "--zeros", "[[0.5,0.1]]", "--rotation", "x"]
+    selftest = ["blaschke-eval", "--selftest"]
 
     def fresh(argv):
-        proc = subprocess.run([sys.executable, "-m", "corona_lab"] + argv, env=env,
+        proc = subprocess.run([sys.executable, "-m", "corona_lab"] + argv, env=_src_env(),
                               capture_output=True, text=True, timeout=120)
         return proc.returncode, proc.stdout, proc.stderr
 
-    expected = {"a": fresh(a), "b": fresh(b)}
-    for name, argv in (("a", a), ("b", b), ("a", a)):
-        assert run(capsys, *argv) == expected[name]
-    assert expected["a"][0] == 0 and expected["b"][0] == 0
+    calls = (a, b, usage, selftest, a)
+    expected = [fresh(argv) for argv in calls]
+    assert [rc for rc, _, _ in expected] == [0, 0, 2, 0, 0]
+    for argv, want in zip(calls, expected):
+        assert run(capsys, *argv) == want
+    rc, out, _ = run(capsys, "blaschke-eval", "--help")
+    assert rc == 0 and out.startswith("usage: corona-lab blaschke-eval")
+    assert run(capsys, *a) == expected[0]
+    assert build_parser() is build_parser()
+
+
+def test_scipy_is_imported_only_by_a_fit(capsys, tmp_path):
+    spec = write(tmp_path, "fit.json", {
+        "targets": [{"function": {"kind": "polynomial", "data": {"coeffs": [[0, 0], [1, 0]]}},
+                     "value": [0.99, 0]}],
+        "partition": [[-0.25 + 0.5 * k / 16, -0.25 + 0.5 * (k + 1) / 16]
+                      for k in range(16)]})
+    code = ("import sys, corona_lab, corona_lab.cli\n"
+            "before = 'scipy' in sys.modules\n"
+            f"rc = corona_lab.cli.main(['measure-fit', '--in', {spec!r}])\n"
+            "print(before, 'scipy.optimize' in sys.modules, rc, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stderr == "False True 0\n"
+    # the fit gives the same bytes whether scipy is loaded by it or before it
+    assert run(capsys, "measure-fit", "--in", spec) == (0, proc.stdout, "")
