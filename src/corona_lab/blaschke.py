@@ -13,7 +13,7 @@ import numpy as np
 
 from .disc_geometry import MobiusAut, canonical_angle, check_disc
 from .errors import ConstructionError, DomainError, InfeasibleError
-from .serialize import as_number, complex_list, cpair, strict_keys
+from .serialize import as_number, complex_list, strict_keys
 
 DEFAULT_THIN_THRESHOLD = 0.9
 
@@ -92,7 +92,7 @@ class BlaschkeProduct:
         return BlaschkeProduct(self.zeros + other.zeros, self.rotation + other.rotation)
 
     def to_dict(self) -> dict:
-        return {"zeros": [cpair(z) for z in self.zeros], "rotation": self.rotation}
+        return {"zeros": self.zeros, "rotation": self.rotation}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "blaschke") -> "BlaschkeProduct":
@@ -203,10 +203,10 @@ class DiscSequence:
 
     @cached_property
     def carleson_constant(self) -> float:
-        return carleson_diagnostics(self)[0]
+        return min(self.separation_tails)
 
     def to_dict(self) -> dict:
-        return {"points": [cpair(z) for z in self.points]}
+        return {"points": self.points}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "sequence") -> "DiscSequence":
@@ -325,15 +325,11 @@ class LadderConstruction:
         b1, b2, b3 = self.partition
         return {
             "ell": self.ell,
-            "s": list(self.s_values),
-            "r": list(self.r_values),
-            "indices": list(self.chosen_indices),
-            "points": [cpair(z) for z in self.chosen_points],
-            "partition": {
-                "bands": [cpair(z) for z in b1],
-                "odd_gaps": [cpair(z) for z in b2],
-                "even_gaps": [cpair(z) for z in b3],
-            },
+            "s": self.s_values,
+            "r": self.r_values,
+            "indices": self.chosen_indices,
+            "points": self.chosen_points,
+            "partition": {"bands": b1, "odd_gaps": b2, "even_gaps": b3},
             "verification": [
                 [rec.rung, rec.eta, rec.eps, rec.min_modulus] for rec in self.verification
             ],

@@ -30,6 +30,7 @@ from .serialize import (as_complex, as_list, as_number, complex_list, csv_text, 
                         load_json, strict_keys)
 
 NODES_ENV = "CORONA_LAB_NODES"
+MIN_NODES = 4
 
 def _parse_inline(text: str, where: str):
     try:
@@ -38,15 +39,19 @@ def _parse_inline(text: str, where: str):
         raise ConfigError(f"{where}: invalid inline JSON ({e})")
 
 
-def _count(text: str) -> int:
-    """argparse type of a sample count: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _integer(lo: int, power_of_two: bool = False):
+    """argparse type of an integer >= lo, and a power of two if power_of_two."""
+    wanted = "a power of two" if power_of_two else "an integer"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value >= lo and not (power_of_two and value & (value - 1)):
+            return value
+        raise argparse.ArgumentTypeError(f"expected {wanted} >= {lo}, got {text!r}")
+    return parse
 
 
 def _real(lo: float = -math.inf, hi: float = math.inf, hi_closed: bool = False):
@@ -71,32 +76,29 @@ _WINDOW = _real(0.0, math.pi, hi_closed=True)
 
 
 def _resolve_nodes(args) -> int:
+    """--nodes, else the environment's node count, else the default."""
     if args.nodes is not None:
-        value = args.nodes
-    else:
-        env = os.environ.get(NODES_ENV)
-        if env is None:
-            return DEFAULT_NODES
-        value = as_number(env, NODES_ENV, int)
-    if value < 4:
-        raise ConfigError("node count must be at least 4")
+        return args.nodes
+    env = os.environ.get(NODES_ENV)
+    if env is None:
+        return DEFAULT_NODES
+    value = as_number(env, NODES_ENV, int)
+    if value < MIN_NODES:
+        raise ConfigError(f"node count must be at least {MIN_NODES}")
     return value
 
 
-def _emit_text(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if not out:
+def _emit(args, artifact) -> None:
+    """Write a JSON artifact, or CSV text as it is, to --out or stdout."""
+    text = artifact if isinstance(artifact, str) else dumps(artifact)
+    if not args.out:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as e:
-        raise ConfigError(f"--out: cannot write {out}: {e.strerror or e}")
-
-
-def _emit(args, payload: dict) -> None:
-    _emit_text(args, dumps(payload))
+        raise ConfigError(f"--out: cannot write {args.out}: {e.strerror or e}")
 
 
 def _load_functions(path: str) -> tuple:
@@ -156,7 +158,7 @@ def _cmd_interp_check(args) -> int:
         "count": len(seq),
         "gap_sum": seq.gap_sum,
         "carleson_constant": seq.carleson_constant,
-        "tails": list(seq.separation_tails),
+        "tails": seq.separation_tails,
     })
     return 0
 
@@ -167,8 +169,7 @@ def _cmd_blaschke_eval(args) -> int:
     at = as_complex(_parse_inline(args.at, "--at"), "--at")
     if not abs(at) <= 1 + 1e-12:
         raise ConfigError("--at must lie in the closed unit disc")
-    value = b(at)
-    _emit(args, {"value": [value.real, value.imag]})
+    _emit(args, {"value": b(at)})
     return 0
 
 
@@ -189,7 +190,7 @@ def _cmd_hoffman_trace(args) -> int:
     seq = _load_sequence(args.points)
     trace = compose_trace(f, seq, grid_radius=args.grid_radius,
                           grid_size=args.grid_size, tol=args.tol)
-    _emit_text(args, trace.to_csv())
+    _emit(args, trace.to_csv())
     return 0
 
 
@@ -225,7 +226,7 @@ def _cmd_measure_fit(args) -> int:
     fit = fit_simple_density(TargetFunctional(tuple(entries)), partition,
                              eps=args.eps, window=window)
     payload = fit.density.to_dict()
-    payload["residuals"] = list(fit.residuals)
+    payload["residuals"] = fit.residuals
     payload["mass_error"] = fit.mass_error
     _emit(args, payload)
     return 0
@@ -245,9 +246,9 @@ def _cmd_pushforward(args) -> int:
     nodes = _resolve_nodes(args)
     if args.samples:
         theta = np.linspace(-np.pi, np.pi, args.samples, endpoint=False)
-        _emit_text(args, csv_text("theta,u", (theta, u(theta))))
+        _emit(args, csv_text("theta,u", (theta, u(theta))))
     else:
-        _emit(args, {"mass": u.mass(nodes), "breakpoints": list(u.breakpoints)})
+        _emit(args, {"mass": u.mass(nodes), "breakpoints": u.breakpoints})
     return 0
 
 
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corona-solve", help="solve sum u_k f_k = 1 for an instance")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--method", choices=("auto", "exact", "numeric"), default="auto")
-    p.add_argument("--degree-cap", type=int, default=8)
+    p.add_argument("--degree-cap", type=_integer(0), default=8)
     p.add_argument("--tol", type=_POSITIVE, default=1e-8)
     _add_common(p, _cmd_corona_solve, corona)
 
@@ -326,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--cert", required=True, help="certificate JSON")
     p.add_argument("--tol", type=_POSITIVE, default=1e-8)
-    p.add_argument("--samples", type=_count, default=10000)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--samples", type=_integer(0), default=10000)
+    p.add_argument("--seed", type=_integer(0), default=0,
                    help="seed for the random verification points")
     _add_common(p, _cmd_corona_check, corona)
 
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True, help="function JSON")
     p.add_argument("--points", required=True, help="sequence JSON")
     p.add_argument("--grid-radius", type=_RADIUS, default=0.9)
-    p.add_argument("--grid-size", type=int, default=40)
+    p.add_argument("--grid-size", type=_integer(1), default=40)
     p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     _add_common(p, _cmd_hoffman_trace, hoffman)
 
@@ -365,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeros", required=True, help="inline JSON list of zeros")
     p.add_argument("--rotation", type=float, default=0.0)
     p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
-    p.add_argument("--n-fft", type=int, default=4096)
+    p.add_argument("--n-fft", type=_integer(hoffman.MIN_FFT_NODES, power_of_two=True),
+                   default=4096)
     _add_common(p, _cmd_l2_identity, hoffman)
 
     p = sub.add_parser("measure-fit", help="fit a step density to integral targets")
@@ -382,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pushforward", help="density of the image measure under L_c")
     p.add_argument("--density", required=True, help="density JSON")
     p.add_argument("--c", required=True, help="inline JSON point")
-    p.add_argument("--samples", type=_count, default=0,
+    p.add_argument("--samples", type=_integer(0), default=0,
                    help="emit a CSV of this many samples instead of JSON")
-    p.add_argument("--nodes", type=int, default=None,
+    p.add_argument("--nodes", type=_integer(MIN_NODES), default=None,
                    help=f"quadrature node count (default {DEFAULT_NODES}, "
                         f"env {NODES_ENV})")
     _add_common(p, _cmd_pushforward, measures)
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functions", required=True, help='JSON file {"functions": [...]}')
     p.add_argument("--points", required=True, help="sequence JSON")
     p.add_argument("--eps", type=_POSITIVE, default=1e-6)
-    p.add_argument("--min-tail", type=int, default=3)
+    p.add_argument("--min-tail", type=_integer(2), default=3)
     _add_common(p, _cmd_cluster_scenario, corona)
 
     return parser

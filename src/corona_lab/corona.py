@@ -13,7 +13,7 @@ coefficients and rounded up: a true bound on the whole closed disc.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import DomainError, ExtractionError, UnsolvableError
 from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
                         poly_to_complex, residual_l1_bound)
 from .functions import POLYNOMIAL, FunctionSpec
-from .serialize import as_list, as_number, cpair, strict_keys
+from .serialize import as_list, as_number, strict_keys
 
 INSIDE_TOL = 1e-9
 
@@ -62,8 +62,7 @@ class GridSpec:
         return np.linspace(-np.pi, np.pi, self.boundary, endpoint=False)
 
     def to_dict(self) -> dict:
-        return {"radial": self.radial, "angular": self.angular,
-                "boundary": self.boundary, "ratio": self.ratio}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "grid") -> "GridSpec":
@@ -90,7 +89,7 @@ class DeltaReport:
     argmin: complex
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "argmin": cpair(self.argmin)}
+        return asdict(self)
 
 
 def measure_delta(functions, grid: GridSpec = DEFAULT_GRID) -> DeltaReport:
@@ -165,7 +164,7 @@ class BezoutCertificate:
     def to_dict(self) -> dict:
         out = {"solutions": [u.to_dict() for u in self.solutions],
                "residual_sup": self.residual_sup,
-               "norms": list(self.norms),
+               "norms": self.norms,
                "passing": self.passing,
                "method": self.method}
         if self.residual_bound is not None:
@@ -295,8 +294,7 @@ class CheckReport:
     passing: bool
 
     def to_dict(self) -> dict:
-        return {"residual_sup": self.residual_sup, "norm_sup": self.norm_sup,
-                "samples": self.samples, "passing": self.passing}
+        return asdict(self)
 
 
 def check_certificate(instance: CoronaInstance, cert: BezoutCertificate,
@@ -333,9 +331,7 @@ class ClusterReport:
     stage_counts: tuple
 
     def to_dict(self) -> dict:
-        return {"indices": list(self.indices),
-                "limits": [cpair(v) for v in self.limits],
-                "stage_counts": list(self.stage_counts)}
+        return asdict(self)
 
 
 def cluster_scenario(functions, points, eps: float,

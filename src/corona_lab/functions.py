@@ -11,11 +11,15 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .errors import ConfigError, DomainError
-from .serialize import as_number, complex_list, cpair, strict_keys
+from .serialize import as_number, complex_list, strict_keys
 
 POLYNOMIAL = "polynomial"
 FINITE_BLASCHKE = "finite_blaschke"
 RATIONAL = "rational"
+
+# JSON keys of the payload entries, by kind
+_DATA_KEYS = {POLYNOMIAL: ("coeffs",), FINITE_BLASCHKE: ("zeros", "rotation"),
+              RATIONAL: ("num", "den")}
 
 # poles must clear the closed disc by at least this margin
 POLE_MARGIN = 1e-9
@@ -118,15 +122,7 @@ class FunctionSpec:
         return float(np.max(np.abs(self.boundary_samples()))) * 1.01
 
     def to_dict(self) -> dict:
-        if self.kind == POLYNOMIAL:
-            data = {"coeffs": [cpair(c) for c in self.payload[0]]}
-        elif self.kind == FINITE_BLASCHKE:
-            zeros, rotation = self.payload
-            data = {"zeros": [cpair(z) for z in zeros], "rotation": rotation}
-        else:
-            num, den = self.payload
-            data = {"num": [cpair(c) for c in num], "den": [cpair(c) for c in den]}
-        return {"kind": self.kind, "data": data}
+        return {"kind": self.kind, "data": dict(zip(_DATA_KEYS[self.kind], self.payload))}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "function") -> "FunctionSpec":

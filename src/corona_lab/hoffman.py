@@ -166,14 +166,13 @@ class L2Report:
     n_fft: int
 
     def summary(self) -> dict:
-        lead = np.abs(self.coefficients[:8])
         return {
             "distance": self.distance,
             "gamma": self.gamma,
             "parseval": self.parseval,
             "alias_energy": self.alias_energy,
             "n_fft": self.n_fft,
-            "leading_moduli": [float(x) for x in lead],
+            "leading_moduli": np.abs(self.coefficients[:8]),
         }
 
 

@@ -149,7 +149,7 @@ class SimpleDensity:
         return SimpleDensity(tuple(tuple(p) for p in merged))
 
     def to_dict(self) -> dict:
-        return {"pieces": [[a, b, c] for a, b, c in self.pieces]}
+        return {"pieces": self.pieces}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "density") -> "SimpleDensity":
@@ -295,7 +295,7 @@ def fit_simple_density(targets, partition, eps: float,
     if residuals.size and float(residuals.max()) > eps:
         raise InfeasibleError(
             f"fit misses a target by {float(residuals.max()):.3e} > eps {eps:.3e}",
-            residuals=list(map(float, residuals)))
+            residuals=list(fit.residuals))
     return fit
 
 

@@ -1,9 +1,13 @@
-"""JSON and CSV helpers: complex values travel as [re, im] pairs, dicts are strict.
+"""JSON and CSV helpers: the one place that knows the artifact encoding.
 
-All emitters go through ``dumps`` or ``csv_text`` so identical inputs
-produce byte identical files.
+Complex values travel as [re, im] pairs of finite numbers both ways:
+``dumps`` writes any complex (numpy's included) as a pair, arrays as lists
+and numpy scalars as Python numbers, and ``as_complex`` reads a pair back.
+Dicts are strict.  All emitters go through ``dumps`` or ``csv_text`` so
+identical inputs produce byte identical files.
 """
 
+import cmath
 import json
 
 import numpy as np
@@ -11,20 +15,23 @@ import numpy as np
 from .errors import ConfigError
 
 
-def cpair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def as_complex(pair, where: str = "value") -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    """A finite complex from a number or an [re, im] pair, or ConfigError naming where."""
+    if isinstance(pair, (int, float, complex)):
+        parts = (pair.real, pair.imag)
+    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
+        parts = pair
+    else:
         raise ConfigError(f"{where}: expected [re, im] pair, got {pair!r}")
-    re, im = pair
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not all(isinstance(part, (int, float)) for part in parts):
         raise ConfigError(f"{where}: expected numeric [re, im] pair")
-    return complex(re, im)
+    try:
+        z = complex(*parts)
+    except OverflowError:       # an integer part beyond the float range
+        z = complex(cmath.inf)
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{where}: expected finite [re, im] parts, got {pair!r}")
+    return z
 
 
 def as_number(value, where: str = "value", kind=float):
@@ -59,8 +66,19 @@ def strict_keys(d: dict, required, optional=(), where: str = "object") -> None:
             raise ConfigError(f"{where}: unknown key '{k}'")
 
 
+def _encode(obj):
+    """json's hook for what it cannot write itself; np.float64 is a float."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
 def csv_text(header: str, columns) -> str:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_corona_solve_check_pipeline(capsys, tmp_path):
     cert_path = str(tmp_path / "cert.json")
     rc, _, _ = run(capsys, "corona-solve", "--in", inst, "--out", cert_path)
     assert rc == 0
-    cert = json.loads(open(cert_path).read())
+    cert = json.loads(Path(cert_path).read_text())
     assert cert["method"] == "exact"
     assert cert["residual_sup"] < 1e-12
     assert cert["residual_bound"] == 0.0
@@ -400,6 +401,34 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
     _assert_names_key(rc, err, key)
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("corona-solve", {"functions": [{"kind": "polynomial",
+                                     "data": {"coeffs": [[1, 0], [math.nan, 0]]}}]},
+     "coeffs[1]"),
+    ("corona-solve", {"functions": [{"kind": "polynomial",
+                                     "data": {"coeffs": [[math.inf, 0]]}}]}, "coeffs[0]"),
+    ("corona-solve", {"functions": [{"kind": "rational",
+                                     "data": {"num": [[1, 0]], "den": [[1, math.nan]]}}]},
+     "den[0]"),
+    ("delta", {"functions": [{"kind": "polynomial",
+                              "data": {"coeffs": [[math.nan, 0]]}}]}, "coeffs[0]"),
+    ("delta", {"functions": [{"kind": "finite_blaschke",
+                              "data": {"zeros": [[0, -math.inf]]}}]}, "zeros[0]"),
+])
+def test_non_finite_parts_are_usage_errors(capsys, tmp_path, command, doc, key):
+    inst = write(tmp_path, "inst.json", doc)       # json writes NaN and Infinity
+    rc, out, err = run(capsys, command, "--in", inst)
+    assert out == ""
+    _assert_names_key(rc, err, key)
+
+
+def test_non_finite_point_is_a_usage_error(capsys, tmp_path):
+    points = write(tmp_path, "p.json", {"points": [[0.5, 0.0], [math.nan, 0.0]]})
+    rc, out, err = run(capsys, "interp-check", "--points", points)
+    assert out == ""
+    _assert_names_key(rc, err, "points[1]")
+
+
 def test_pushforward_csv_matches_per_row_formatting(capsys, tmp_path):
     level = 2 * math.pi / 0.75
     pieces = [[-0.5, 0.25, level / 4], [0.25, 1.0, 3 * level / 4]]
@@ -447,7 +476,7 @@ def test_output_file_determinism(capsys, tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run(capsys, "corona-solve", "--in", inst, "--out", out1)[0] == 0
     assert run(capsys, "corona-solve", "--in", inst, "--out", out2)[0] == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
@@ -487,6 +516,19 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
       "--case", "a"], "--alpha"),
     (["align-arcs", "--density", "d.json", "--alpha", "0.1", "--beta", "nan",
       "--case", "a"], "--beta"),
+    (["corona-check", "--in", "x.json", "--cert", "c.json", "--seed", "-1"], "--seed"),
+    (["corona-solve", "--in", "x.json", "--degree-cap", "-1"], "--degree-cap"),
+    (["corona-solve", "--in", "x.json", "--degree-cap", "2.5"], "--degree-cap"),
+    (["hoffman-trace", "--function", "f.json", "--points", "p.json",
+      "--grid-size", "0"], "--grid-size"),
+    (["l2-identity", "--zeros", "[]", "--n-fft", "0"], "--n-fft"),
+    (["l2-identity", "--zeros", "[]", "--n-fft", "128"], "--n-fft"),
+    (["l2-identity", "--zeros", "[]", "--n-fft", "1000"], "--n-fft"),
+    (["cluster-scenario", "--functions", "f.json", "--points", "p.json",
+      "--min-tail", "1"], "--min-tail"),
+    (["cluster-scenario", "--functions", "f.json", "--points", "p.json",
+      "--min-tail", "-2"], "--min-tail"),
+    (["pushforward", "--density", "d.json", "--c", "[0,0]", "--nodes", "3"], "--nodes"),
 ])
 def test_every_usage_error_is_one_json_config_error(capsys, argv, flag):
     rc, out, err = run(capsys, *argv)

@@ -13,7 +13,7 @@ from corona_lab.functions import (FunctionSpec, constant_function,
 from corona_lab.quadrature import (circle_nodes, integrate_piecewise,
                                    integrate_uniform,
                                    integrate_uniform_checked)
-from corona_lab.serialize import as_complex, complex_list, cpair, dumps, strict_keys
+from corona_lab.serialize import as_complex, complex_list, dumps, strict_keys
 
 RNG = np.random.default_rng(771004)
 
@@ -91,8 +91,8 @@ def test_function_dict_strictness():
 
 
 def test_serialize_helpers():
-    assert cpair(1 - 2j) == [1.0, -2.0]
     assert as_complex([1, 2]) == 1 + 2j
+    assert as_complex(1 - 2j) == 1 - 2j
     with pytest.raises(ConfigError):
         as_complex([1])
     with pytest.raises(ConfigError):
