@@ -223,26 +223,120 @@ class DensityFit:
 BIN_PANELS = 64
 
 MASS_ROW_WEIGHT = 1e6
+# pull toward the uniform level; any RIDGE > 0 makes the fit's optimum unique
+RIDGE = 1e-6
+# a dual entry within this many ulps of the problem's scale is rounding noise
+DUAL_TOL_ULPS = 10
 
 
-def nnls(a, b):
-    """scipy.optimize.nnls, imported on first use: scipy.optimize costs more
-    to import than the rest of the package together, and only fits need it."""
-    from scipy.optimize import nnls as solve
-    return solve(a, b)
+def _passive_solve(d, t, a, u, passive) -> tuple:
+    """(z, nu): the minimiser of |d z - t|^2 + W^2 (a.z - 1)^2 + RIDGE |z - u|^2
+    with z held at 0 off the passive set P, and nu = W^2 (1 - a.z).
+
+    Without the mass row the minimiser is u_P + K d_P^T (t - d_P u_P),
+    K = (d_P^T d_P + RIDGE I)^-1, read off a thin SVD d_P = U S V^T.  The
+    mass row joins by Sherman-Morrison, z = zh + nu K a, with nu in closed
+    form: W^2 never enters a factorisation, so nu carries no W^2-scaled
+    rounding into the dual vector.
+    """
+    z = np.zeros(len(a))
+    if not passive.any():
+        return z, MASS_ROW_WEIGHT ** 2
+    dp, up, ap = d[:, passive], u[passive], a[passive]
+    left, s, vt = np.linalg.svd(dp, full_matrices=False)
+    inv = 1.0 / (s * s + RIDGE)
+    zh = up + vt.T @ (s * inv * (left.T @ (t - dp @ up)))
+    # K a: the range of V from the ridge formula, the rest (projected out
+    # twice, so it is orthogonal to V to rounding) scaled by 1/RIDGE
+    va = vt @ ap
+    ka = vt.T @ (va * inv)
+    if len(s) < len(ap):
+        rest = ap - vt.T @ va
+        rest -= vt.T @ (vt @ rest)
+        ka += rest / RIDGE
+    w2 = MASS_ROW_WEIGHT ** 2
+    nu = w2 * (1.0 - ap @ zh) / (1.0 + w2 * (ap @ ka))
+    z[passive] = zh + nu * ka
+    return z, nu
+
+
+def nnls(d, t, a, u, maxiter: int | None = None) -> np.ndarray:
+    """x >= 0 minimising |d x - t|^2 + W^2 (a.x - 1)^2 + RIDGE |x - u|^2,
+    W = MASS_ROW_WEIGHT: the optimum scipy.optimize.nnls finds on the stacked
+    matrix [W a; d; sqrt(RIDGE) I], unique because RIDGE > 0.
+
+    Lawson-Hanson active set (Solving Least Squares Problems, ch. 23) over
+    _passive_solve.  It starts with every variable passive and drops the
+    nonpositive ones until the passive solution is positive, then runs the
+    LH outer and inner loops, rejecting an entering variable whose solve
+    does not come out positive.  A dual entry counts as positive only above
+    DUAL_TOL_ULPS ulps of the terms it sums, so rounding noise in a
+    degenerate dual neither enters nor cycles.  After maxiter solves
+    (default 3n, as in scipy) it raises InfeasibleError with the row
+    residuals |d x - t| of the iterate it stopped at.
+    """
+    n = len(a)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (n,))
+    budget = 3 * n if maxiter is None else maxiter
+    passive = np.ones(n, dtype=bool)
+    x = np.zeros(n)
+    solves = 0
+
+    def solve():
+        nonlocal solves
+        solves += 1
+        if solves > budget:
+            raise InfeasibleError(f"nnls did not converge in {budget} solves",
+                                  residuals=np.abs(d @ x - t).tolist())
+        return _passive_solve(d, t, a, u, passive)
+
+    x, nu = solve()
+    while (x[passive] <= 0).any():
+        passive &= x > 0
+        x, nu = solve()
+    d_norm = np.linalg.norm(d)
+    while not passive.all():
+        w = d.T @ (t - d @ x) + RIDGE * (u - x) + nu * a
+        x_norm = np.linalg.norm(x)
+        tol = DUAL_TOL_ULPS * np.finfo(float).eps * (
+            d_norm * (np.linalg.norm(t) + d_norm * x_norm)
+            + RIDGE * (np.linalg.norm(u) + x_norm) + abs(nu) * np.linalg.norm(a))
+        w[passive] = -np.inf
+        while True:
+            j = int(np.argmax(w))
+            if w[j] <= tol:
+                return x
+            passive[j] = True
+            z, z_nu = solve()
+            if z[j] > 0:
+                break
+            passive[j] = False
+            w[j] = -np.inf
+        # step from x toward z until the passive solution is positive
+        while (z[passive] <= 0).any():
+            bad = np.flatnonzero(passive & (z <= 0))
+            ratio = x[bad] / (x[bad] - z[bad])
+            k = int(np.argmin(ratio))
+            x = x + ratio[k] * (z - x)
+            x[bad[k]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+            z, z_nu = solve()
+        x, nu = z, z_nu
+    return x
 
 
 def fit_simple_density(targets, partition, eps: float,
-                       window: float | None = None,
-                       ridge: float = 1e-6) -> DensityFit:
+                       window: float | None = None) -> DensityFit:
     """Nonnegative least squares fit of a step density to integral targets.
 
     partition is a list of disjoint (start, end) arcs that carry the
     unknown constant values.  The unit-mass constraint rides along as a
     heavily weighted row and is then enforced exactly by renormalizing; a
     small ridge pulls toward the uniform density so underdetermined fits
-    are reproducible.  Raises InfeasibleError with the achieved residuals
-    when any target misses by more than eps.
+    are reproducible.  Raises DomainError when a target's integral over the
+    partition is not finite, and InfeasibleError with the achieved
+    residuals when any target misses by more than eps.
     """
     if isinstance(targets, TargetFunctional):
         entries = targets.entries
@@ -265,23 +359,18 @@ def fit_simple_density(targets, partition, eps: float,
     x, w = gauss_legendre_panels(bins, panels)
     starts = GL_ORDER * np.cumsum([0] + panels[:-1])
     boundary = np.exp(1j * x)
-    target_cols = np.array([
-        np.add.reduceat(np.asarray(f(boundary), dtype=complex) * w, starts) / TWO_PI
-        for f, _ in entries])
+    with np.errstate(all="ignore"):
+        target_cols = np.array([
+            np.add.reduceat(np.asarray(f(boundary), dtype=complex) * w, starts) / TWO_PI
+            for f, _ in entries])
+    for k, col in enumerate(target_cols):
+        if not np.isfinite(col).all():
+            raise DomainError(f"targets[{k}]: integral over the partition is not finite")
     target_vals = np.array([v for _, v in entries])
 
-    rows = [MASS_ROW_WEIGHT * weights]
-    rhs = [MASS_ROW_WEIGHT]
-    for k in range(len(entries)):
-        rows.append(target_cols[k].real)
-        rhs.append(target_vals[k].real)
-        rows.append(target_cols[k].imag)
-        rhs.append(target_vals[k].imag)
-    n = len(bins)
-    a_mat = np.vstack(rows + [math.sqrt(ridge) * np.eye(n)])
-    b_vec = np.array(rhs + list(math.sqrt(ridge) * np.full(n, uniform_value)))
-
-    coeffs, _ = nnls(a_mat, b_vec)
+    coeffs = nnls(np.concatenate((target_cols.real, target_cols.imag)),
+                  np.concatenate((target_vals.real, target_vals.imag)),
+                  weights, uniform_value)
     mass = float(coeffs @ weights)
     if mass <= 0:
         raise InfeasibleError("solver returned an empty density", residuals=[1.0])

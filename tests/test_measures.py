@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corona_lab import measures
 from corona_lab.disc_geometry import OrthogonalArc, canonical_angle, orthogonal_circle
 from corona_lab.errors import (ConfigError, DomainError, InfeasibleError,
                                QuadratureError)
 from corona_lab.functions import FunctionSpec, constant_function, identity_function
 from corona_lab.measures import (CASE_LEFT, CASE_RIGHT, CASE_STRADDLE,
-                                 SimpleDensity, TargetFunctional, align_arcs,
-                                 fit_simple_density, poisson_integral,
-                                 poisson_kernel, pushforward_density, quartiles)
+                                 MASS_ROW_WEIGHT, RIDGE, SimpleDensity,
+                                 TargetFunctional, align_arcs, fit_simple_density,
+                                 nnls, poisson_integral, poisson_kernel,
+                                 pushforward_density, quartiles)
 from corona_lab.quadrature import integrate_piecewise
 
 RNG = np.random.default_rng(771005)
@@ -338,6 +340,152 @@ def test_fit_partition_validation():
         fit_simple_density((), [(-0.5, 0.5)], eps=1e-3, window=0.25)
     with pytest.raises(DomainError):
         fit_simple_density((), [], eps=1e-3)
+
+
+def _stacked(d, t, a, u):
+    """The fit's least squares as one matrix: mass row, data rows, ridge rows."""
+    n = len(a)
+    return (np.vstack([MASS_ROW_WEIGHT * a, d, math.sqrt(RIDGE) * np.eye(n)]),
+            np.concatenate([[MASS_ROW_WEIGHT], t, math.sqrt(RIDGE) * np.broadcast_to(u, n)]))
+
+
+def _objective(d, t, a, u, x):
+    return float(np.sum((d @ x - t) ** 2) + (MASS_ROW_WEIGHT * (a @ x - 1)) ** 2
+                 + RIDGE * np.sum((x - u) ** 2))
+
+
+# a.x sits a few ulps from 1 at best, which the mass row weighs in at this much
+OBJECTIVE_FLOOR = (MASS_ROW_WEIGHT * 8 * np.finfo(float).eps) ** 2
+
+
+def _assert_same_optimum(d, t, a, u, x, oracle, zeros=True):
+    assert np.all(x >= 0)
+    if zeros:
+        assert np.array_equal(x == 0, oracle == 0)
+    mine, theirs = _objective(d, t, a, u, x), _objective(d, t, a, u, oracle)
+    assert abs(mine - theirs) <= 1e-12 * theirs + OBJECTIVE_FLOOR
+
+
+def _moment_problem(rng, n, targets, active):
+    """The fit's own system: moments z^1..z^T of a step density on n bins;
+    with active set, some levels are zero and the targets are perturbed."""
+    edges = np.linspace(-math.pi, math.pi, n + 1)
+    if rng.random() < 0.5:
+        edges[1:-1] = np.sort(rng.uniform(-math.pi, math.pi, n - 1))
+    a = np.diff(edges) / TWO_PI
+    k = np.arange(1, targets + 1)[:, None]
+    cols = (np.exp(1j * k * edges[1:]) - np.exp(1j * k * edges[:-1])) / (2j * math.pi * k)
+    d = np.concatenate([cols.real, cols.imag])
+    levels = rng.uniform(0.2, 2.0, n)
+    if active:
+        levels[rng.random(n) < 0.4] = 0.0
+        levels[0] = 1.0
+    t = d @ (levels / (levels @ a))
+    if active:
+        t += rng.normal(0.0, 0.05, t.shape)
+    return d, t, a, 1.0 / a.sum()
+
+
+def _tied_problem(rng, n, rows):
+    """Random rows with a third of the columns copies of the first one, so
+    their duals tie."""
+    d = rng.normal(size=(rows, n)) / n
+    d[:, rng.integers(0, n, n // 3)] = d[:, [0]]
+    a = rng.uniform(0.5, 1.5, n)
+    a /= a.sum()
+    return d, rng.normal(size=rows) * 0.3 / math.sqrt(n), a, 1.0 / a.sum()
+
+
+def _kkt_problem(rng, n, rows, dual):
+    """A problem built around a known optimum x whose zeros would raise the
+    objective at rate dual (0 makes their duals degenerate): the ridge
+    centre u is solved from the optimality conditions."""
+    d = rng.normal(size=(rows, n)) / n
+    a = rng.uniform(0.5, 1.5, n)
+    a /= a.sum()
+    zero = rng.random(n) < 0.4
+    zero[0] = False
+    x = np.where(zero, 0.0, rng.uniform(0.2, 2.0, n))
+    nu = rng.normal() * 1e-8
+    x *= (1 - nu / MASS_ROW_WEIGHT ** 2) / (a @ x)
+    r = rng.normal(size=rows) * 1e-8
+    u = x - (d.T @ r + nu * a + dual * zero) / RIDGE
+    return d, d @ x + r, a, u, x
+
+
+def test_nnls_matches_scipy_on_the_stacked_system():
+    solve = pytest.importorskip("scipy.optimize").nnls
+    rng = np.random.default_rng(9001)
+    active = 0
+    for case in range(240):
+        n, rows = int(rng.integers(2, 257)), 2 * int(rng.integers(1, 17))
+        kind = case % 4
+        if kind < 2:
+            d, t, a, u = _moment_problem(rng, n, rows // 2, kind == 1)
+        elif kind == 2:
+            d, t, a, u = _tied_problem(rng, n, rows)
+        else:
+            # zeros held by duals just above rounding: the zero set is still sharp
+            d, t, a, u, _ = _kkt_problem(rng, n, rows, 1e-11)
+        oracle, _ = solve(*_stacked(d, t, a, u))
+        _assert_same_optimum(d, t, a, u, nnls(d, t, a, u), oracle)
+        active += bool((oracle == 0).any())
+    assert active >= 100
+
+
+def test_nnls_degenerate_duals_reach_the_known_optimum():
+    solve = pytest.importorskip("scipy.optimize").nnls
+    rng = np.random.default_rng(9002)
+    for _ in range(120):
+        n, rows = int(rng.integers(2, 129)), 2 * int(rng.integers(1, 17))
+        d, t, a, u, best = _kkt_problem(rng, n, rows, 0.0)
+        x = nnls(d, t, a, u)
+        # a zero with a zero dual may come out as rounding either side of 0
+        oracle, _ = solve(*_stacked(d, t, a, u))
+        _assert_same_optimum(d, t, a, u, x, oracle, zeros=False)
+        assert np.max(np.abs(x - best)) <= 1e-13 * np.max(best)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_nnls_property_small_systems(n, rows, seed):
+    solve = pytest.importorskip("scipy.optimize").nnls
+    rng = np.random.default_rng(seed)
+    d, t = rng.normal(size=(rows, n)), rng.normal(size=rows)
+    a, u = rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 2.0, n)
+    oracle, _ = solve(*_stacked(d, t, a, u))
+    _assert_same_optimum(d, t, a, u, nnls(d, t, a, u), oracle)
+
+
+def test_nnls_rejects_an_entering_variable_that_solves_nonpositive(monkeypatch):
+    # Rounding can leave an entering variable at or below 0 in its first
+    # solve although its dual was positive; stepping toward that solution
+    # would not move x.  Lawson-Hanson rejects the variable instead, here
+    # forced once by zeroing it in the solve after its entry.
+    d, t, a, u, best = _kkt_problem(np.random.default_rng(9003), 32, 8, 1e-3)
+    solve, previous, rejected = measures._passive_solve, [np.ones(len(a), bool)], []
+
+    def first_entry_solves_to_zero(d, t, a, u, passive):
+        z, nu = solve(d, t, a, u, passive)
+        entered = np.flatnonzero(passive & ~previous[0])
+        # an entry adds one variable and drops none
+        if not rejected and len(entered) == 1 and not (previous[0] & ~passive).any():
+            rejected.append(entered[0])
+            z[entered[0]] = 0.0
+        previous[0] = passive.copy()
+        return z, nu
+
+    monkeypatch.setattr(measures, "_passive_solve", first_entry_solves_to_zero)
+    x = nnls(d, t, a, u)
+    assert rejected and np.array_equal(x == 0, best == 0)
+
+
+def test_nnls_iteration_cap_raises_with_residuals():
+    d, t, a, u, best = _kkt_problem(np.random.default_rng(9003), 32, 8, 1e-3)
+    assert np.array_equal(nnls(d, t, a, u) == 0, best == 0) and (best == 0).any()
+    with pytest.raises(InfeasibleError) as exc:
+        nnls(d, t, a, u, maxiter=1)
+    assert len(exc.value.residuals) == len(t)
 
 
 def test_quartiles_uniform_and_tags():
