@@ -417,7 +417,7 @@ def test_nnls_matches_scipy_on_the_stacked_system():
     solve = pytest.importorskip("scipy.optimize").nnls
     rng = np.random.default_rng(9001)
     active = 0
-    for case in range(240):
+    for case in range(160):
         n, rows = int(rng.integers(2, 257)), 2 * int(rng.integers(1, 17))
         kind = case % 4
         if kind < 2:
@@ -430,7 +430,7 @@ def test_nnls_matches_scipy_on_the_stacked_system():
         oracle, _ = solve(*_stacked(d, t, a, u))
         _assert_same_optimum(d, t, a, u, nnls(d, t, a, u), oracle)
         active += bool((oracle == 0).any())
-    assert active >= 120
+    assert active >= 80
 
 
 def test_nnls_degenerate_duals_reach_the_known_optimum():
