@@ -227,6 +227,8 @@ MASS_ROW_WEIGHT = 1e6
 RIDGE = 1e-6
 # a dual entry within this many ulps of the problem's scale is rounding noise
 DUAL_TOL_ULPS = 10
+# nnls gives up after this many passive solves per variable, as scipy does
+SOLVES_PER_VARIABLE = 3
 
 
 def _passive_solve(d, t, a, u, passive) -> tuple:
@@ -260,10 +262,11 @@ def _passive_solve(d, t, a, u, passive) -> tuple:
     return z, nu
 
 
-def nnls(d, t, a, u, maxiter: int | None = None) -> np.ndarray:
+def nnls(d, t, a, u) -> np.ndarray:
     """x >= 0 minimising |d x - t|^2 + W^2 (a.x - 1)^2 + RIDGE |x - u|^2,
     W = MASS_ROW_WEIGHT: the optimum scipy.optimize.nnls finds on the stacked
-    matrix [W a; d; sqrt(RIDGE) I], unique because RIDGE > 0.
+    matrix [W a; d; sqrt(RIDGE) I], unique because RIDGE > 0.  A complex d
+    and t enter as their real rows [Re d; Im d] and [Re t; Im t].
 
     Lawson-Hanson active set (Solving Least Squares Problems, ch. 23) over
     _passive_solve.  It starts with every variable passive and drops the
@@ -271,13 +274,16 @@ def nnls(d, t, a, u, maxiter: int | None = None) -> np.ndarray:
     LH outer and inner loops, rejecting an entering variable whose solve
     does not come out positive.  A dual entry counts as positive only above
     DUAL_TOL_ULPS ulps of the terms it sums, so rounding noise in a
-    degenerate dual neither enters nor cycles.  After maxiter solves
-    (default 3n, as in scipy) it raises InfeasibleError with the row
-    residuals |d x - t| of the iterate it stopped at.
+    degenerate dual neither enters nor cycles.  After SOLVES_PER_VARIABLE
+    solves per variable it raises InfeasibleError with the residuals
+    |d x - t|, one per row of the d given, of the iterate it stopped at.
     """
     n = len(a)
     u = np.broadcast_to(np.asarray(u, dtype=float), (n,))
-    budget = 3 * n if maxiter is None else maxiter
+    budget = SOLVES_PER_VARIABLE * n
+    cols, vals = d, t
+    if np.iscomplexobj(d):
+        d, t = np.concatenate((d.real, d.imag)), np.concatenate((t.real, t.imag))
     passive = np.ones(n, dtype=bool)
     x = np.zeros(n)
     solves = 0
@@ -286,8 +292,8 @@ def nnls(d, t, a, u, maxiter: int | None = None) -> np.ndarray:
         nonlocal solves
         solves += 1
         if solves > budget:
-            raise InfeasibleError(f"nnls did not converge in {budget} solves",
-                                  residuals=np.abs(d @ x - t).tolist())
+            raise InfeasibleError(f"nnls did not converge in {solves - 1} solves",
+                                  residuals=np.abs(cols @ x - vals).tolist())
         return _passive_solve(d, t, a, u, passive)
 
     x, nu = solve()
@@ -368,9 +374,7 @@ def fit_simple_density(targets, partition, eps: float,
             raise DomainError(f"targets[{k}]: integral over the partition is not finite")
     target_vals = np.array([v for _, v in entries])
 
-    coeffs = nnls(np.concatenate((target_cols.real, target_cols.imag)),
-                  np.concatenate((target_vals.real, target_vals.imag)),
-                  weights, uniform_value)
+    coeffs = nnls(target_cols, target_vals, weights, uniform_value)
     mass = float(coeffs @ weights)
     if mass <= 0:
         raise InfeasibleError("solver returned an empty density", residuals=[1.0])

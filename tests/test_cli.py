@@ -364,6 +364,24 @@ def test_measure_fit_non_finite_target_names_key(capsys, tmp_path):
     assert "targets[0]" in payload["message"]
 
 
+def test_measure_fit_solve_cap_reports_one_residual_per_target(capsys, tmp_path, monkeypatch):
+    # mean 0.9 of z on 8 bins forces zero levels, so the fit needs more
+    # than the one solve it is allowed here
+    from corona_lab import measures
+    monkeypatch.setattr(measures, "SOLVES_PER_VARIABLE", 1 / 8)
+    power = [{"kind": "polynomial", "data": {"coeffs": [[0, 0]] * k + [[1, 0]]}}
+             for k in (1, 2)]
+    spec = write(tmp_path, "fit.json", {
+        "targets": [{"function": f, "value": [v, 0]} for f, v in zip(power, (0.9, 0.7))],
+        "partition": [[-math.pi + 2 * math.pi * k / 8, -math.pi + 2 * math.pi * (k + 1) / 8]
+                      for k in range(8)]})
+    rc, out, err = run(capsys, "measure-fit", "--in", spec)
+    assert (rc, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "InfeasibleError" and "in 1 solves" in payload["message"]
+    assert len(payload["residuals"]) == 2
+
+
 def test_measure_fit_non_numeric_window_names_key(capsys, tmp_path):
     spec = write(tmp_path, "fit.json", {"targets": [], "partition": [[0.0, 0.1]],
                                         "window": "x"})

@@ -480,12 +480,18 @@ def test_nnls_rejects_an_entering_variable_that_solves_nonpositive(monkeypatch):
     assert rejected and np.array_equal(x == 0, best == 0)
 
 
-def test_nnls_iteration_cap_raises_with_residuals():
+def test_nnls_iteration_cap_raises_with_residuals(monkeypatch):
     d, t, a, u, best = _kkt_problem(np.random.default_rng(9003), 32, 8, 1e-3)
     assert np.array_equal(nnls(d, t, a, u) == 0, best == 0) and (best == 0).any()
-    with pytest.raises(InfeasibleError) as exc:
-        nnls(d, t, a, u, maxiter=1)
+    # a budget of one solve, where this problem needs more
+    monkeypatch.setattr(measures, "SOLVES_PER_VARIABLE", 1 / len(a))
+    with pytest.raises(InfeasibleError, match="in 1 solves") as exc:
+        nnls(d, t, a, u)
     assert len(exc.value.residuals) == len(t)
+    # complex rows report one residual per row, not per real part
+    with pytest.raises(InfeasibleError) as exc:
+        nnls(d[:4] + 1j * d[4:], t[:4] + 1j * t[4:], a, u)
+    assert len(exc.value.residuals) == 4
 
 
 def test_quartiles_uniform_and_tags():
