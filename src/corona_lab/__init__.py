@@ -3,7 +3,7 @@ geometry, circle densities, recentering limits, and Bezout certificates."""
 
 from .blaschke import (BlaschkeProduct, DiscSequence, LadderConstruction, Sector,
                        carleson_diagnostics, compose_with_mobius, construct_ladder,
-                       modulus_lower_bound, sector_filter)
+                       modulus_lower_bound)
 from .corona import (BezoutCertificate, CoronaInstance, GridSpec, bezout_exact,
                      bezout_numeric, check_certificate, cluster_scenario,
                      measure_delta)
@@ -35,5 +35,4 @@ __all__ = [
     "measure_delta", "modulus_lower_bound", "orthogonal_arc_midpoint",
     "poisson_integral", "poisson_kernel", "pseudo_disc_euclidean",
     "pseudo_distance", "pushforward_density", "quartiles", "schwarz_check",
-    "sector_filter",
 ]

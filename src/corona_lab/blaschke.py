@@ -6,7 +6,7 @@ the unimodular prefactor is -1 when a = 0, so the factor degenerates to z.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +25,8 @@ MIN_GRID_ANGULAR = 64
 def _unimodular_prefactor(a: complex) -> complex:
     if a == 0:
         return -1.0 + 0j
+    # an exact power-of-two scale keeps abs() out of the subnormal range
+    a = a * 2.0 ** 600
     return a.conjugate() / abs(a)
 
 
@@ -83,9 +85,6 @@ class BlaschkeProduct:
             p = p * f
         return complex(d) if d.ndim == 0 else d
 
-    def scaled(self, extra_rotation: float) -> "BlaschkeProduct":
-        return BlaschkeProduct(self.zeros, self.rotation + float(extra_rotation))
-
     def __mul__(self, other: "BlaschkeProduct") -> "BlaschkeProduct":
         if not isinstance(other, BlaschkeProduct):
             return NotImplemented
@@ -139,29 +138,27 @@ def _transport(zeros, m: MobiusAut) -> np.ndarray:
     return m.inverse(zs) if zs.size else zs
 
 
+def _transported_gaps(zeros, c: complex) -> np.ndarray:
+    """1 - |(z_k - c)/(1 - conj(c) z_k)| for every zero."""
+    return 1 - np.abs(_transport(zeros, MobiusAut(c)))
+
+
 def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
     """Blaschke product equal to z -> b((z + c)/(1 + conj(c) z)) pointwise.
 
-    The zeros move to (a - c)/(1 - conj(c) a); the rotation is fitted at an
-    anchor point where the transported product does not vanish.
+    With m = MobiusAut(c), each zero a moves to a' = m.inverse(a), and
+    factor(a, m(z)) = u_a (1 - a conj(c)) / ((1 - conj(a) c) u_a') factor(a', z)
+    with u the unimodular prefactor; the rotation gains the angles of these
+    unimodular constants.
     """
-    if isinstance(c, MobiusAut):
-        m = c
-    else:
-        m = MobiusAut(c)
-    new_zeros = tuple(complex(w) for w in _transport(b.zeros, m))
-    raw = BlaschkeProduct(new_zeros, 0.0)
-    anchor = 0j
-    if any(abs(z) < 1e-6 for z in new_zeros):
-        # move the anchor off the zero set; deterministic sweep
-        for t in (0.5, -0.5, 0.5j, -0.5j, 0.25 + 0.25j):
-            if all(abs(z - t) > 1e-6 for z in new_zeros):
-                anchor = complex(t)
-                break
-    target = b(m.apply(anchor))
-    got = raw(anchor)
-    rotation = float(np.angle(target / got))
-    return BlaschkeProduct(new_zeros, rotation)
+    m = MobiusAut(c)
+    moved = _transport(b.zeros, m).tolist()
+    turn = b.rotation
+    for a, w in zip(b.zeros, moved):
+        k = (_unimodular_prefactor(a) * (1 - a * m.c.conjugate())
+             / ((1 - a.conjugate() * m.c) * _unimodular_prefactor(w)))
+        turn += math.atan2(k.imag, k.real)
+    return BlaschkeProduct(tuple(moved), turn)
 
 
 def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +168,7 @@ def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray
     and bound[k] = (1+|c|)/(1-|c|) (1 - |z_k|); actual <= bound always.
     """
     c = check_disc(c, "c")
-    actual = 1 - np.abs(_transport(b.zeros, MobiusAut(c)))
+    actual = _transported_gaps(b.zeros, c)
     factor = (1 + abs(c)) / (1 - abs(c))
     bound = factor * (1 - np.abs(np.array(b.zeros, dtype=complex)))
     return actual, bound
@@ -258,10 +255,6 @@ class Sector:
         return abs(float(np.angle(z))) <= self.half_angle
 
 
-def sector_filter(zeros, sector: Sector) -> list:
-    return [z for z in zeros if sector.contains(z)]
-
-
 @dataclass(frozen=True)
 class RungRecord:
     """Verification row for one rung: measured minimum on |z| <= eta."""
@@ -288,7 +281,6 @@ class LadderConstruction:
     chosen_points: tuple
     partition: tuple          # three zero tuples: bands, odd gaps, even gaps
     verification: tuple       # RungRecord per rung
-    source_zeros: tuple = field(repr=False, default=())
 
     def band_products(self) -> tuple[BlaschkeProduct, BlaschkeProduct, BlaschkeProduct]:
         b1, b2, b3 = self.partition
@@ -334,10 +326,6 @@ class LadderConstruction:
                 [rec.rung, rec.eta, rec.eps, rec.min_modulus] for rec in self.verification
             ],
         }
-
-
-def _transported_gap_sum(zeros, c: complex) -> float:
-    return float(np.sum(1 - np.abs(_transport(zeros, MobiusAut(c)))))
 
 
 def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: float,
@@ -406,7 +394,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
         inner = by_modulus[:np.searchsorted(mods, r_j, "left")]
         pick = None
         for n in range(next_candidate, len(candidates)):
-            if _transported_gap_sum(inner, candidates.points[n]) < delta / 2:
+            if float(np.sum(_transported_gaps(inner, candidates.points[n]))) < delta / 2:
                 pick = n
                 break
         if pick is None:
@@ -418,7 +406,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
         chosen_points.append(c)
         next_candidate = pick + 1
 
-        gaps = 1 - np.abs(_transport(by_modulus, MobiusAut(c)))
+        gaps = _transported_gaps(by_modulus, c)
         tails = np.cumsum(gaps[::-1])[::-1]
         ok = np.flatnonzero((mods > r_j) & (tails[tail_start] < delta / 2))
         if ok.size:
@@ -455,7 +443,6 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
         chosen_points=tuple(chosen_points),
         partition=(tuple(bands), tuple(odd_gaps), tuple(even_gaps)),
         verification=tuple(records),
-        source_zeros=zeros,
     )
 
 

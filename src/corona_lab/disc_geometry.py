@@ -13,7 +13,6 @@ from .errors import DomainError
 
 # denominators in disc automorphisms stay away from zero by this margin
 DENOM_EPS = 1e-15
-BOUNDARY_TOL = 1e-9
 
 
 def canonical_angle(theta):
@@ -33,13 +32,6 @@ def check_disc(z, name: str = "z") -> complex:
     z = complex(z)
     if not (abs(z) < 1):
         raise DomainError(f"{name} must satisfy |{name}| < 1, got |{name}| = {abs(z)}")
-    return z
-
-
-def check_closed_disc(z, name: str = "z") -> complex:
-    z = complex(z)
-    if abs(z) > 1 + BOUNDARY_TOL:
-        raise DomainError(f"{name} must satisfy |{name}| <= 1, got |{name}| = {abs(z)}")
     return z
 
 
@@ -136,30 +128,13 @@ def geodesic_endpoints(anchor_angle: float, through) -> tuple[float, float]:
     """Boundary angles of the geodesic through e^{i anchor_angle} and an
     interior point.  First angle returned equals anchor_angle.
 
-    Solves the two linear conditions Re(conj(w) e^{ia}) = 1 and
-    Re(conj(w) p) = (1 + |p|^2)/2 for the orthogonal circle center w, then
-    intersects with the unit circle at (1 +- iR) w / |w|^2.
+    m = MobiusAut(through) maps the diameter through 0 and
+    w = m.inverse(e^{ia}) onto the geodesic, so the far endpoint is m(-w).
     """
     a = float(canonical_angle(anchor_angle))
-    p = check_disc(through, "through")
-    e = complex(np.exp(1j * a))
-    mat = np.array([[e.real, e.imag], [p.real, p.imag]])
-    rhs = np.array([1.0, (1 + abs(p) ** 2) / 2])
-    det = np.linalg.det(mat)
-    if abs(det) < 1e-14:
-        # interior point on the ray through the anchor: geodesic is a diameter
-        return a, float(canonical_angle(a + math.pi))
-    wx, wy = np.linalg.solve(mat, rhs)
-    w = complex(wx, wy)
-    radius = math.sqrt(abs(w) ** 2 - 1)
-    p1 = (1 + 1j * radius) * w / abs(w) ** 2
-    p2 = (1 - 1j * radius) * w / abs(w) ** 2
-    t1 = float(np.angle(p1))
-    t2 = float(np.angle(p2))
-    # return the anchor first, the far endpoint second
-    if abs(canonical_angle(t1 - a)) <= abs(canonical_angle(t2 - a)):
-        return a, t2
-    return a, t1
+    m = MobiusAut(check_disc(through, "through"))
+    far = m.apply(-m.inverse(complex(np.exp(1j * a))))
+    return a, float(canonical_angle(np.angle(far)))
 
 
 @dataclass(frozen=True)

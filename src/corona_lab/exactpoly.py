@@ -130,7 +130,11 @@ def poly_from_complex(coeffs) -> tuple:
 
 
 def poly_to_complex(f) -> list:
-    return [c.to_complex() for c in f]
+    try:
+        return [c.to_complex() for c in f]
+    except OverflowError:
+        raise DomainError("an exact coefficient exceeds the float range, "
+                          "so the exact result cannot be reported in floats") from None
 
 
 def poly_trim(f) -> tuple:

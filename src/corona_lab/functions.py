@@ -74,10 +74,15 @@ class FunctionSpec:
     def rational(cls, num, den) -> "FunctionSpec":
         nc = _trim(num)
         dc = _trim(den)
-        if dc == (0j,):
+        if not any(dc):
             raise DomainError("rational denominator is identically zero")
         if len(dc) > 1:
-            poles = np.roots(list(reversed(dc)))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    poles = np.roots(list(reversed(dc)))
+            except FloatingPointError:
+                raise DomainError("rational denominator: leading coefficient "
+                                  f"{dc[-1]} is too small to locate the poles") from None
             inside = [p for p in poles if abs(p) <= 1 + POLE_MARGIN]
             if inside:
                 raise DomainError(

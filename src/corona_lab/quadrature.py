@@ -22,13 +22,6 @@ def circle_nodes(n: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, n, endpoint=False)
 
 
-def integrate_uniform(f, nodes: int = DEFAULT_NODES) -> complex:
-    """Mean of f over uniform angles; spectral accuracy for smooth periodic f."""
-    theta = circle_nodes(nodes)
-    vals = np.asarray(f(theta), dtype=complex)
-    return complex(np.mean(vals))
-
-
 def integrate_uniform_checked(f, nodes: int = DEFAULT_NODES) -> tuple[complex, float]:
     """Uniform rule plus an error estimate from comparing with half the nodes."""
     if nodes < 4 or nodes % 2:

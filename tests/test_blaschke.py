@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corona_lab.blaschke import (BlaschkeProduct, DiscSequence, Sector,
                                  blaschke_factor, carleson_diagnostics,
                                  compose_with_mobius, construct_ladder,
                                  min_modulus_on_disc, modulus_lower_bound,
-                                 sector_filter, transport_tail_bounds)
+                                 transport_tail_bounds)
 from corona_lab.disc_geometry import MobiusAut, pseudo_distance
 from corona_lab.errors import ConfigError, ConstructionError, DomainError, InfeasibleError
 
@@ -104,14 +106,18 @@ def test_value_and_derivative_match_direct_product():
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
-def test_product_and_scaled():
+def test_subnormal_zero_keeps_the_prefactor_unimodular():
+    b = BlaschkeProduct((5e-324 + 5e-324j,))
+    assert abs(abs(b(1j)) - 1) < 1e-15
+
+
+def test_product():
     b1 = BlaschkeProduct((0.3,), 0.2)
     b2 = BlaschkeProduct((0.5j,), -0.1)
     prod = b1 * b2
     assert prod.degree == 2
     z = 0.1 + 0.2j
     assert abs(prod(z) - b1(z) * b2(z)) < 1e-14
-    assert abs(b1.scaled(0.3)(z) - np.exp(0.3j) * b1(z)) < 1e-14
 
 
 def test_zero_outside_disc_rejected():
@@ -165,6 +171,28 @@ def test_compose_identity_and_zero_anchor():
     assert abs(comp(0.25) - blaschke_factor(0.5, MobiusAut(0.5).apply(0.25))) < 1e-13
 
 
+def test_compose_with_a_zero_at_every_old_anchor():
+    # the transported zeros are 0, +-0.5, +-0.5i and 0.25+0.25i
+    c = 0.3
+    m = MobiusAut(c)
+    b = BlaschkeProduct(tuple(m.apply(z) for z in (0, 0.5, -0.5, 0.5j, -0.5j, 0.25 + 0.25j)))
+    comp = compose_with_mobius(b, c)
+    assert comp.zeros[0] == 0
+    z = np.array([0, 0.5, -0.5, 0.5j, -0.5j, 0.25 + 0.25j, 0.1 - 0.7j, -0.6 + 0.2j])
+    np.testing.assert_allclose(comp(z), b(m.apply(z)), rtol=0, atol=1e-12)
+
+
+def _disc(rmax):
+    return st.complex_numbers(max_magnitude=rmax, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_disc(0.95), max_size=8), st.floats(-math.pi, math.pi), _disc(0.9), _disc(0.9))
+def test_compose_with_mobius_property(zeros, rotation, c, z):
+    b = BlaschkeProduct(tuple(zeros), rotation)
+    assert abs(compose_with_mobius(b, c)(z) - b(MobiusAut(c).apply(z))) < 1e-12
+
+
 def test_transport_tail_bounds_dominate():
     for _ in range(15):
         b = random_product(RNG, max_deg=8)
@@ -213,8 +241,6 @@ def test_sector_membership():
     assert not sec.contains(0.85)       # outer radius excluded
     assert sec.contains(0.8 * np.exp(0.25j))
     assert not sec.contains(0.8 * np.exp(0.26j))
-    zeros = (0.7, 0.8 * np.exp(0.01j), 0.9 * np.exp(0.4j))
-    assert sector_filter(zeros, sec) == [zeros[1]]
     with pytest.raises(DomainError):
         Sector(0.0, 0.2, 0.4)
     with pytest.raises(DomainError):

@@ -128,6 +128,34 @@ def test_corona_solve_unsolvable_exit_one(capsys, tmp_path):
     assert payload["error"] == "UnsolvableError"
 
 
+def test_corona_solve_exact_cofactors_beyond_float_range(capsys, tmp_path):
+    # the exact cofactors of (z^2, 1e308 z - 1/2) exist but overflow a float
+    inst = write(tmp_path, "inst.json", {"functions": [
+        {"kind": "polynomial", "data": {"coeffs": [[0, 0], [0, 0], [1, 0]]}},
+        {"kind": "polynomial", "data": {"coeffs": [[-0.5, 0], [1e308, 0]]}},
+    ]})
+    rc, out, err = run(capsys, "corona-solve", "--in", inst, "--method", "exact")
+    assert (rc, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "float range" in payload["message"]
+
+
+@pytest.mark.parametrize("den, message", [
+    ([], "identically zero"),
+    ([[1, 0], [5e-324, 0]], "too small to locate the poles"),
+])
+def test_delta_rejects_degenerate_rational_denominator(capsys, tmp_path, den, message):
+    inst = write(tmp_path, "inst.json", {"functions": [
+        {"kind": "rational", "data": {"num": [[1, 0]], "den": den}},
+    ]})
+    rc, out, err = run(capsys, "delta", "--in", inst)
+    assert (rc, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert message in payload["message"]
+
+
 def test_delta_report(capsys, tmp_path):
     inst = write(tmp_path, "inst.json", {"functions": [
         {"kind": "polynomial", "data": {"coeffs": [[0, 0], [0, 0], [1, 0]]}},
@@ -188,6 +216,17 @@ def test_l2_identity_summary_and_determinism(capsys):
     assert abs(rep["parseval"] - 1) < 1e-10
     rc, out2, _ = run(capsys, *argv)
     assert out1 == out2      # byte-identical rerun
+
+
+def test_l2_identity_with_a_zero_at_every_old_anchor(capsys):
+    # zeros at L_c(0), L_c(+-0.5), L_c(+-0.5i) and L_c(0.25+0.25i) all land
+    # on the old rotation-fit anchors once transported
+    c = 0.3
+    zeros = [(z + c) / (1 + c * z) for z in (0, 0.5, -0.5, 0.5j, -0.5j, 0.25 + 0.25j)]
+    rc, out, err = run(capsys, "l2-identity", "--c", "[0.3,0]", "--zeros",
+                       json.dumps([[z.real, z.imag] for z in zeros]))
+    assert (rc, err) == (0, "")
+    assert abs(json.loads(out)["parseval"] - 1) < 1e-10
 
 
 def test_measure_fit_uniform(capsys, tmp_path):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corona_lab.disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle,
-                                      check_closed_disc, check_disc,
+                                      check_disc,
                                       geodesic_endpoints, orthogonal_arc_midpoint,
                                       orthogonal_circle, pseudo_disc_euclidean,
                                       pseudo_distance)
@@ -32,9 +34,6 @@ def test_disc_membership_guards():
     assert check_disc(0.5) == 0.5
     with pytest.raises(DomainError):
         check_disc(1.0)
-    assert check_closed_disc(1.0) == 1.0
-    with pytest.raises(DomainError):
-        check_closed_disc(1.0 + 1e-6)
 
 
 def test_pseudo_distance_symmetry_and_range():
@@ -132,6 +131,37 @@ def test_geodesic_diameter_degenerate_case():
     t1, t2 = geodesic_endpoints(0.0, 0.5)
     assert t1 == 0.0
     assert abs(abs(t2) - math.pi) < 1e-12
+
+
+def _disc(rmax):
+    return st.complex_numbers(max_magnitude=rmax, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_disc(0.9), st.floats(-20.0, 20.0), _disc(0.9))
+def test_mobius_inverse_property(c, rotation, z):
+    m = MobiusAut(c, rotation)
+    assert abs(m.inverse(m.apply(z)) - z) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-math.pi, math.pi), _disc(0.95))
+def test_geodesic_endpoints_property(a, p):
+    t1, t2 = geodesic_endpoints(a, p)
+    # the circle orthogonal to the unit circle through e^{i t1} and e^{i t2}
+    # is |z|^2 + 1 = 2 Re(conj(w) z) with w = e^{i mid} / cos(half); scaled
+    # by cos(half) it stays finite for diameters
+    mid, half = (t1 + t2) / 2, (t2 - t1) / 2
+    lhs = 2 * (np.exp(-1j * mid) * p).real
+    assert abs(lhs - (1 + abs(p) ** 2) * math.cos(half)) <= 1e-12 * (1 + abs(p) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-math.pi, math.pi), st.floats(0.0, 0.95))
+def test_geodesic_along_the_anchor_ray_is_a_diameter(a, r):
+    t1, t2 = geodesic_endpoints(a, r * complex(np.exp(1j * a)))
+    assert t1 == canonical_angle(a)
+    assert abs(canonical_angle(t2 - a - math.pi)) < 1e-12
 
 
 def test_orthogonal_arc_validation():
