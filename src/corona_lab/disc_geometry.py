@@ -60,19 +60,31 @@ class MobiusAut:
         """Evaluate at a point of the closed disc (scalar or array)."""
         z = np.asarray(z, dtype=complex)
         den = 1 + np.conj(self.c) * z
-        if np.min(np.abs(den)) < DENOM_EPS:
-            raise DomainError("mobius denominator vanished; point outside closed disc?")
+        self._check_denominator(den, z)
         out = np.exp(1j * self.rotation) * (z + self.c) / den
         return complex(out) if out.ndim == 0 else out
 
     __call__ = apply
 
+    def _check_denominator(self, den, z) -> None:
+        """Reject a denominator 1 +- conj(c) z below DENOM_EPS, naming the cause.
+
+        On the closed disc |1 +- conj(c) z| >= 1 - |c|, so there the check
+        fires only when c itself lies within rounding of the circle.
+        """
+        size = np.abs(den)
+        if size.min() >= DENOM_EPS:
+            return
+        if np.all(np.abs(z[size < DENOM_EPS]) <= 1):
+            raise DomainError(f"mobius denominator lost precision: c = {self.c!r} lies "
+                              f"{1 - abs(self.c):.3g} from the unit circle")
+        raise DomainError("mobius denominator vanished; point outside closed disc")
+
     def inverse(self, z):
         """Inverse map, exact by construction: inverse(apply(z)) == z."""
         w = np.asarray(z, dtype=complex) * np.exp(-1j * self.rotation)
         den = 1 - np.conj(self.c) * w
-        if np.min(np.abs(den)) < DENOM_EPS:
-            raise DomainError("mobius denominator vanished; point outside closed disc?")
+        self._check_denominator(den, w)
         out = (w - self.c) / den
         return complex(out) if out.ndim == 0 else out
 

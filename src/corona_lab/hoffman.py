@@ -16,7 +16,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, DiscSequence, compose_with_mobius
 from .disc_geometry import MobiusAut, check_disc
 from .errors import AliasingError, DomainError
-from .serialize import csv_text
+from .serialize import csv_rows
 
 DEFAULT_GRID_RADIUS = 0.9
 DEFAULT_GRID_SIZE = 40
@@ -63,12 +63,12 @@ class CompositionTrace:
     tail_start: int | None
 
     def to_csv(self) -> str:
-        rows, size = self.samples.shape
-        grid = np.tile(self.grid, rows)
-        values = self.samples.ravel()
-        return csv_text("grid_re,grid_im,j,re,im",
-                        (grid.real, grid.imag, np.repeat(np.arange(rows), size),
-                         values.real, values.imag))
+        """One line per sample; the grid columns are formatted once."""
+        grid = csv_rows((self.grid.real, self.grid.imag)).splitlines()
+        samples = self.samples.ravel()
+        values = iter(csv_rows((samples.real, samples.imag)).splitlines())
+        return "grid_re,grid_im,j,re,im\n" + "".join(
+            f"{g},{j},{next(values)}\n" for j in range(len(self.c_values)) for g in grid)
 
 
 def compose_trace(f, seq, grid_radius: float = DEFAULT_GRID_RADIUS,

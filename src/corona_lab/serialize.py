@@ -3,7 +3,7 @@
 Complex values travel as [re, im] pairs of finite numbers both ways:
 ``dumps`` writes any complex (numpy's included) as a pair, arrays as lists
 and numpy scalars as Python numbers, and ``as_complex`` reads a pair back.
-Dicts are strict.  All emitters go through ``dumps`` or ``csv_text`` so
+Dicts are strict.  All emitters go through ``dumps`` or ``csv_rows`` so
 identical inputs produce byte identical files.
 """
 
@@ -81,11 +81,16 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=_encode) + "\n"
 
 
-def csv_text(header: str, columns) -> str:
-    """CSV of equal-length real columns under header, each value as %.17g."""
+def csv_rows(columns) -> str:
+    """CSV lines of equal-length real columns, each value as %.17g."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     values = np.column_stack(columns).ravel().tolist()
-    return header + "\n" + row * len(columns[0]) % tuple(values)
+    return row * len(columns[0]) % tuple(values)
+
+
+def csv_text(header: str, columns) -> str:
+    """CSV of equal-length real columns under header."""
+    return header + "\n" + csv_rows(columns)
 
 
 def load_json(path: str):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corona_lab.blaschke import (BlaschkeProduct, DiscSequence, Sector,
+from corona_lab.blaschke import (BLOCK, BlaschkeProduct, DiscSequence, Sector,
                                  blaschke_factor, carleson_diagnostics,
                                  compose_with_mobius, construct_ladder,
                                  min_modulus_on_disc, modulus_lower_bound,
@@ -109,6 +109,90 @@ def test_value_and_derivative_match_direct_product():
 def test_subnormal_zero_keeps_the_prefactor_unimodular():
     b = BlaschkeProduct((5e-324 + 5e-324j,))
     assert abs(abs(b(1j)) - 1) < 1e-15
+
+
+def test_kernel_shapes_and_empty_product():
+    b = BlaschkeProduct((0.3 + 0.1j, -0.5j), 0.4)
+    assert type(b(0.2)) is complex and type(b.derivative(0.2)) is complex
+    z = np.linspace(-0.9, 0.9, 12).reshape(3, 4) * (1 + 0.5j)
+    assert b(z).shape == b.derivative(z).shape == (3, 4)
+    np.testing.assert_array_equal(b(z).ravel(), b(z.ravel()))
+    empty = BlaschkeProduct((), 0.4)
+    assert empty(0.5j) == np.exp(0.4j)
+    np.testing.assert_array_equal(empty(z), np.full(z.shape, np.exp(0.4j)))
+    assert empty.derivative(0.5j) == 0
+
+
+def test_kernel_exact_zeros_and_double_zeros():
+    zeros = tuple(0.8 * np.exp(1j * np.linspace(-3, 3, 2 * BLOCK + 3)))
+    b = BlaschkeProduct(zeros, -1.1)
+    a = np.array(zeros)
+    assert np.all(b(a) == 0)
+    assert np.all(b.derivative(a) != 0)
+    double = BlaschkeProduct(zeros[:5] + zeros[3:], 0.2)
+    assert np.all(double.derivative(a[3:5]) == 0)
+    assert np.all(double.derivative(a[:3]) != 0)
+
+
+@pytest.mark.parametrize("modulus", [1e-200, 1 - 1e-12])
+def test_kernel_stays_finite_for_extreme_zeros(modulus):
+    # each block multiplies BLOCK numerators and denominators before dividing;
+    # on the closed disc neither overflows and no denominator underflows
+    angles = np.linspace(-np.pi, np.pi, 3 * BLOCK + 1, endpoint=False)
+    b = BlaschkeProduct(tuple(modulus * np.exp(1j * angles)), 0.3)
+    circle = np.exp(1j * np.linspace(-np.pi, np.pi, 97))
+    z = np.concatenate([circle, 0.5 * circle, modulus * circle, [0, 1e-200, 0.99999]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values, slopes = b(z), b.derivative(z)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(slopes))
+    assert np.max(np.abs(np.abs(values[:97]) - 1)) < 1e-14
+
+
+def _mp_value_and_derivative(mp, zeros, rotation, z):
+    """B(z) and B'(z) at the working precision of mp, from the exact float inputs."""
+    z = mp.mpc(z)
+    p, d = mp.expj(rotation), mp.mpc(0)
+    for a in map(mp.mpc, zeros):
+        u = mp.mpc(-1) if a == 0 else mp.conj(a) / abs(a)
+        den = 1 - mp.conj(a) * z
+        f, fp = u * (a - z) / den, u * (abs(a) ** 2 - 1) / den ** 2
+        d, p = d * f + p * fp, p * f
+    return complex(p), complex(d)
+
+
+def _adversarial_cases(rng):
+    """(zeros, points) pairs where 1 - conj(a) z or a - z cancels."""
+    def circle(k):
+        return np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+
+    inner = tuple(0.9 * np.sqrt(rng.uniform(0, 1, 20)) * circle(20))
+    rim = tuple((1 - 1e-12) * circle(12))
+    tiny = tuple(1e-200 * rng.uniform(0.5, 2, 12) * circle(12))
+    double = inner[:6] * 2
+    near = np.array(inner) + 1e-9 * circle(20)
+    return [
+        (inner, np.concatenate([circle(30), near])),
+        (rim, np.concatenate([circle(20), 0.9 * circle(10), np.array(rim)])),
+        # on the circle at the zeros' own angles: 1 - conj(a) z is 1e-12
+        (rim, np.array(rim) / np.abs(rim)),
+        (tiny, np.concatenate([circle(10), [1e-200, 3e-200j, 0.5]])),
+        (double, np.concatenate([0.95 * circle(15), np.array(double[:6]) + 1e-7])),
+    ]
+
+
+def test_kernel_relative_error_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rotation = 0.3
+    for zeros, z in _adversarial_cases(np.random.default_rng(5)):
+        b = BlaschkeProduct(zeros, rotation)
+        want = np.array([_mp_value_and_derivative(mp, zeros, rotation, w) for w in z])
+        for got, ref in ((b(z), want[:, 0]), (b.derivative(z), want[:, 1])):
+            nonzero = ref != 0
+            assert np.all(got[~nonzero] == 0)
+            err = np.abs(got[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])
+            assert err.max() <= 4 * len(zeros) * np.finfo(float).eps
 
 
 def test_product():

@@ -133,6 +133,18 @@ def test_geodesic_diameter_degenerate_case():
     assert abs(abs(t2) - math.pi) < 1e-12
 
 
+def test_mobius_near_the_circle_blames_c_not_the_point():
+    # |1 + conj(c) z| >= 1 - |c| on the closed disc, so only c can be at fault
+    with pytest.raises(DomainError, match=r"lost precision: c = \(0\.9999999999999999\+0j\)"):
+        geodesic_endpoints(0.0, 0.9999999999999999)
+    m = MobiusAut(0.5)
+    for z in (-2.0, np.array([0.3, -2.0])):
+        with pytest.raises(DomainError, match="outside closed disc"):
+            m.apply(z)
+    with pytest.raises(DomainError, match="outside closed disc"):
+        m.inverse(2.0)
+
+
 def _disc(rmax):
     return st.complex_numbers(max_magnitude=rmax, allow_nan=False, allow_infinity=False)
 

@@ -590,6 +590,25 @@ def test_pushforward_mass_and_breakpoints():
     assert np.all(u.jacobian(np.linspace(-3, 3, 7)) > 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 1.0), st.floats(0.01, 3.0)),
+                min_size=1, max_size=12),
+       st.floats(0.0, 0.9), st.floats(-math.pi, math.pi))
+def test_pushforward_keeps_the_base_mass(raw, radius, angle):
+    # gaps, widths and levels laid out from -pi and scaled to span the circle;
+    # every piece is at least 2.6e-4 wide (narrower pieces lose mass: the
+    # preimage breakpoints carry absolute rounding errors)
+    scale = 2 * math.pi / sum(g + w for g, w, _ in raw)
+    pieces, x = [], -math.pi
+    for gap, width, level in raw:
+        x += gap * scale
+        pieces.append((x, min(x + width * scale, math.pi), level))
+        x += width * scale
+    s = SimpleDensity.normalized(tuple(pieces))
+    u = pushforward_density(s, radius * complex(np.exp(1j * angle)))
+    assert abs(u.mass() - s.mass()) <= 1e-10
+
+
 def test_pushforward_change_of_variables():
     s = SimpleDensity.normalized(((-1.2, 0.4, 0.9), (0.8, 2.0, 0.6)))
     c = -0.3 + 0.45j
