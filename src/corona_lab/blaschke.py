@@ -150,9 +150,7 @@ class BlaschkeProduct:
         return cls(tuple(zeros), as_number(d.get("rotation", 0.0), f"{where}.rotation"))
 
 
-def min_modulus_on_disc(b: BlaschkeProduct, radius: float,
-                        n_radial: int = MIN_GRID_RADIAL,
-                        n_angular: int = MIN_GRID_ANGULAR) -> float:
+def min_modulus_on_disc(b: BlaschkeProduct, radius: float) -> float:
     """Measured minimum of |b| over a polar grid on the closed disc of the
     given radius.
 
@@ -161,8 +159,8 @@ def min_modulus_on_disc(b: BlaschkeProduct, radius: float,
     """
     if not (0 <= radius < 1):
         raise DomainError("radius must lie in [0, 1)")
-    rad = np.linspace(0.0, radius, n_radial)
-    ang = np.linspace(-np.pi, np.pi, n_angular, endpoint=False)
+    rad = np.linspace(0.0, radius, MIN_GRID_RADIAL)
+    ang = np.linspace(-np.pi, np.pi, MIN_GRID_ANGULAR, endpoint=False)
     grid = (rad[:, None] * np.exp(1j * ang[None, :])).ravel()
     return float(np.min(np.abs(b(grid))))
 
@@ -378,9 +376,8 @@ class LadderConstruction:
         }
 
 
-def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: float,
-                     n_radial: int = MIN_GRID_RADIAL,
-                     n_angular: int = MIN_GRID_ANGULAR) -> LadderConstruction:
+def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
+                     ell: float) -> LadderConstruction:
     """Build the staged sector ladder over a zero set confined to S[ell, 1).
 
     Stage j works at tolerance eps_j on the disc |z| <= eta_j.  It needs the
@@ -471,7 +468,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq, ell: flo
 
         rung_zeros = tuple(zs[(moduli < r_j) | (moduli >= s_next)])
         composed = compose_with_mobius(BlaschkeProduct(rung_zeros), c)
-        measured = min_modulus_on_disc(composed, eta, n_radial, n_angular)
+        measured = min_modulus_on_disc(composed, eta)
         records.append(RungRecord(j, eta, eps, measured))
 
     # zeros at or beyond the final cut stay outside the partition

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import blaschke, corona, disc_geometry, hoffman, measures
+from . import blaschke, corona, disc_geometry, exactpoly, hoffman, measures
 from .blaschke import BlaschkeProduct, DiscSequence, construct_ladder
 from .corona import (BezoutCertificate, CoronaInstance, bezout_exact, bezout_numeric,
                      check_certificate, cluster_scenario, measure_delta)
@@ -35,7 +35,7 @@ MIN_NODES = 4
 def _parse_inline(text: str, where: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"{where}: invalid inline JSON ({e})")
 
 
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "exact", "numeric"), default="auto")
     p.add_argument("--degree-cap", type=_integer(0), default=8)
     p.add_argument("--tol", type=_POSITIVE, default=1e-8)
-    _add_common(p, _cmd_corona_solve, corona)
+    _add_common(p, _cmd_corona_solve, corona, exactpoly)
 
     p = sub.add_parser("corona-check", help="verify a certificate independently")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")

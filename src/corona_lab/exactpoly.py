@@ -1,70 +1,23 @@
 """Exact polynomial arithmetic over the Gaussian rationals, with gcds and
 Bezout identities computed over the Gaussian integers.
 
-Floats convert losslessly (every finite double is rational), so identities
-certified here transfer verbatim to the floating inputs.  Polynomials are
-tuples of coefficients in ascending order; the zero polynomial is the empty
-tuple.  Results are GQ (Gaussian-rational) polynomials.  Internally the gcd
-clears each input's denominators (a power of two for float data) and runs
-the subresultant remainder sequence on GZ (Gaussian-integer) coefficients,
-so no intermediate step pays for a rational gcd; the ring helpers below work
-on either coefficient type.
+Floats convert losslessly (every finite double is a dyadic rational), so
+identities certified here transfer verbatim to the floating inputs.  An
+exact polynomial is a pair (F, den): F a tuple of GZ (Gaussian-integer)
+coefficients in ascending order with no trailing zero (the zero polynomial
+is the empty tuple), den a positive int, and its value F / den.  Pairs are
+kept in lowest terms (no prime divides den and every part of F), so equal
+polynomials are equal pairs; for float data den is a power of two.  The
+ring helpers below act on the GZ tuples alone, and the gcd runs the
+subresultant remainder sequence on them, so no step pays for a rational
+gcd.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class GQ:
-    """Gaussian rational re + im*i with exact Fraction parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @classmethod
-    def from_complex(cls, z) -> "GQ":
-        z = complex(z)
-        return cls(Fraction(z.real), Fraction(z.imag))
-
-    @classmethod
-    def integer(cls, n: int) -> "GQ":
-        return cls(Fraction(n), Fraction(0))
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __add__(self, other: "GQ") -> "GQ":
-        return GQ(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GQ") -> "GQ":
-        return GQ(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GQ") -> "GQ":
-        return GQ(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other: "GQ") -> "GQ":
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GQ((self.re * other.re + self.im * other.im) / den,
-                  (self.im * other.re - self.re * other.im) / den)
-
-    def __neg__(self) -> "GQ":
-        return GQ(-self.re, -self.im)
-
-
-GQ_ZERO = GQ(Fraction(0), Fraction(0))
-GQ_ONE = GQ(Fraction(1), Fraction(0))
 
 
 class GZ:
@@ -79,6 +32,14 @@ class GZ:
     def __init__(self, re: int, im: int = 0):
         self.re = re
         self.im = im
+
+    def __repr__(self) -> str:
+        return f"GZ({self.re}, {self.im})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GZ):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def is_zero(self) -> bool:
         return not (self.re or self.im)
@@ -125,36 +86,55 @@ class GZ:
 GZ_ONE = GZ(1)
 
 
+def _reduce(f, den: int) -> tuple:
+    """The pair of f / den in lowest terms, for a trimmed f over Z[i] and
+    den > 0."""
+    g = math.gcd(den, *(x for c in f for x in (c.re, c.im)))
+    if g == 1:
+        return f, den
+    return tuple(GZ(c.re // g, c.im // g) for c in f), den // g
+
+
 def poly_from_complex(coeffs) -> tuple:
-    return poly_trim(tuple(GQ.from_complex(c) for c in coeffs))
+    """The pair of a list of complex (float or int) coefficients; den is the
+    lcm of the parts' denominators, which keeps the pair in lowest terms."""
+    ratios = [x.as_integer_ratio() for c in map(complex, coeffs) for x in (c.real, c.imag)]
+    den = math.lcm(*(d for _, d in ratios))
+    ints = [n * (den // d) for n, d in ratios]
+    return poly_trim(GZ(ints[k], ints[k + 1]) for k in range(0, len(ints), 2)), den
 
 
 def poly_to_complex(f) -> list:
+    """Nearest complex floats of the coefficients: int / int rounds once."""
+    coeffs, den = f
     try:
-        return [c.to_complex() for c in f]
+        return [complex(c.re / den, c.im / den) for c in coeffs]
     except OverflowError:
         raise DomainError("an exact coefficient exceeds the float range, "
                           "so the exact result cannot be reported in floats") from None
 
+
+def poly_degree(f) -> int:
+    """Degree of a pair; -1 for the zero polynomial."""
+    return len(f[0]) - 1
+
+
+def poly_one() -> tuple:
+    return (GZ_ONE,), 1
+
+
+def _times(f, g) -> tuple:
+    """Product of two pairs."""
+    return _reduce(poly_mul(f[0], g[0]), f[1] * g[1])
+
+
+# ------------------------------------------------ ring helpers on GZ tuples
 
 def poly_trim(f) -> tuple:
     cs = list(f)
     while cs and cs[-1].is_zero():
         cs.pop()
     return tuple(cs)
-
-
-def poly_is_zero(f) -> bool:
-    return len(f) == 0
-
-
-def poly_degree(f) -> int:
-    """Degree of a trimmed polynomial; -1 for the zero polynomial."""
-    return len(f) - 1
-
-
-def poly_one() -> tuple:
-    return (GQ_ONE,)
 
 
 def poly_add(f, g) -> tuple:
@@ -168,7 +148,7 @@ def poly_sub(f, g) -> tuple:
 
 
 def poly_mul(f, g) -> tuple:
-    if poly_is_zero(f) or poly_is_zero(g):
+    if not f or not g:
         return ()
     out = [None] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -182,20 +162,13 @@ def poly_scale(f, c) -> tuple:
     return poly_trim(tuple(a * c for a in f))
 
 
-def poly_eval(f, z: GQ) -> GQ:
-    out = GQ_ZERO
-    for c in reversed(f):
-        out = out * z + c
-    return out
-
-
 def poly_divmod(f, g) -> tuple:
     """Quotient and remainder with deg(remainder) < deg(g).
 
-    Every coefficient division must be exact: always so over GQ, and over
-    GZ when f carries the factor lc(g)^(deg f - deg g + 1) (pseudo-division).
+    Every coefficient division must be exact, which holds when f carries
+    the factor lc(g)^(deg f - deg g + 1) (pseudo-division).
     """
-    if poly_is_zero(g):
+    if not g:
         raise DomainError("polynomial division by zero")
     rem = list(f)
     lead = g[-1]
@@ -214,42 +187,6 @@ def poly_divmod(f, g) -> tuple:
     return poly_trim(quot), poly_trim(rem)
 
 
-def poly_monic(f) -> tuple:
-    if poly_is_zero(f):
-        return ()
-    lead = f[-1]
-    return tuple(c / lead for c in f)
-
-
-def _to_gz(parts) -> tuple:
-    """(F, den) with F over Z[i] and F / den the polynomial with coefficients
-    parts[0] + i parts[1], parts[2] + i parts[3], ...; the parts are ints,
-    Fractions or floats, and den is the lcm of their denominators (a power
-    of two for float data)."""
-    ratios = [x.as_integer_ratio() for x in parts]
-    den = math.lcm(*(d for _, d in ratios))
-    ints = [n * (den // d) for n, d in ratios]
-    return tuple(GZ(ints[k], ints[k + 1]) for k in range(0, len(ints), 2)), den
-
-
-def _gq_parts(f) -> list:
-    return [x for c in f for x in (c.re, c.im)]
-
-
-def _complex_parts(coeffs) -> list:
-    return [x for c in coeffs for x in (c.real, c.imag)]
-
-
-def _to_gq(f, c: GZ) -> tuple:
-    """f / c as a GQ polynomial, for f over Z[i] and a nonzero c."""
-    cc, n = c.conj(), c.norm()
-    out = []
-    for a in f:
-        p = a * cc
-        out.append(GQ(Fraction(p.re, n), Fraction(p.im, n)))
-    return poly_trim(out)
-
-
 def _divide(f, c: GZ) -> tuple:
     """f / c for f over Z[i] whose every coefficient c divides exactly."""
     if c.im == 0 and c.re == 1:
@@ -258,12 +195,15 @@ def _divide(f, c: GZ) -> tuple:
     return tuple((a * cc).div_int(n) for a in f)
 
 
+# ------------------------------------------------------- gcds and identities
+
 def poly_xgcd(f, g) -> tuple:
-    """Monic gcd d with the cofactors (d, u, v) satisfying u f + v g = d.
+    """Monic gcd d with the cofactors (d, u, v) satisfying u f + v g = d,
+    all pairs.
 
     Runs the subresultant remainder sequence (Collins 1967; Brown-Traub
     1971; Knuth TAOCP 4.6.1, Algorithm C) over Z[i] on F = a f and G = b g,
-    the inputs with their denominators cleared.  Each step pseudo-divides
+    the numerators of the pairs (F, a) and (G, b).  Each step pseudo-divides
     through poly_divmod and divides the remainder and both cofactors exactly
     by beta, so s F + t G = r holds over Z[i] throughout and coefficients
     grow only linearly with the step.  The last remainder's leading
@@ -273,7 +213,7 @@ def poly_xgcd(f, g) -> tuple:
     deg v < deg f - deg d, the ones Euclid's algorithm over the Gaussian
     rationals yields, so the result is exactly that algorithm's.
     """
-    (big_f, a), (big_g, b) = (_to_gz(_gq_parts(poly_trim(p))) for p in (f, g))
+    (big_f, a), (big_g, b) = f, g
     if not big_f and not big_g:
         raise DomainError("gcd of zero polynomials is undefined")
     r0, s0, t0 = big_f, (GZ_ONE,), ()
@@ -296,33 +236,35 @@ def poly_xgcd(f, g) -> tuple:
             lead = r0[-1]
             if delta:
                 h = lead ** delta / h ** (delta - 1)
-    last = r0[-1]
-    return (_to_gq(r0, last), _to_gq(poly_scale(s0, GZ(a)), last),
-            _to_gq(poly_scale(t0, GZ(b)), last))
+    # p / last == p conj(last) / norm(last)
+    cc, n = r0[-1].conj(), r0[-1].norm()
+    return (_reduce(poly_scale(r0, cc), n), _reduce(poly_scale(s0, GZ(a) * cc), n),
+            _reduce(poly_scale(t0, GZ(b) * cc), n))
 
 
 def iterated_xgcd(polys) -> tuple:
-    """Monic gcd of the list plus one cofactor per entry.
+    """Monic gcd of the list of pairs plus one cofactor per entry.
 
     Back-substitution through pairwise steps: after each new polynomial the
     previous cofactors get multiplied by the left Bezout weight.  Returns
     (gcd, cofactors) with sum_k cofactors[k] * polys[k] == gcd exactly.
     """
-    entries = [poly_trim(p) for p in polys]
-    if not entries or all(poly_is_zero(p) for p in entries):
+    entries = list(polys)
+    if not any(f for f, _ in entries):
         raise DomainError("need at least one nonzero polynomial")
     g = entries[0]
     cofactors = [poly_one()]
     for f in entries[1:]:
         g, u, v = poly_xgcd(g, f)
-        cofactors = [poly_mul(u, c) for c in cofactors]
+        cofactors = [_times(u, c) for c in cofactors]
         cofactors.append(v)
     return g, cofactors
 
 
 def _combination_gz(terms) -> tuple:
     """(T, den) with T over Z[i] and T / den == sum_k (F_k / a_k) (C_k / b_k)
-    for terms ((F_k, a_k), (C_k, b_k)) as _to_gz returns them.
+    for terms of pairs ((F_k, a_k), (C_k, b_k)); den is the lcm of the
+    a_k b_k, and the result is not reduced.
 
     The products are numpy convolutions of object arrays of Python ints:
     exact, with the coefficient loop in C (three real products per
@@ -344,11 +286,9 @@ def _combination_gz(terms) -> tuple:
 
 
 def combination(polys, cofactors) -> tuple:
-    """sum_k polys[k] * cofactors[k], exact, computed over Z[i] after
-    clearing one common denominator."""
-    total, den = _combination_gz([(_to_gz(_gq_parts(f)), _to_gz(_gq_parts(c)))
-                                  for f, c in zip(polys, cofactors)])
-    return _to_gq(total, GZ(den))
+    """sum_k polys[k] * cofactors[k] as a pair, exact, computed over Z[i]
+    on one common denominator."""
+    return _reduce(*_combination_gz(list(zip(polys, cofactors))))
 
 
 def residual_l1_bound(functions, solutions) -> float:
@@ -361,7 +301,7 @@ def residual_l1_bound(functions, solutions) -> float:
     closed unit disc.  Each |c| is rounded up to a multiple of 2^-64 / den,
     den being the common denominator, and the sum rounded up to a float.
     """
-    total, den = _combination_gz([(_to_gz(_complex_parts(f)), _to_gz(_complex_parts(u)))
+    total, den = _combination_gz([(poly_from_complex(f), poly_from_complex(u))
                                   for f, u in zip(functions, solutions)])
     total = poly_sub(total, (GZ(den),))
     acc = 0
@@ -369,16 +309,16 @@ def residual_l1_bound(functions, solutions) -> float:
         n = c.norm() << 128
         root = math.isqrt(n)
         acc += root if root * root == n else root + 1
-    exact = Fraction(acc, den << 64)
-    out = float(exact)
-    return out if Fraction(out) >= exact else math.nextafter(out, math.inf)
+    scale = den << 64
+    out = acc / scale
+    num, q = out.as_integer_ratio()
+    return out if num * scale >= acc * q else math.nextafter(out, math.inf)
 
 
 def selftest() -> list[tuple[str, bool]]:
     checks = []
 
-    x = (GQ_ZERO, GQ_ONE)
-    f = poly_mul(x, x)                                   # z^2
+    f = poly_from_complex((0, 0, 1))                     # z^2
     g = poly_from_complex((-0.5, 1.0))                   # z - 1/2
     d, cof = iterated_xgcd((f, g))
     checks.append(("coprime pair has unit gcd", d == poly_one()))
@@ -388,12 +328,10 @@ def selftest() -> list[tuple[str, bool]]:
     checks.append(("exact identity has zero residual bound",
                    residual_l1_bound([[0, 0, 1], [-0.5, 1]], [[4], [-2, -4]]) == 0.0))
 
-    h = poly_mul(f, g)
-    d2, cof2 = iterated_xgcd((h, poly_mul(g, g)))
+    h, g2 = _times(f, g), _times(g, g)
+    d2, cof2 = iterated_xgcd((h, g2))
     checks.append(("common factor recovered",
-                   poly_monic(d2) == poly_monic(g)
-                   and combination((h, poly_mul(g, g)), cof2) == d2))
+                   d2 == g and combination((h, g2), cof2) == d2))
 
-    q, r = poly_divmod(h, g)
-    checks.append(("division exact", poly_is_zero(r) and q == f))
+    checks.append(("division exact", poly_divmod(h[0], g[0]) == (f[0], ())))
     return checks

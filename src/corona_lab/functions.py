@@ -110,10 +110,6 @@ class FunctionSpec:
             out = _poly_eval(num, z) / _poly_eval(den, z)
         return complex(out) if out.ndim == 0 else out
 
-    def boundary_samples(self, n: int = SUP_SAMPLES) -> np.ndarray:
-        theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
-        return np.asarray(self(np.exp(1j * theta)), dtype=complex)
-
     def sup_norm_estimate(self) -> float:
         """Upper estimate of the sup norm over the closed disc.
 
@@ -124,7 +120,8 @@ class FunctionSpec:
             return float(sum(abs(c) for c in self.payload[0]))
         if self.kind == FINITE_BLASCHKE:
             return 1.0
-        return float(np.max(np.abs(self.boundary_samples()))) * 1.01
+        theta = np.linspace(-np.pi, np.pi, SUP_SAMPLES, endpoint=False)
+        return float(np.max(np.abs(self(np.exp(1j * theta))))) * 1.01
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "data": dict(zip(_DATA_KEYS[self.kind], self.payload))}

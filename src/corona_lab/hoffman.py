@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, DiscSequence, compose_with_mobius
+from .blaschke import BlaschkeProduct, DiscSequence, _one_minus_abs2, compose_with_mobius
 from .disc_geometry import MobiusAut, check_disc
 from .errors import AliasingError, DomainError
 from .serialize import csv_rows
@@ -131,7 +131,9 @@ def schwarz_check(seq: DiscSequence, b: BlaschkeProduct | None = None,
     tails = seq.separation_tails if b.zeros == seq.points else None
     pts = np.array(seq.points, dtype=complex)
     values = b(pts)
-    inv = (1 - np.abs(pts) ** 2) * np.abs(b.derivative(pts))
+    # 1 - |c|^2 rounded once: subtracting |c|^2 cancels next to the circle
+    gaps = np.array([_one_minus_abs2(c) for c in seq.points])
+    inv = gaps * np.abs(b.derivative(pts))
     bad = np.flatnonzero(inv > 1 + tol)
     if bad.size:
         j = int(bad[0])
@@ -177,13 +179,12 @@ class L2Report:
 
 
 def l2_distance_to_identity(b: BlaschkeProduct, c=0j,
-                            n_fft: int = DEFAULT_FFT_NODES,
-                            alias_tol: float = ALIAS_TOL) -> L2Report:
+                            n_fft: int = DEFAULT_FFT_NODES) -> L2Report:
     """Distance min_gamma || e^{-i gamma} (B o L_c) - z || in L2 of the circle.
 
     Recentering at c transports the zeros exactly, so the boundary trace
     stays unimodular.  Coefficients come from the FFT of uniform boundary
-    samples; energy of more than alias_tol in frequencies |k| >= n_fft/4
+    samples; energy of more than ALIAS_TOL in frequencies |k| >= n_fft/4
     means the sample rate cannot represent the product and raises
     AliasingError (retry with more nodes).
     """
@@ -201,7 +202,7 @@ def l2_distance_to_identity(b: BlaschkeProduct, c=0j,
 
     energy = np.abs(coeffs) ** 2
     alias_energy = float(np.sum(energy[np.abs(freqs) >= n_fft / 4]))
-    if alias_energy > alias_tol:
+    if alias_energy > ALIAS_TOL:
         raise AliasingError(
             f"energy {alias_energy:.3e} beyond a quarter of the band; "
             "increase n_fft", energy=alias_energy)

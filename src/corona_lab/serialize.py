@@ -99,5 +99,7 @@ def load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read ({e.strerror or e})")
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ConfigError(f"{path}: invalid JSON ({e})")

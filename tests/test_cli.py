@@ -1,18 +1,22 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import argparse
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import corona_lab
-from corona_lab.cli import build_parser, main
+from corona_lab.cli import _Selftest, build_parser, main
 from corona_lab.measures import SimpleDensity, pushforward_density
 
 
@@ -24,6 +28,12 @@ def run(capsys, *argv):
         rc = e.code
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def subcommands():
+    """The subcommand parsers of the cached parser, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def write(tmp_path, name, payload):
@@ -317,9 +327,7 @@ def test_cluster_scenario_failure_reports_stage_counts(capsys, tmp_path):
 
 
 def test_selftest_flag_needs_no_other_flags(capsys):
-    parser = build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
+    commands = subcommands()
     assert len(commands) == 13
     for cmd in commands:
         rc, out, _ = run(capsys, cmd, "--selftest")
@@ -687,3 +695,131 @@ def test_measure_fit_runs_without_scipy(capsys, tmp_path):
     assert proc.stderr == "False 0\n"
     # a fresh process gives the bytes of an in-process fit
     assert run(capsys, "measure-fit", "--in", spec) == (0, proc.stdout, "")
+
+
+def test_every_module_suite_is_reachable_from_a_subcommand():
+    reached = {module.__name__ for p in subcommands().values() for a in p._actions
+               if isinstance(a, _Selftest) for module in a.modules}
+    with_suite = {f"corona_lab.{m.name}" for m in pkgutil.iter_modules(corona_lab.__path__)
+                  if not m.name.startswith("__")
+                  and hasattr(importlib.import_module(f"corona_lab.{m.name}"), "selftest")}
+    assert "corona_lab.exactpoly" in with_suite
+    assert reached == with_suite
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe", b"[" * 100000],
+                         ids=["directory", "not-utf8", "nested-too-deep"])
+def test_unreadable_input_file_is_a_usage_error(capsys, tmp_path, content):
+    # regression cases of the fuzz test below: each ended in a traceback
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+    rc, out, err = run(capsys, "delta", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+    assert str(path) in json.loads(err)["message"]
+
+
+def test_inline_json_nested_too_deep_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "blaschke-eval", "--zeros", "[" * 5000, "--at", "[0,0]")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["message"].startswith("--zeros: invalid inline JSON")
+
+
+# ------------------------------------------------------------------ fuzzing
+# argv drawn over every subcommand: junk and out-of-range flag values,
+# malformed and random JSON files.  Counts in the pools stay small, so no
+# drawn value asks for a large computation.
+
+def _poly(coeffs):
+    return {"kind": "polynomial", "data": {"coeffs": [[c, 0] for c in coeffs]}}
+
+
+_FUZZ_FILES = {
+    "inst.json": {"functions": [_poly([0, 0, 1]), _poly([-0.5, 1])]},
+    "cert.json": {"solutions": [_poly([4]), _poly([-2, -4])]},
+    "seq.json": {"points": [[0.1, 0], [0.5, 0.2], [-0.3, 0.6]]},
+    "zeros.json": {"zeros": [[0.5, 0], [0.6, 0.1]]},
+    "density.json": {"pieces": [[-math.pi, math.pi, 1.0]]},
+    "fn.json": _poly([1, 0.5]),
+    "fit.json": {"targets": [{"function": _poly([0, 1]), "value": [0.5, 0]}],
+                 "partition": [[-1.5 + k / 4, -1.25 + k / 4] for k in range(12)]},
+}
+_FUZZ_RAW = {"broken.json": b"{", "empty.json": b"", "deep.json": b"[" * 100000,
+             "latin1.json": b"\xff\xfe", "nan.json": b'{"points": [[NaN, 0]]}'}
+_FUZZ_TEXT = ["0", "-1", "2", "0.5", "nan", "inf", "-inf", "1e-320", "1e400", "x", "",
+              "[[0,0]]", "[[0.5,0.1],[0,0.2]]", "[0.3,0]", "[2,0]", "[NaN,0]", "[",
+              "null", "{}", '"x"', "[1e400,0]", "[]", "[0.5]", "[0.5,0.25]", "[" * 5000]
+# values that let a call get past parsing; file names are resolved in tmp_path
+_FUZZ_GOOD = {
+    "--in": ["inst.json", "fit.json"], "--cert": ["cert.json"], "--points": ["seq.json"],
+    "--candidates": ["seq.json"], "--functions": ["inst.json"], "--function": ["fn.json"],
+    "--density": ["density.json"], "--zeros": ["[[0.5,0.1],[0,0.2]]", "zeros.json"],
+    "--at": ["[0.3,0]"], "--c": ["[0.3,0]", "[0,0]"], "--eps": ["1e-3", "[0.5,0.25]"],
+    "--eta": ["[0.5,0.75]"], "--ell": ["0.5"], "--alpha": ["0.5"], "--beta": ["2"],
+    "--method": ["auto", "exact", "numeric"], "--case": ["a", "b", "c"],
+    "--degree-cap": ["3"], "--samples": ["5"], "--n-fft": ["256"], "--grid-size": ["8"],
+    "--nodes": ["16"], "--min-tail": ["2"], "--tol": ["1e-6"], "--window": ["3"],
+    "--grid-radius": ["0.5"], "--rotation": ["0.5"], "--seed": ["3"],
+}
+_FUZZ_KEYS = ("functions", "kind", "data", "coeffs", "num", "den", "zeros", "rotation",
+              "points", "pieces", "solutions", "targets", "partition", "function",
+              "value", "window", "delta_hat", "polynomial", "rational", "finite_blaschke")
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.sampled_from(_FUZZ_KEYS)
+    | st.sampled_from([0.5, -0.25, 0.9999999999999999, 1.5, 1e-300, 1e300,
+                       math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def _fuzz_argv(draw, commands, good, junk):
+    """A subcommand with each required flag present nine times in ten and
+    each optional one half the time; a flag's value is good half the time."""
+    cmd = draw(st.sampled_from(sorted(commands)))
+    argv = [cmd]
+    for flag, required in commands[cmd]:
+        if draw(st.sampled_from([True] * 9 + [False]) if required else st.booleans()):
+            pool = good[flag] if flag in good and draw(st.booleans()) else junk
+            argv += [flag, draw(st.sampled_from(pool))]
+    return argv + draw(st.sampled_from([[]] * 4 + [["--bogus"], ["stray"]]))
+
+
+def test_cli_fuzz_ends_in_an_exit_code_and_one_json_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)      # a junk --out value is a relative path
+    parser = build_parser()
+    commands = {
+        name: [(a.option_strings[0], a.required) for a in p._actions
+               if a.option_strings and a.option_strings[0] not in ("-h", "--selftest")]
+        for name, p in subcommands().items()}
+    assert len(commands) == 13
+    good = {flag: [str(tmp_path / v) if v.endswith(".json") else v for v in values]
+            for flag, values in _FUZZ_GOOD.items()}
+    junk = [str(tmp_path / n) for n in (*_FUZZ_FILES, *_FUZZ_RAW, "random.json", "missing")]
+    junk += [str(tmp_path), str(tmp_path / "out.json"), *_FUZZ_TEXT]
+    reference = ["blaschke-eval", "--zeros", "[[0.5,0.1]]", "--at", "[0.3,-0.2]"]
+    expected = run(capsys, *reference)
+
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_fuzz_argv(commands, good, junk), _FUZZ_JSON)
+    def check(argv, doc):
+        # every example starts from the same files: --out may overwrite one
+        for name, content in _FUZZ_FILES.items():
+            write(tmp_path, name, content)
+        for name, raw in _FUZZ_RAW.items():
+            (tmp_path / name).write_bytes(raw)
+        (tmp_path / "random.json").write_text(json.dumps(doc))
+        rc, out, err = run(capsys, *argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in out + err
+        if err:
+            assert isinstance(json.loads(err), dict)
+        # the cached parser keeps nothing from the call
+        assert build_parser() is parser
+        assert run(capsys, *reference) == expected
+
+    check()

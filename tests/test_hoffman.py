@@ -196,3 +196,22 @@ def test_trace_accepts_function_spec_kinds():
     f = FunctionSpec.rational([1], [-2, 1])
     tr = compose_trace(f, seq, grid_size=8)
     assert tr.samples.shape == (2, 8)
+
+
+def test_schwarz_invariant_near_the_circle_against_mpmath():
+    # geometric points 1 - 0.85^k reach within 5e-7 of the circle, where
+    # forming 1 - |c|^2 by subtraction cancels to a relative error of 1e-10
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rng = np.random.default_rng(903)
+    n = 90
+    t = rng.uniform(-0.3, 0.3, n)
+    pts = tuple(complex((1 - 0.85 ** k) * np.exp(1j * t[k - 1])) for k in range(1, n + 1))
+    rows = schwarz_check(DiscSequence(pts))
+    zs = [mp.mpc(c.real, c.imag) for c in pts]
+    for j, row in enumerate(rows):
+        ref = mp.fprod(abs(a - zs[j]) / abs(1 - mp.conj(a) * zs[j])
+                       for k, a in enumerate(zs) if k != j)
+        err = abs(row.derivative_invariant - ref) / ref
+        assert err <= n * np.finfo(float).eps, (j, float(err))
