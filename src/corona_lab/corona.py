@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .disc_geometry import check_disc
-from .errors import DomainError, ExtractionError, UnsolvableError
+from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
 from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
                         poly_to_complex, residual_l1_bound)
 from .functions import POLYNOMIAL, FunctionSpec
@@ -27,6 +27,9 @@ from .serialize import as_list, as_number, strict_keys
 INSIDE_TOL = 1e-9
 
 MIN_COUNT = 8
+# grid counts read from input files stop here: radial * angular ring points
+# then stay within 2**22, about 64 MB per complex array
+MAX_COUNT = 2048
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,10 @@ class GridSpec:
         values = {key: as_number(d[key], f"{where}.{key}", kind)
                   for key, kind in (("radial", int), ("angular", int),
                                     ("boundary", int), ("ratio", float))}
+        for key in ("radial", "angular", "boundary"):
+            if values[key] > MAX_COUNT:
+                raise ConfigError(f"{where}.{key}: expected a count of at most "
+                                  f"{MAX_COUNT}, got {d[key]!r}")
         return cls(**values)
 
 
@@ -99,7 +106,7 @@ def measure_delta(functions, grid: GridSpec = DEFAULT_GRID) -> DeltaReport:
     pts = grid.points()
     total = np.zeros(pts.shape)
     for f in fns:
-        total = total + np.abs(f(pts))
+        total += np.abs(f(pts))
     k = int(np.argmin(total))
     return DeltaReport(float(total[k]), complex(pts[k]))
 

@@ -29,9 +29,14 @@ SUP_SAMPLES = 2048
 
 def _poly_eval(coeffs, z):
     z = np.asarray(z, dtype=complex)
+    if z.size == 1:
+        # numpy multiplies one complex element in place by its scalar rule,
+        # which rounds apart from its array loop: evaluate it beside a twin
+        return _poly_eval(coeffs, np.repeat(z.ravel(), 2))[:1].reshape(z.shape)
     out = np.zeros(z.shape, dtype=complex)
     for c in reversed(coeffs):
-        out = out * z + c
+        out *= z
+        out += c
     return out
 
 

@@ -352,7 +352,8 @@ def fit_simple_density(targets, partition, eps: float,
     if not bins:
         raise DomainError("partition must be nonempty")
 
-    weights = np.array([(b - a) / TWO_PI for a, b in bins])
+    starts, ends = np.array(bins).T
+    weights = (ends - starts) / TWO_PI
     uniform_value = 1.0 / weights.sum()
 
     if not entries:
@@ -361,13 +362,12 @@ def fit_simple_density(targets, partition, eps: float,
         return DensityFit(density, tuple(), 0.0)
 
     # one evaluation of each target on the nodes of every bin, summed per bin
-    panels = [max(1, math.ceil((b - a) / TWO_PI * BIN_PANELS)) for a, b in bins]
-    x, w = gauss_legendre_panels(bins, panels)
-    starts = GL_ORDER * np.cumsum([0] + panels[:-1])
+    x, w, counts = gauss_legendre_panels(starts, ends, BIN_PANELS)
+    offsets = GL_ORDER * (np.cumsum(counts) - counts)
     boundary = np.exp(1j * x)
     with np.errstate(all="ignore"):
         target_cols = np.array([
-            np.add.reduceat(np.asarray(f(boundary), dtype=complex) * w, starts) / TWO_PI
+            np.add.reduceat(np.asarray(f(boundary), dtype=complex) * w, offsets) / TWO_PI
             for f, _ in entries])
     for k, col in enumerate(target_cols):
         if not np.isfinite(col).all():

@@ -33,19 +33,32 @@ def integrate_uniform_checked(f, nodes: int = DEFAULT_NODES) -> tuple[complex, f
     return full, abs(full - half)
 
 
-def gauss_legendre_panels(intervals, panels) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of every Gauss-Legendre panel of the intervals at once.
+def gauss_legendre_panels(start, stop, per_circle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and panel counts of every interval's Gauss-Legendre panels.
 
-    Interval k, (a, b), is cut into panels[k] equal panels of GL_ORDER nodes,
-    so its nodes fill the next GL_ORDER * panels[k] entries; the weights
-    integrate against d(theta).
+    start and stop are float arrays.  Interval k, (a, b) = (start[k],
+    stop[k]), is cut into counts[k] = max(1, ceil((b - a)/2pi * per_circle))
+    equal panels of GL_ORDER nodes, so its nodes fill the next
+    GL_ORDER * counts[k] entries; the weights integrate against d(theta).
+    The panel edges are i * step + a, step = (b - a) / counts[k], with the
+    last edge b: np.linspace(a, b, counts[k] + 1) to the bit.  linspace's
+    other branch, for step == 0, cannot give other bits: with one panel it
+    computes the same products, and two or more panels need
+    b - a > 2pi / per_circle, which leaves step near pi / per_circle or above.
     """
-    edges = [np.linspace(a, b, n + 1) for (a, b), n in zip(intervals, panels)]
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
+    delta = stop - start
+    counts = np.maximum(1, np.ceil(delta / (2 * np.pi) * per_circle)).astype(np.intp)
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    i = np.arange(ends[-1]) - (ends - counts)[owner]
+    lo = i * (delta / counts)[owner] + start[owner]
+    # each panel ends where the next one of its interval starts, the last at b
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[ends - 1] = stop
     half = (hi - lo) / 2
     nodes = ((lo + hi) / 2)[:, None] + half[:, None] * _GL_X
-    return nodes.ravel(), (half[:, None] * _GL_W).ravel()
+    return nodes.ravel(), (half[:, None] * _GL_W).ravel(), counts
 
 
 def integrate_piecewise(f, breakpoints, nodes: int = DEFAULT_NODES) -> complex:
@@ -56,13 +69,11 @@ def integrate_piecewise(f, breakpoints, nodes: int = DEFAULT_NODES) -> complex:
     subdivided so roughly `nodes` evaluations are spent in total.  f is
     called once, on every node of every segment.
     """
-    brk = sorted({float(b) for b in breakpoints})
-    if not brk:
-        brk = [-np.pi]
-    segments = list(zip(brk, brk[1:]))
-    segments.append((brk[-1], brk[0] + 2 * np.pi))
-    segments = [(a, b) for a, b in segments if b - a > 1e-15]
-    panels = [max(1, int(np.ceil((b - a) / (2 * np.pi) * nodes / GL_ORDER)))
-              for a, b in segments]
-    x, w = gauss_legendre_panels(segments, panels)
+    brk = np.sort(np.asarray(breakpoints, dtype=float))
+    # distinct breakpoints, or -pi alone when there are none
+    brk = brk[np.append(True, brk[1:] != brk[:-1])] if brk.size else np.array([-np.pi])
+    # consecutive breakpoints, then the segment that wraps around the circle
+    start, stop = brk, np.append(brk[1:], brk[0] + 2 * np.pi)
+    keep = stop - start > 1e-15
+    x, w, _ = gauss_legendre_panels(start[keep], stop[keep], nodes / GL_ORDER)
     return complex(np.sum(np.asarray(f(x), dtype=complex) * w) / (2 * np.pi))

@@ -447,7 +447,8 @@ POINTS = {"points": [[0.5, 0.0], [0.75, 0.0]]}
 
 
 @pytest.mark.parametrize("case", ["rotation", "functions", "cluster_functions",
-                                  "solutions", "targets", "eps", "grid_count"])
+                                  "solutions", "targets", "eps", "grid_count",
+                                  "grid_huge_count"])
 def test_malformed_input_names_key(capsys, tmp_path, case):
     files = {"f.json": {"kind": "finite_blaschke",
                         "data": {"zeros": [[0.5, 0]], "rotation": "x"}},
@@ -459,6 +460,9 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
              "pts.json": POINTS,
              "grid.json": {"functions": [POLY_ONE],
                            "grid": {"radial": 8, "angular": 1e400,
+                                    "boundary": 256, "ratio": 0.5}},
+             "huge.json": {"functions": [POLY_ONE],
+                           "grid": {"radial": 1e300, "angular": 64,
                                     "boundary": 256, "ratio": 0.5}}}
     paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
     argv, key = {
@@ -474,6 +478,7 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
                  paths["pts.json"], "--eps", '"a"', "--eta", "[0.5]",
                  "--ell", "0.5"], "--eps"),
         "grid_count": (["delta", "--in", paths["grid.json"]], "grid.angular"),
+        "grid_huge_count": (["delta", "--in", paths["huge.json"]], "grid.radial"),
     }[case]
     rc, _, err = run(capsys, *argv)
     _assert_names_key(rc, err, key)
@@ -730,7 +735,8 @@ def test_inline_json_nested_too_deep_is_a_usage_error(capsys):
 # ------------------------------------------------------------------ fuzzing
 # argv drawn over every subcommand: junk and out-of-range flag values,
 # malformed and random JSON files.  Counts in the pools stay small, so no
-# drawn value asks for a large computation.
+# drawn value asks for a large computation; random documents may carry grid
+# keys because counts read from files are bounded (corona.MAX_COUNT).
 
 def _poly(coeffs):
     return {"kind": "polynomial", "data": {"coeffs": [[c, 0] for c in coeffs]}}
@@ -765,7 +771,8 @@ _FUZZ_GOOD = {
 }
 _FUZZ_KEYS = ("functions", "kind", "data", "coeffs", "num", "den", "zeros", "rotation",
               "points", "pieces", "solutions", "targets", "partition", "function",
-              "value", "window", "delta_hat", "polynomial", "rational", "finite_blaschke")
+              "value", "window", "delta_hat", "polynomial", "rational", "finite_blaschke",
+              "grid", "radial", "angular", "boundary", "ratio")
 _FUZZ_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.sampled_from(_FUZZ_KEYS)
     | st.sampled_from([0.5, -0.25, 0.9999999999999999, 1.5, 1e-300, 1e300,

@@ -8,7 +8,7 @@ import pytest
 
 from corona_lab.blaschke import BlaschkeProduct
 from corona_lab.errors import ConfigError, DomainError
-from corona_lab.functions import (FunctionSpec, constant_function,
+from corona_lab.functions import (FunctionSpec, _poly_eval, constant_function,
                                   identity_function)
 from corona_lab.quadrature import (circle_nodes, integrate_piecewise,
                                    integrate_uniform_checked)
@@ -24,6 +24,25 @@ def test_polynomial_eval_matches_numpy():
         z = complex(RNG.normal(), RNG.normal()) * 0.4
         ref = np.polyval(coeffs[::-1], z)
         assert abs(f(z) - ref) < 1e-12
+
+
+def test_in_place_horner_matches_the_allocating_form():
+    def allocating(coeffs, z):
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros(z.shape, dtype=complex)
+        for c in reversed(coeffs):
+            out = out * z + c
+        return out
+
+    rng = np.random.default_rng(5120)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        coeffs = tuple(complex(a, b) for a, b in rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4))
+        for z in (complex(*rng.normal(size=2)), rng.normal(size=(1, 1)) + 0.5j,
+                  rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))):
+            got = _poly_eval(coeffs, z)
+            assert got.shape == np.shape(z)
+            assert np.array_equal(got, allocating(coeffs, z))
 
 
 def test_polynomial_trims_trailing_zeros():
