@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .disc_geometry import MobiusAut, canonical_angle, check_disc
+from .disc_geometry import MobiusAut, canonical_angle, check_disc, pointwise
 from .errors import ConstructionError, DomainError, InfeasibleError
 from .serialize import as_number, complex_list, strict_keys
 
@@ -45,13 +45,6 @@ def _one_minus_abs2(a: complex) -> float:
     return math.fsum(terms)
 
 
-def blaschke_factor(a: complex, z):
-    """Single normalized factor; vanishes at a, unimodular on the boundary."""
-    z = np.asarray(z, dtype=complex)
-    u = _unimodular_prefactor(a)
-    return u * (a - z) / (1 - a.conjugate() * z)
-
-
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """Finite Blaschke product e^{i rotation} prod_k factor(zeros[k], z)."""
@@ -71,8 +64,9 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return len(self.zeros)
 
+    @pointwise(complex)
     def __call__(self, z):
-        """Values at z (scalar or array), BLOCK factors per complex division.
+        """Values at z, BLOCK factors per complex division.
 
         The unimodular constant e^{i rotation} prod u_k is formed once; each
         block of zeros then contributes N / D with N = prod (a - z) and
@@ -86,7 +80,6 @@ class BlaschkeProduct:
         N = (block value) D is subnormal only where the block's value is
         below 2^-1022 / |D|.  An exact zero gives exactly 0.
         """
-        z = np.asarray(z, dtype=complex)
         constant = np.exp(1j * self.rotation)
         for a in self.zeros:
             constant *= _unimodular_prefactor(a)
@@ -104,8 +97,9 @@ class BlaschkeProduct:
                 den *= tmp
             num /= den
             out *= num
-        return complex(out) if out.ndim == 0 else out
+        return out
 
+    @pointwise(complex)
     def derivative(self, z):
         """Analytic derivative by the product rule; valid at zeros too.
 
@@ -115,7 +109,6 @@ class BlaschkeProduct:
         factor is f = (a - z) q and its derivative f' = -(1 - |a|^2) conj(u) q^2,
         so each zero costs one division and none divides by a - z.
         """
-        z = np.asarray(z, dtype=complex)
         p = np.full(z.shape, np.exp(1j * self.rotation), dtype=complex)
         d = np.zeros(z.shape, dtype=complex)
         q, f = (np.empty(z.shape, dtype=complex) for _ in range(2))
@@ -133,7 +126,7 @@ class BlaschkeProduct:
             q *= p
             d += q
             p *= f
-        return complex(d) if d.ndim == 0 else d
+        return d
 
     def __mul__(self, other: "BlaschkeProduct") -> "BlaschkeProduct":
         if not isinstance(other, BlaschkeProduct):
@@ -180,15 +173,9 @@ def modulus_lower_bound(b: BlaschkeProduct, eta: float) -> float:
     return max(0.0, 1.0 - m * gap_sum)
 
 
-def _transport(zeros, m: MobiusAut) -> np.ndarray:
-    """The zeros moved by m.inverse, z -> (z - c)/(1 - conj(c) z), as one array."""
-    zs = np.array(zeros, dtype=complex)
-    return m.inverse(zs) if zs.size else zs
-
-
 def _transported_gaps(zeros, c: complex) -> np.ndarray:
     """1 - |(z_k - c)/(1 - conj(c) z_k)| for every zero."""
-    return 1 - np.abs(_transport(zeros, MobiusAut(c)))
+    return 1 - np.abs(MobiusAut(c).inverse(zeros))
 
 
 def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
@@ -200,7 +187,7 @@ def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
     unimodular constants.
     """
     m = MobiusAut(c)
-    moved = _transport(b.zeros, m).tolist()
+    moved = m.inverse(b.zeros).tolist()
     turn = b.rotation
     for a, w in zip(b.zeros, moved):
         k = (_unimodular_prefactor(a) * (1 - a * m.c.conjugate())

@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -29,7 +28,6 @@ from .quadrature import DEFAULT_NODES
 from .serialize import (as_complex, as_list, as_number, complex_list, csv_text, dumps,
                         load_json, strict_keys)
 
-NODES_ENV = "CORONA_LAB_NODES"
 MIN_NODES = 4
 
 def _parse_inline(text: str, where: str):
@@ -75,19 +73,6 @@ _RADIUS = _real(0.0, 1.0)
 _WINDOW = _real(0.0, math.pi, hi_closed=True)
 
 
-def _resolve_nodes(args) -> int:
-    """--nodes, else the environment's node count, else the default."""
-    if args.nodes is not None:
-        return args.nodes
-    env = os.environ.get(NODES_ENV)
-    if env is None:
-        return DEFAULT_NODES
-    value = as_number(env, NODES_ENV, int)
-    if value < MIN_NODES:
-        raise ConfigError(f"node count must be at least {MIN_NODES}")
-    return value
-
-
 def _emit(args, artifact) -> None:
     """Write a JSON artifact, or CSV text as it is, to --out or stdout."""
     text = artifact if isinstance(artifact, str) else dumps(artifact)
@@ -129,9 +114,13 @@ def _cmd_corona_solve(args) -> int:
         all_poly = all(f.kind == POLYNOMIAL for f in inst.functions)
         method = "exact" if all_poly else "numeric"
     if method == "exact":
+        if args.degree_cap is not None:
+            raise ConfigError("--degree-cap: applies to the numeric method only, "
+                              "and the method is exact")
         cert = bezout_exact(inst, tol=args.tol)
     else:
-        cert = bezout_numeric(inst, degree_cap=args.degree_cap, tol=args.tol)
+        cap = 8 if args.degree_cap is None else args.degree_cap
+        cert = bezout_numeric(inst, degree_cap=cap, tol=args.tol)
     _emit(args, cert.to_dict())
     return 0
 
@@ -243,11 +232,13 @@ def _cmd_pushforward(args) -> int:
     s = _load_density(args.density)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
     u = pushforward_density(s, c)
-    nodes = _resolve_nodes(args)
     if args.samples:
+        if args.nodes is not None:
+            raise ConfigError("--nodes: applies to the mass integral, not to --samples")
         theta = np.linspace(-np.pi, np.pi, args.samples, endpoint=False)
         _emit(args, csv_text("theta,u", (theta, u(theta))))
     else:
+        nodes = DEFAULT_NODES if args.nodes is None else args.nodes
         _emit(args, {"mass": u.mass(nodes), "breakpoints": u.breakpoints})
     return 0
 
@@ -319,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corona-solve", help="solve sum u_k f_k = 1 for an instance")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--method", choices=("auto", "exact", "numeric"), default="auto")
-    p.add_argument("--degree-cap", type=_integer(0), default=8)
+    p.add_argument("--degree-cap", type=_integer(0), default=None,
+                   help="numeric method only: polynomial degree cap (default 8)")
     p.add_argument("--tol", type=_POSITIVE, default=1e-8)
     _add_common(p, _cmd_corona_solve, corona, exactpoly)
 
@@ -387,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_integer(0), default=0,
                    help="emit a CSV of this many samples instead of JSON")
     p.add_argument("--nodes", type=_integer(MIN_NODES), default=None,
-                   help=f"quadrature node count (default {DEFAULT_NODES}, "
-                        f"env {NODES_ENV})")
+                   help=f"mass quadrature node count (default {DEFAULT_NODES}); "
+                        "not with --samples")
     _add_common(p, _cmd_pushforward, measures)
 
     p = sub.add_parser("align-arcs", help="move a density's quartile arc onto a target")

@@ -1,9 +1,11 @@
 """Geometry of the open unit disc.
 
 Points are plain complex numbers; interior points satisfy |z| < 1 and
-boundary points |z| = 1.  Angles are canonical in [-pi, pi).
+boundary points |z| = 1.  Angles are canonical in [-pi, pi).  Kernels that
+take points or angles evaluate them through ``pointwise``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -13,6 +15,29 @@ from .errors import DomainError
 
 # denominators in disc automorphisms stay away from zero by this margin
 DENOM_EPS = 1e-15
+
+
+def pointwise(dtype):
+    """Decorator for a kernel whose last argument holds its points.
+
+    The kernel sees the points as one flat array of dtype with at least two
+    entries unless it is empty: numpy rounds arithmetic on a one-element
+    array by its scalar rule, apart from its array loop, so a lone point is
+    padded with a copy of itself.  The values come back in the input's
+    shape, a 0-d one as a Python scalar, so a lone point gets the bits it
+    gets at any place in an array.
+    """
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def evaluate(*args):
+            *head, points = args
+            points = np.asarray(points, dtype=dtype)
+            flat = points.ravel()
+            out = kernel(*head, np.repeat(flat, 2) if flat.size == 1 else flat)
+            out = out[:flat.size].reshape(points.shape)
+            return out.item() if out.ndim == 0 else out
+        return evaluate
+    return decorate
 
 
 def canonical_angle(theta):
@@ -56,13 +81,12 @@ class MobiusAut:
             raise DomainError("rotation must be finite")
         object.__setattr__(self, "rotation", float(canonical_angle(rot)))
 
+    @pointwise(complex)
     def apply(self, z):
-        """Evaluate at a point of the closed disc (scalar or array)."""
-        z = np.asarray(z, dtype=complex)
+        """Evaluate at points of the closed disc."""
         den = 1 + np.conj(self.c) * z
         self._check_denominator(den, z)
-        out = np.exp(1j * self.rotation) * (z + self.c) / den
-        return complex(out) if out.ndim == 0 else out
+        return np.exp(1j * self.rotation) * (z + self.c) / den
 
     __call__ = apply
 
@@ -73,20 +97,20 @@ class MobiusAut:
         fires only when c itself lies within rounding of the circle.
         """
         size = np.abs(den)
-        if size.min() >= DENOM_EPS:
+        if (size >= DENOM_EPS).all():
             return
         if np.all(np.abs(z[size < DENOM_EPS]) <= 1):
             raise DomainError(f"mobius denominator lost precision: c = {self.c!r} lies "
                               f"{1 - abs(self.c):.3g} from the unit circle")
         raise DomainError("mobius denominator vanished; point outside closed disc")
 
+    @pointwise(complex)
     def inverse(self, z):
-        """Inverse map, exact by construction: inverse(apply(z)) == z."""
-        w = np.asarray(z, dtype=complex) * np.exp(-1j * self.rotation)
+        """Inverse map; inverse(apply(z)) equals z up to rounding."""
+        w = z * np.exp(-1j * self.rotation)
         den = 1 - np.conj(self.c) * w
         self._check_denominator(den, w)
-        out = (w - self.c) / den
-        return complex(out) if out.ndim == 0 else out
+        return (w - self.c) / den
 
 
 def pseudo_disc_euclidean(c, eta: float) -> tuple[complex, float]:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct
+from .disc_geometry import pointwise
 from .errors import ConfigError, DomainError
 from .serialize import as_number, complex_list, strict_keys
 
@@ -28,11 +29,6 @@ SUP_SAMPLES = 2048
 
 
 def _poly_eval(coeffs, z):
-    z = np.asarray(z, dtype=complex)
-    if z.size == 1:
-        # numpy multiplies one complex element in place by its scalar rule,
-        # which rounds apart from its array loop: evaluate it beside a twin
-        return _poly_eval(coeffs, np.repeat(z.ravel(), 2))[:1].reshape(z.shape)
     out = np.zeros(z.shape, dtype=complex)
     for c in reversed(coeffs):
         out *= z
@@ -104,16 +100,14 @@ class FunctionSpec:
         zeros, rotation = self.payload
         return BlaschkeProduct(zeros, rotation)
 
+    @pointwise(complex)
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
         if self.kind == POLYNOMIAL:
-            out = _poly_eval(self.payload[0], z)
-        elif self.kind == FINITE_BLASCHKE:
-            out = np.asarray(self.as_blaschke()(z), dtype=complex)
-        else:
-            num, den = self.payload
-            out = _poly_eval(num, z) / _poly_eval(den, z)
-        return complex(out) if out.ndim == 0 else out
+            return _poly_eval(self.payload[0], z)
+        if self.kind == FINITE_BLASCHKE:
+            return self.as_blaschke()(z)
+        num, den = self.payload
+        return _poly_eval(num, z) / _poly_eval(den, z)
 
     def sup_norm_estimate(self) -> float:
         """Upper estimate of the sup norm over the closed disc.

@@ -74,17 +74,14 @@ class CompositionTrace:
 def compose_trace(f, seq, grid_radius: float = DEFAULT_GRID_RADIUS,
                   grid_size: int = DEFAULT_GRID_SIZE,
                   tol: float = CAUCHY_TOL) -> CompositionTrace:
-    """Record f recentered along the sequence on a compact polar grid."""
+    """Record f recentered along the sequence on a compact polar grid; f is
+    called once, on the (len(seq), grid size) array of recentred points."""
     cs = tuple(check_disc(c, "c") for c in getattr(seq, "points", seq))
     if len(cs) < 2:
         raise DomainError("need at least two recentering points")
     pts = disc_grid(grid_size, grid_radius)
-    samples = np.empty((len(cs), pts.size), dtype=complex)
-    for j, c in enumerate(cs):
-        samples[j] = np.asarray(f(MobiusAut(c).apply(pts)), dtype=complex)
-    profile = tuple(
-        float(np.max(np.abs(samples[j + 1] - samples[j])))
-        for j in range(len(cs) - 1))
+    samples = np.asarray(f(np.array([MobiusAut(c).apply(pts) for c in cs])), dtype=complex)
+    profile = tuple(np.abs(np.diff(samples, axis=0)).max(axis=1).tolist())
     settled = tuple(j for j, d in enumerate(profile) if d < tol)
     tail_start = None
     for t in range(len(profile) - 1, -1, -1):

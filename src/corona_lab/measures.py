@@ -15,7 +15,7 @@ from operator import add
 import numpy as np
 
 from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
-                            geodesic_endpoints, orthogonal_circle)
+                            geodesic_endpoints, orthogonal_circle, pointwise)
 from .errors import DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
 from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
@@ -94,13 +94,13 @@ class SimpleDensity:
     def uniform(cls, a: float = -math.pi, b: float = math.pi) -> "SimpleDensity":
         return cls.normalized(((a, b, 1.0),))
 
+    @pointwise(float)
     def __call__(self, theta):
         th = canonical_angle(theta)
         starts, ends, values, _, _ = self._steps
         # the last piece starting at or before th holds it unless it ended
         k = np.searchsorted(starts, th, "right") - 1
-        out = np.where((k >= 0) & (th < ends[k]), values[k], 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where((k >= 0) & (th < ends[k]), values[k], 0.0)
 
     def mass(self) -> float:
         return float(self._steps[3][-1])
@@ -158,12 +158,11 @@ class SimpleDensity:
                                  lambda p, at: tuple(as_list(p, at, as_number)))))
 
 
+@pointwise(float)
 def poisson_kernel(z, theta):
     """(1 - |z|^2) / |e^{i theta} - z|^2 for an interior evaluation point."""
     z = check_disc(z, "z")
-    e = np.exp(1j * np.asarray(theta, dtype=float))
-    out = (1 - abs(z) ** 2) / np.abs(e - z) ** 2
-    return float(out) if out.ndim == 0 else out
+    return (1 - abs(z) ** 2) / np.abs(np.exp(1j * theta) - z) ** 2
 
 
 def poisson_integral(f, z, nodes: int = DEFAULT_NODES, tol: float | None = None):
@@ -521,18 +520,17 @@ class PushforwardDensity:
         # u jumps exactly at preimages of the base piece endpoints
         edges = np.exp(1j * np.array(base.breakpoints()))
         pre = self.automorphism.inverse(edges)
-        self.breakpoints = sorted(float(t) for t in np.angle(np.atleast_1d(pre)))
+        self.breakpoints = sorted(np.angle(pre).tolist())
 
+    @pointwise(float)
     def jacobian(self, theta):
-        e = np.exp(1j * np.asarray(theta, dtype=float))
-        out = (1 - abs(self.c) ** 2) / np.abs(1 + np.conj(self.c) * e) ** 2
-        return float(out) if out.ndim == 0 else out
+        e = np.exp(1j * theta)
+        return (1 - abs(self.c) ** 2) / np.abs(1 + np.conj(self.c) * e) ** 2
 
+    @pointwise(float)
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
         image = self.automorphism.apply(np.exp(1j * theta))
-        vals = np.asarray(self.base(np.angle(np.atleast_1d(image)))) * self.jacobian(theta)
-        return float(vals.reshape(-1)[0]) if theta.ndim == 0 else vals
+        return self.base(np.angle(image)) * self.jacobian(theta)
 
     def integrate(self, g, nodes: int = DEFAULT_NODES) -> complex:
         """Integral of g(theta) u(theta) dm with jump-aware quadrature."""

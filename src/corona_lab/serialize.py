@@ -35,11 +35,15 @@ def as_complex(pair, where: str = "value") -> complex:
 
 
 def as_number(value, where: str = "value", kind=float):
-    """kind(value), or ConfigError naming where."""
+    """kind(value), or ConfigError naming where; an int kind takes only a
+    value equal to its int, so a count of 9.99 is an error and not 9."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if kind is int and number != value:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return number
 
 
 def as_list(value, where: str = "list", item=None) -> list:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corona_lab.blaschke import (BLOCK, BlaschkeProduct, DiscSequence, Sector,
-                                 blaschke_factor, carleson_diagnostics,
+                                 carleson_diagnostics,
                                  compose_with_mobius, construct_ladder,
                                  min_modulus_on_disc, modulus_lower_bound,
                                  transport_tail_bounds)
@@ -30,11 +30,11 @@ def random_product(rng, max_deg=12, rmax=0.95):
 
 def test_factor_conventions():
     # zero at the origin contributes the plain coordinate factor
-    assert blaschke_factor(0, 0.3) == 0.3
+    assert BlaschkeProduct((0,))(0.3) == 0.3
     # nonzero anchor: value at 0 is |a|
-    assert abs(blaschke_factor(0.5, 0) - 0.5) < 1e-15
+    assert abs(BlaschkeProduct((0.5,))(0) - 0.5) < 1e-15
     a = 0.3 + 0.4j
-    assert abs(blaschke_factor(a, a)) < 1e-15
+    assert abs(BlaschkeProduct((a,))(a)) < 1e-15
 
 
 def test_product_vanishes_at_zeros():
@@ -252,7 +252,7 @@ def test_compose_identity_and_zero_anchor():
     # composing at one of the zeros puts a zero at the origin
     comp = compose_with_mobius(BlaschkeProduct((0.5,)), 0.5)
     assert abs(comp(0)) < 1e-14
-    assert abs(comp(0.25) - blaschke_factor(0.5, MobiusAut(0.5).apply(0.25))) < 1e-13
+    assert abs(comp(0.25) - BlaschkeProduct((0.5,))(MobiusAut(0.5).apply(0.25))) < 1e-13
 
 
 def test_compose_with_a_zero_at_every_old_anchor():

@@ -344,6 +344,25 @@ def test_flags_only_where_they_take_effect(capsys, tmp_path):
     rc, _, err = run(capsys, "interp-check", "--points", points, "--nodes", "9")
     assert rc == 2
     assert "--nodes" in err
+    # --nodes sets the mass quadrature, which a --samples run never computes
+    density = write(tmp_path, "d.json", {"pieces": [[-math.pi, math.pi, 1.0]]})
+    push = ["pushforward", "--density", density, "--c", "[0.1,0]"]
+    assert run(capsys, *push, "--nodes", "16")[0] == 0
+    assert run(capsys, *push, "--samples", "4")[0] == 0
+    rc, out, err = run(capsys, *push, "--samples", "4", "--nodes", "16")
+    assert (rc, out) == (2, "")
+    assert "--nodes" in json.loads(err)["message"]
+    # --degree-cap bounds the numeric solve only, whichever way exact is chosen
+    poly = write(tmp_path, "poly.json", {"functions": [
+        {"kind": "polynomial", "data": {"coeffs": [[0, 0], [0, 0], [1, 0]]}},
+        {"kind": "polynomial", "data": {"coeffs": [[-0.5, 0], [1, 0]]}}]})
+    assert run(capsys, "corona-solve", "--in", poly, "--method", "numeric",
+               "--degree-cap", "3")[0] == 0
+    for method in ("auto", "exact"):
+        rc, out, err = run(capsys, "corona-solve", "--in", poly, "--method", method,
+                           "--degree-cap", "3")
+        assert (rc, out) == (2, ""), method
+        assert "--degree-cap" in json.loads(err)["message"]
 
 
 def test_exit_code_two_on_usage_errors(capsys, tmp_path):
@@ -448,7 +467,7 @@ POINTS = {"points": [[0.5, 0.0], [0.75, 0.0]]}
 
 @pytest.mark.parametrize("case", ["rotation", "functions", "cluster_functions",
                                   "solutions", "targets", "eps", "grid_count",
-                                  "grid_huge_count"])
+                                  "grid_huge_count", "grid_fractional_count"])
 def test_malformed_input_names_key(capsys, tmp_path, case):
     files = {"f.json": {"kind": "finite_blaschke",
                         "data": {"zeros": [[0.5, 0]], "rotation": "x"}},
@@ -463,6 +482,9 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
                                     "boundary": 256, "ratio": 0.5}},
              "huge.json": {"functions": [POLY_ONE],
                            "grid": {"radial": 1e300, "angular": 64,
+                                    "boundary": 256, "ratio": 0.5}},
+             "frac.json": {"functions": [POLY_ONE],
+                           "grid": {"radial": 9.99, "angular": 64,
                                     "boundary": 256, "ratio": 0.5}}}
     paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
     argv, key = {
@@ -479,6 +501,7 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
                  "--ell", "0.5"], "--eps"),
         "grid_count": (["delta", "--in", paths["grid.json"]], "grid.angular"),
         "grid_huge_count": (["delta", "--in", paths["huge.json"]], "grid.radial"),
+        "grid_fractional_count": (["delta", "--in", paths["frac.json"]], "grid.radial"),
     }[case]
     rc, _, err = run(capsys, *argv)
     _assert_names_key(rc, err, key)
@@ -532,23 +555,6 @@ def test_exit_code_two_on_unknown_key(capsys, tmp_path):
     rc, _, err = run(capsys, "delta", "--in", inst)
     assert rc == 2
     assert "bogus" in json.loads(err)["message"]
-
-
-def test_nodes_env_override(capsys, tmp_path, monkeypatch):
-    level = 2 * math.pi / 1.0
-    density = write(tmp_path, "d.json", {"pieces": [[-0.5, 0.5, level]]})
-    monkeypatch.setenv("CORONA_LAB_NODES", "512")
-    rc, out, _ = run(capsys, "pushforward", "--density", density,
-                     "--c", "[0.1,0]")
-    assert rc == 0
-    monkeypatch.setenv("CORONA_LAB_NODES", "junk")
-    rc, _, _ = run(capsys, "pushforward", "--density", density,
-                   "--c", "[0.1,0]")
-    assert rc == 2
-    monkeypatch.setenv("CORONA_LAB_NODES", "2")
-    rc, _, _ = run(capsys, "pushforward", "--density", density,
-                   "--c", "[0.1,0]")
-    assert rc == 2
 
 
 def test_output_file_determinism(capsys, tmp_path):

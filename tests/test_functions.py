@@ -8,8 +8,7 @@ import pytest
 
 from corona_lab.blaschke import BlaschkeProduct
 from corona_lab.errors import ConfigError, DomainError
-from corona_lab.functions import (FunctionSpec, _poly_eval, constant_function,
-                                  identity_function)
+from corona_lab.functions import FunctionSpec, constant_function, identity_function
 from corona_lab.quadrature import (circle_nodes, integrate_piecewise,
                                    integrate_uniform_checked)
 from corona_lab.serialize import as_complex, complex_list, dumps, strict_keys
@@ -40,8 +39,8 @@ def test_in_place_horner_matches_the_allocating_form():
         coeffs = tuple(complex(a, b) for a, b in rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4))
         for z in (complex(*rng.normal(size=2)), rng.normal(size=(1, 1)) + 0.5j,
                   rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))):
-            got = _poly_eval(coeffs, z)
-            assert got.shape == np.shape(z)
+            got = FunctionSpec.polynomial(coeffs)(z)
+            assert np.shape(got) == np.shape(z)
             assert np.array_equal(got, allocating(coeffs, z))
 
 
