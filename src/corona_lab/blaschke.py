@@ -13,6 +13,7 @@ import numpy as np
 
 from .disc_geometry import MobiusAut, canonical_angle, check_disc, pointwise
 from .errors import ConstructionError, DomainError, InfeasibleError
+from .quadrature import polar_grid
 from .serialize import as_number, complex_list, strict_keys
 
 DEFAULT_THIN_THRESHOLD = 0.9
@@ -152,9 +153,7 @@ def min_modulus_on_disc(b: BlaschkeProduct, radius: float) -> float:
     """
     if not (0 <= radius < 1):
         raise DomainError("radius must lie in [0, 1)")
-    rad = np.linspace(0.0, radius, MIN_GRID_RADIAL)
-    ang = np.linspace(-np.pi, np.pi, MIN_GRID_ANGULAR, endpoint=False)
-    grid = (rad[:, None] * np.exp(1j * ang[None, :])).ravel()
+    grid = polar_grid(np.linspace(0.0, radius, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
     return float(np.min(np.abs(b(grid))))
 
 
@@ -458,16 +457,15 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
         measured = min_modulus_on_disc(composed, eta)
         records.append(RungRecord(j, eta, eps, measured))
 
-    # zeros at or beyond the final cut stay outside the partition
-    bands, odd_gaps, even_gaps = [], [], []
-    for z, r in zip(zeros, moduli):
-        for j in range(len(r_values)):
-            if s_values[j] <= r < r_values[j]:
-                bands.append(z)
-                break
-            if r_values[j] <= r < s_values[j + 1]:
-                (odd_gaps if j % 2 == 0 else even_gaps).append(z)
-                break
+    # slot k of the cuts s_0, r_0, s_1, ..., s_m is band k/2 for an even k, else the gap
+    # after rung k//2, odd or even by its parity; zeros outside [s_0, s_m) stay out
+    cuts = np.empty(2 * len(r_values) + 1)
+    cuts[0::2], cuts[1::2] = s_values, r_values
+    slots = np.searchsorted(cuts, moduli, "right") - 1
+    partition = ([], [], [])
+    for z, k in zip(zeros, slots.tolist()):
+        if 0 <= k < len(cuts) - 1:
+            partition[0 if k % 2 == 0 else 1 + k // 2 % 2].append(z)
 
     return LadderConstruction(
         ell=ell,
@@ -475,7 +473,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
         r_values=tuple(r_values),
         chosen_indices=tuple(chosen_indices),
         chosen_points=tuple(chosen_points),
-        partition=(tuple(bands), tuple(odd_gaps), tuple(even_gaps)),
+        partition=tuple(tuple(part) for part in partition),
         verification=tuple(records),
     )
 

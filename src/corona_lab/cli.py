@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import blaschke, corona, disc_geometry, exactpoly, hoffman, measures
 from .blaschke import BlaschkeProduct, DiscSequence, construct_ladder
 from .corona import (BezoutCertificate, CoronaInstance, bezout_exact, bezout_numeric,
@@ -24,7 +22,7 @@ from .functions import POLYNOMIAL, FunctionSpec
 from .hoffman import compose_trace, l2_distance_to_identity
 from .measures import (SimpleDensity, TargetFunctional, align_arcs,
                        fit_simple_density, pushforward_density, quartiles)
-from .quadrature import DEFAULT_NODES
+from .quadrature import DEFAULT_NODES, circle_nodes
 from .serialize import (as_complex, as_list, as_number, complex_list, csv_text, dumps,
                         load_json, strict_keys)
 
@@ -235,7 +233,7 @@ def _cmd_pushforward(args) -> int:
     if args.samples:
         if args.nodes is not None:
             raise ConfigError("--nodes: applies to the mass integral, not to --samples")
-        theta = np.linspace(-np.pi, np.pi, args.samples, endpoint=False)
+        theta = circle_nodes(args.samples)
         _emit(args, csv_text("theta,u", (theta, u(theta))))
     else:
         nodes = DEFAULT_NODES if args.nodes is None else args.nodes

@@ -22,6 +22,7 @@ from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
 from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
                         poly_to_complex, residual_l1_bound)
 from .functions import POLYNOMIAL, FunctionSpec
+from .quadrature import circle_nodes, polar_grid
 from .serialize import as_list, as_number, strict_keys
 
 INSIDE_TOL = 1e-9
@@ -57,12 +58,8 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """Closed-disc evaluation points: center, rings, boundary nodes."""
-        ang = np.linspace(-np.pi, np.pi, self.angular, endpoint=False)
-        rings = (self.radii()[:, None] * np.exp(1j * ang[None, :])).ravel()
-        return np.concatenate(([0j], rings, np.exp(1j * self.boundary_nodes())))
-
-    def boundary_nodes(self) -> np.ndarray:
-        return np.linspace(-np.pi, np.pi, self.boundary, endpoint=False)
+        return np.concatenate(([0j], polar_grid(self.radii(), self.angular),
+                               np.exp(1j * circle_nodes(self.boundary))))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -203,8 +200,7 @@ def _residual_sup(functions, solutions, z) -> float:
 def verification_nodes(grid: GridSpec) -> np.ndarray:
     """Boundary nodes for residual checks, deliberately distinct from (and
     finer than) the fit nodes so the check is out of sample."""
-    n = 2 * grid.boundary + 17
-    return np.linspace(-np.pi, np.pi, n, endpoint=False)
+    return circle_nodes(2 * grid.boundary + 17)
 
 
 def _certificate(instance: CoronaInstance, solutions: tuple, tol: float,
@@ -275,8 +271,7 @@ def bezout_numeric(instance: CoronaInstance, degree_cap: int,
     n_unknown_per = degree_cap + 1
     n_funcs = len(instance.functions)
     n_nodes = max(instance.grid.boundary, 2 * n_funcs * n_unknown_per)
-    theta = np.linspace(-np.pi, np.pi, n_nodes, endpoint=False)
-    z = np.exp(1j * theta)
+    z = np.exp(1j * circle_nodes(n_nodes))
 
     cols = []
     for f in instance.functions:

@@ -12,6 +12,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .disc_geometry import pointwise
 from .errors import ConfigError, DomainError
+from .quadrature import circle_nodes
 from .serialize import as_number, complex_list, strict_keys
 
 POLYNOMIAL = "polynomial"
@@ -119,8 +120,7 @@ class FunctionSpec:
             return float(sum(abs(c) for c in self.payload[0]))
         if self.kind == FINITE_BLASCHKE:
             return 1.0
-        theta = np.linspace(-np.pi, np.pi, SUP_SAMPLES, endpoint=False)
-        return float(np.max(np.abs(self(np.exp(1j * theta))))) * 1.01
+        return float(np.max(np.abs(self(np.exp(1j * circle_nodes(SUP_SAMPLES)))))) * 1.01
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "data": dict(zip(_DATA_KEYS[self.kind], self.payload))}

@@ -16,6 +16,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, DiscSequence, _one_minus_abs2, compose_with_mobius
 from .disc_geometry import MobiusAut, check_disc
 from .errors import AliasingError, DomainError
+from .quadrature import circle_nodes, polar_grid
 from .serialize import csv_rows
 
 DEFAULT_GRID_RADIUS = 0.9
@@ -38,9 +39,7 @@ def disc_grid(grid_size: int = DEFAULT_GRID_SIZE,
     if not (0 < max_radius < 1):
         raise DomainError("max_radius must lie in (0, 1)")
     radial = -(-grid_size // GRID_ANGULAR)
-    radii = max_radius * np.arange(1, radial + 1) / radial
-    angles = 2 * np.pi * np.arange(GRID_ANGULAR) / GRID_ANGULAR - np.pi
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    return polar_grid(max_radius * np.arange(1, radial + 1) / radial, GRID_ANGULAR)
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,7 @@ def l2_distance_to_identity(b: BlaschkeProduct, c=0j,
     c = check_disc(c, "c")
     if c != 0:
         b = compose_with_mobius(b, c)
-    theta = 2 * np.pi * np.arange(n_fft) / n_fft - np.pi
-    vals = b(np.exp(1j * theta))
+    vals = b(np.exp(1j * circle_nodes(n_fft)))
     coeffs = np.fft.fft(vals) / n_fft
     # sampling starts at -pi, so demodulate to coefficients against e^{ik t}
     freqs = np.fft.fftfreq(n_fft, d=1.0 / n_fft)

@@ -1,4 +1,6 @@
-"""Quadrature over the unit circle against normalized arc length dm.
+"""Quadrature over the unit circle against normalized arc length dm, and the
+one module that knows how the program samples the circle and the disc:
+every uniform angle set is circle_nodes and every polar grid is polar_grid.
 
 Two rules, picked by integrand smoothness: the uniform-node rule converges
 geometrically for periodic analytic integrands, and the piecewise rule
@@ -17,9 +19,13 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
 
 def circle_nodes(n: int) -> np.ndarray:
-    if n < 2:
-        raise DomainError("need at least two quadrature nodes")
+    """n uniform angles on [-pi, pi), spaced 2pi/n, from -pi."""
     return np.linspace(-np.pi, np.pi, n, endpoint=False)
+
+
+def polar_grid(radii, angular: int) -> np.ndarray:
+    """Points radii[i] e^{i theta_j}, ring-major, theta = circle_nodes(angular)."""
+    return (radii[:, None] * np.exp(1j * circle_nodes(angular))[None, :]).ravel()
 
 
 def integrate_uniform_checked(f, nodes: int = DEFAULT_NODES) -> tuple[complex, float]:

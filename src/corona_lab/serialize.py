@@ -35,11 +35,13 @@ def as_complex(pair, where: str = "value") -> complex:
 
 
 def as_number(value, where: str = "value", kind=float):
-    """kind(value), or ConfigError naming where; an int kind takes only a
-    value equal to its int, so a count of 9.99 is an error and not 9."""
+    """kind(value) of a JSON int or float, never a string or bool, or ConfigError
+    naming where; an int kind takes only a value equal to its int, so 9.99 is not 9."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):     # int(nan), int(inf), float(10**400)
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
     if kind is int and number != value:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")

@@ -375,6 +375,46 @@ def test_ladder_partition_is_disjoint_cover():
     assert sorted(pieces, key=abs) == sorted(covered, key=abs)
 
 
+def loop_partition(zeros, s_values, r_values):
+    """The ladder partition as a loop over zeros and rungs."""
+    bands, odd_gaps, even_gaps = [], [], []
+    for z in zeros:
+        r = abs(complex(z))
+        for j in range(len(r_values)):
+            if s_values[j] <= r < r_values[j]:
+                bands.append(z)
+                break
+            if r_values[j] <= r < s_values[j + 1]:
+                (odd_gaps if j % 2 == 0 else even_gaps).append(z)
+                break
+    return tuple(bands), tuple(odd_gaps), tuple(even_gaps)
+
+
+def test_ladder_partition_equals_the_loop():
+    """Random ladders, with zeros on the cuts r_j = (2 s_j + 1)/3 whenever
+    s_j is a zero modulus, split their zeros as the loop does."""
+    rng = np.random.default_rng(1505)
+    cands = DiscSequence(tuple(1 - 3.0 ** -k for k in range(1, 30)))
+    built = on_a_cut = 0
+    for _ in range(120):
+        ell = rng.uniform(0.2, 0.8)
+        mods = list(1 - (1 - ell) * rng.uniform(0.01, 1, rng.integers(0, 25)) ** rng.uniform(1, 6))
+        mods += [(2 * r + 1) / 3 for r in mods[:len(mods) // 2]] + [(2 * ell + 1) / 3]
+        half = (1 - ell) / 2
+        zeros = [complex(r * np.exp(1j * rng.uniform(-half, half))) for r in mods]
+        rungs = int(rng.integers(1, 5))
+        eps = sorted(rng.uniform(0.05, 0.9, rungs), reverse=True)
+        eta = sorted(rng.uniform(0.1, 0.95, rungs))
+        try:
+            lad = construct_ladder(zeros, cands, eps, eta, ell)
+        except ConstructionError:
+            continue
+        built += 1
+        on_a_cut += sum(abs(z) in lad.r_values for z in zeros)
+        assert lad.partition == loop_partition(zeros, lad.s_values, lad.r_values)
+    assert built > 100 and on_a_cut > 100
+
+
 def test_ladder_products_assemble():
     lad = construct_ladder(LADDER_ZEROS, LADDER_CANDIDATES, LADDER_EPS,
                            LADDER_ETA, 0.5)

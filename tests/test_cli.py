@@ -288,6 +288,13 @@ def test_pushforward_json_and_csv(capsys, tmp_path):
     assert lines[0] == "theta,u"
     assert len(lines) == 17
 
+    # one sample is the angle -pi alone
+    rc, out, _ = run(capsys, "pushforward", "--density", density,
+                     "--c", "[0.3,0.1]", "--samples", "1")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith(f"{-math.pi:.17g},")
+
 
 def test_align_arcs_cli(capsys, tmp_path):
     level = 2 * math.pi / 4.0
@@ -467,7 +474,10 @@ POINTS = {"points": [[0.5, 0.0], [0.75, 0.0]]}
 
 @pytest.mark.parametrize("case", ["rotation", "functions", "cluster_functions",
                                   "solutions", "targets", "eps", "grid_count",
-                                  "grid_huge_count", "grid_fractional_count"])
+                                  "grid_huge_count", "grid_fractional_count",
+                                  "rotation_numeric_string", "rotation_nan_string",
+                                  "rotation_bool", "grid_ratio_string",
+                                  "density_piece_string", "eps_string"])
 def test_malformed_input_names_key(capsys, tmp_path, case):
     files = {"f.json": {"kind": "finite_blaschke",
                         "data": {"zeros": [[0.5, 0]], "rotation": "x"}},
@@ -485,7 +495,14 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
                                     "boundary": 256, "ratio": 0.5}},
              "frac.json": {"functions": [POLY_ONE],
                            "grid": {"radial": 9.99, "angular": 64,
-                                    "boundary": 256, "ratio": 0.5}}}
+                                    "boundary": 256, "ratio": 0.5}},
+             "ratio.json": {"functions": [POLY_ONE],
+                            "grid": {"radial": 8, "angular": 64,
+                                     "boundary": 256, "ratio": "0.5"}},
+             "d.json": {"pieces": [["-0.5", 0.5, 2 * math.pi]]}}
+    for name, rotation in (("f15.json", "1.5"), ("fnan.json", "nan"), ("ftrue.json", True)):
+        files[name] = {"kind": "finite_blaschke",
+                       "data": {"zeros": [[0.5, 0]], "rotation": rotation}}
     paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
     argv, key = {
         "rotation": (["hoffman-trace", "--function", paths["f.json"],
@@ -502,6 +519,18 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
         "grid_count": (["delta", "--in", paths["grid.json"]], "grid.angular"),
         "grid_huge_count": (["delta", "--in", paths["huge.json"]], "grid.radial"),
         "grid_fractional_count": (["delta", "--in", paths["frac.json"]], "grid.radial"),
+        "rotation_numeric_string": (["hoffman-trace", "--function", paths["f15.json"],
+                                     "--points", paths["pts.json"]], "rotation"),
+        "rotation_nan_string": (["hoffman-trace", "--function", paths["fnan.json"],
+                                 "--points", paths["pts.json"]], "rotation"),
+        "rotation_bool": (["hoffman-trace", "--function", paths["ftrue.json"],
+                           "--points", paths["pts.json"]], "rotation"),
+        "grid_ratio_string": (["delta", "--in", paths["ratio.json"]], "grid.ratio"),
+        "density_piece_string": (["quartiles", "--density", paths["d.json"]],
+                                 "pieces[0][0]"),
+        "eps_string": (["ladder", "--zeros", paths["zeros.json"], "--candidates",
+                        paths["pts.json"], "--eps", '["0.1"]', "--eta", "[0.5]",
+                        "--ell", "0.5"], "--eps[0]"),
     }[case]
     rc, _, err = run(capsys, *argv)
     _assert_names_key(rc, err, key)

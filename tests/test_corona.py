@@ -167,6 +167,11 @@ def test_certificate_roundtrip_keeps_residual_bound():
     bad = dict(cert.to_dict(), residual_bound="x")
     with pytest.raises(ConfigError, match="residual_bound"):
         BezoutCertificate.from_dict(bad)
+    # a bare solution list loads, with residual_sup not measured
+    bare = BezoutCertificate.from_dict({"solutions": cert.to_dict()["solutions"]})
+    assert math.isnan(bare.residual_sup) and bare.solutions == cert.solutions
+    with pytest.raises(ConfigError, match="residual_sup"):
+        BezoutCertificate.from_dict(dict(cert.to_dict(), residual_sup="0.1"))
 
 
 def test_exact_solver_degree_20_pair():
