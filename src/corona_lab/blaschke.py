@@ -14,7 +14,7 @@ import numpy as np
 from .disc_geometry import MobiusAut, canonical_angle, check_disc, pointwise
 from .errors import ConstructionError, DomainError, InfeasibleError
 from .quadrature import polar_grid
-from .serialize import as_number, complex_list, strict_keys
+from .serialize import as_finite, complex_list, strict_keys
 
 DEFAULT_THIN_THRESHOLD = 0.9
 
@@ -141,7 +141,7 @@ class BlaschkeProduct:
     def from_dict(cls, d: dict, where: str = "blaschke") -> "BlaschkeProduct":
         strict_keys(d, required=("zeros",), optional=("rotation",), where=where)
         zeros = complex_list(d["zeros"], f"{where}.zeros")
-        return cls(tuple(zeros), as_number(d.get("rotation", 0.0), f"{where}.rotation"))
+        return cls(tuple(zeros), as_finite(d.get("rotation", 0.0), f"{where}.rotation"))
 
 
 def min_modulus_on_disc(b: BlaschkeProduct, radius: float) -> float:

@@ -23,7 +23,7 @@ from .hoffman import compose_trace, l2_distance_to_identity
 from .measures import (SimpleDensity, TargetFunctional, align_arcs,
                        fit_simple_density, pushforward_density, quartiles)
 from .quadrature import DEFAULT_NODES, circle_nodes
-from .serialize import (as_complex, as_list, as_number, complex_list, csv_text, dumps,
+from .serialize import (as_complex, as_finite, as_list, complex_list, csv_text, dumps,
                         load_json, strict_keys)
 
 MIN_NODES = 4
@@ -165,8 +165,8 @@ def _cmd_ladder(args) -> int:
     strict_keys(zeros_doc, required=("zeros",), where=args.zeros)
     zeros = complex_list(zeros_doc["zeros"], f"{args.zeros}.zeros")
     candidates = _load_sequence(args.candidates)
-    eps_seq = as_list(_parse_inline(args.eps, "--eps"), "--eps", as_number)
-    eta_seq = as_list(_parse_inline(args.eta, "--eta"), "--eta", as_number)
+    eps_seq = as_list(_parse_inline(args.eps, "--eps"), "--eps", as_finite)
+    eta_seq = as_list(_parse_inline(args.eta, "--eta"), "--eta", as_finite)
     ladder = construct_ladder(zeros, candidates, eps_seq, eta_seq, args.ell)
     _emit(args, ladder.to_dict())
     return 0
@@ -202,14 +202,14 @@ def _cmd_measure_fit(args) -> int:
                 as_complex(item["value"], f"{where}.value"))
 
     def arc(item, where):
-        bounds = as_list(item, where, as_number)
+        bounds = as_list(item, where, as_finite)
         if len(bounds) != 2:
             raise ConfigError(f"{where}: expected a [start, end] pair, got {item!r}")
         return tuple(bounds)
 
     entries = as_list(doc["targets"], f"{infile}.targets", target)
     partition = as_list(doc["partition"], f"{infile}.partition", arc)
-    window = as_number(doc["window"], f"{infile}.window") if "window" in doc else None
+    window = as_finite(doc["window"], f"{infile}.window") if "window" in doc else None
     fit = fit_simple_density(TargetFunctional(tuple(entries)), partition,
                              eps=args.eps, window=window)
     payload = fit.density.to_dict()
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blaschke-eval", help="evaluate a finite Blaschke product")
     p.add_argument("--zeros", required=True, help='inline JSON, e.g. "[[0,0]]"')
-    p.add_argument("--rotation", type=float, default=0.0)
+    p.add_argument("--rotation", type=_FINITE, default=0.0)
     p.add_argument("--at", required=True, help='inline JSON point, e.g. "[0.3,0]"')
     _add_common(p, _cmd_blaschke_eval, disc_geometry, blaschke)
 
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")
     p.add_argument("--zeros", required=True, help="inline JSON list of zeros")
-    p.add_argument("--rotation", type=float, default=0.0)
+    p.add_argument("--rotation", type=_FINITE, default=0.0)
     p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
     p.add_argument("--n-fft", type=_integer(hoffman.MIN_FFT_NODES, power_of_two=True),
                    default=4096)

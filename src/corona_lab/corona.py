@@ -23,7 +23,7 @@ from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_compl
                         poly_to_complex, residual_l1_bound)
 from .functions import POLYNOMIAL, FunctionSpec
 from .quadrature import circle_nodes, polar_grid
-from .serialize import as_list, as_number, strict_keys
+from .serialize import as_finite, as_list, as_number, strict_keys
 
 INSIDE_TOL = 1e-9
 
@@ -67,9 +67,9 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: dict, where: str = "grid") -> "GridSpec":
         strict_keys(d, required=("radial", "angular", "boundary", "ratio"), where=where)
-        values = {key: as_number(d[key], f"{where}.{key}", kind)
-                  for key, kind in (("radial", int), ("angular", int),
-                                    ("boundary", int), ("ratio", float))}
+        values = {key: as_number(d[key], f"{where}.{key}", int)
+                  for key in ("radial", "angular", "boundary")}
+        values["ratio"] = as_finite(d["ratio"], f"{where}.ratio")
         for key in ("radial", "angular", "boundary"):
             if values[key] > MAX_COUNT:
                 raise ConfigError(f"{where}.{key}: expected a count of at most "
@@ -142,7 +142,7 @@ class CoronaInstance:
         grid = (GridSpec.from_dict(d["grid"], f"{where}.grid")
                 if "grid" in d else DEFAULT_GRID)
         if "delta_hat" in d:
-            return cls(fns, grid, as_number(d["delta_hat"], f"{where}.delta_hat"))
+            return cls(fns, grid, as_finite(d["delta_hat"], f"{where}.delta_hat"))
         return cls.build(fns, grid)
 
 

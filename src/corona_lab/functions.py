@@ -13,7 +13,7 @@ from .blaschke import BlaschkeProduct
 from .disc_geometry import pointwise
 from .errors import ConfigError, DomainError
 from .quadrature import circle_nodes
-from .serialize import as_number, complex_list, strict_keys
+from .serialize import as_finite, complex_list, strict_keys
 
 POLYNOMIAL = "polynomial"
 FINITE_BLASCHKE = "finite_blaschke"
@@ -136,7 +136,7 @@ class FunctionSpec:
         if kind == FINITE_BLASCHKE:
             strict_keys(data, required=("zeros",), optional=("rotation",),
                         where=f"{where}.data")
-            rotation = as_number(data.get("rotation", 0.0), f"{where}.rotation")
+            rotation = as_finite(data.get("rotation", 0.0), f"{where}.rotation")
             return cls.finite_blaschke(complex_list(data["zeros"], f"{where}.zeros"), rotation)
         if kind == RATIONAL:
             strict_keys(data, required=("num", "den"), where=f"{where}.data")

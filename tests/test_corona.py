@@ -172,6 +172,10 @@ def test_certificate_roundtrip_keeps_residual_bound():
     assert math.isnan(bare.residual_sup) and bare.solutions == cert.solutions
     with pytest.raises(ConfigError, match="residual_sup"):
         BezoutCertificate.from_dict(dict(cert.to_dict(), residual_sup="0.1"))
+    # measured numbers may be non-finite in an emitted certificate and still load
+    wild = BezoutCertificate.from_dict(dict(cert.to_dict(), residual_sup=math.inf,
+                                            norms=[math.nan], residual_bound=math.inf))
+    assert math.isinf(wild.residual_sup) and math.isnan(wild.norms[0])
 
 
 def test_exact_solver_degree_20_pair():

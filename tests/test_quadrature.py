@@ -36,12 +36,8 @@ def oracle_kernel(start, stop, per_circle):
 
 def oracle_piecewise(f, breakpoints, nodes):
     """integrate_piecewise with its segments and panel counts built in Python."""
-    brk = sorted({float(b) for b in breakpoints})
-    if not brk:
-        brk = [-np.pi]
+    brk = sorted({float(b) for b in breakpoints} | {-np.pi, np.pi})
     segments = list(zip(brk, brk[1:]))
-    segments.append((brk[-1], brk[0] + 2 * np.pi))
-    segments = [(a, b) for a, b in segments if b - a > 1e-15]
     panels = [max(1, int(np.ceil((b - a) / (2 * np.pi) * nodes / GL_ORDER)))
               for a, b in segments]
     x, w = oracle_panels(segments, panels)

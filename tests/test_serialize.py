@@ -15,7 +15,7 @@ from corona_lab.corona import BezoutCertificate, CoronaInstance, GridSpec
 from corona_lab.errors import ConfigError
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import SimpleDensity
-from corona_lab.serialize import as_complex, dumps
+from corona_lab.serialize import as_complex, as_finite, as_number, dumps
 
 
 @pytest.mark.parametrize("value, text", [
@@ -42,6 +42,16 @@ def test_as_complex_rejects_non_finite_parts(pair):
     with pytest.raises(ConfigError) as exc:
         as_complex(pair, "f.coeffs[1]")
     assert str(exc.value).startswith("f.coeffs[1]: expected finite [re, im] parts")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, json.loads("1e400")])
+def test_as_finite_rejects_what_as_number_passes(value):
+    # the JSON reader takes NaN, Infinity and 1e400 as floats
+    assert not math.isfinite(as_number(value, "f.rotation"))
+    with pytest.raises(ConfigError) as exc:
+        as_finite(value, "f.rotation")
+    assert str(exc.value).startswith("f.rotation: expected a finite number")
+    assert as_finite(-3, "f.rotation") == -3.0
 
 
 # ------------------------------------------------------------ round trips
