@@ -4,25 +4,21 @@ Conventions: structured artifacts travel as JSON (complex numbers as
 [re, im] pairs, angles in radians), plot data as CSV.  Identical inputs and
 seed produce byte-identical outputs.  Exit codes: 0 success, 1 domain error
 (machine-readable report on stderr), 2 usage error.
+
+Only errors, serialize and quadrature load with this module: each handler,
+and each --selftest, imports the library modules it uses when it runs, so a
+process loads no module its subcommand does not use.
 """
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
 
-from . import blaschke, corona, disc_geometry, exactpoly, hoffman, measures
-from .blaschke import BlaschkeProduct, DiscSequence, construct_ladder
-from .corona import (BezoutCertificate, CoronaInstance, bezout_exact, bezout_numeric,
-                     check_certificate, cluster_scenario, measure_delta)
-from .disc_geometry import OrthogonalArc
 from .errors import ConfigError, CoronaLabError
-from .functions import POLYNOMIAL, FunctionSpec
-from .hoffman import compose_trace, l2_distance_to_identity
-from .measures import (SimpleDensity, TargetFunctional, align_arcs,
-                       fit_simple_density, pushforward_density, quartiles)
-from .quadrature import DEFAULT_NODES, circle_nodes
+from .quadrature import DEFAULT_NODES, MIN_FFT_NODES, circle_nodes
 from .serialize import (as_complex, as_finite, as_list, complex_list, csv_text, dumps,
                         load_json, strict_keys)
 
@@ -85,12 +81,14 @@ def _emit(args, artifact) -> None:
 
 
 def _load_functions(path: str) -> tuple:
+    from .functions import FunctionSpec
     doc = load_json(path)
     strict_keys(doc, required=("functions",), where=path)
     return tuple(as_list(doc["functions"], f"{path}.functions", FunctionSpec.from_dict))
 
 
-def _load_density(path: str) -> SimpleDensity:
+def _load_density(path: str):
+    from .measures import SimpleDensity
     doc = load_json(path)
     if isinstance(doc, dict):
         # measure-fit artifacts carry diagnostics next to the pieces
@@ -99,13 +97,16 @@ def _load_density(path: str) -> SimpleDensity:
     return SimpleDensity.from_dict(doc, path)
 
 
-def _load_sequence(path: str) -> DiscSequence:
+def _load_sequence(path: str):
+    from .blaschke import DiscSequence
     return DiscSequence.from_dict(load_json(path), path)
 
 
 # ---------------------------------------------------------------- handlers
 
 def _cmd_corona_solve(args) -> int:
+    from .corona import CoronaInstance, bezout_exact, bezout_numeric
+    from .functions import POLYNOMIAL
     inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     method = args.method
     if method == "auto":
@@ -124,6 +125,7 @@ def _cmd_corona_solve(args) -> int:
 
 
 def _cmd_corona_check(args) -> int:
+    from .corona import BezoutCertificate, CoronaInstance, check_certificate
     inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     cert = BezoutCertificate.from_dict(load_json(args.cert), args.cert)
     report = check_certificate(inst, cert, tol=args.tol, seed=args.seed,
@@ -133,6 +135,7 @@ def _cmd_corona_check(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    from .corona import CoronaInstance, measure_delta
     inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     report = measure_delta(inst.functions, inst.grid)
     _emit(args, report.to_dict())
@@ -151,6 +154,7 @@ def _cmd_interp_check(args) -> int:
 
 
 def _cmd_blaschke_eval(args) -> int:
+    from .blaschke import BlaschkeProduct
     zeros = complex_list(_parse_inline(args.zeros, "--zeros"), "--zeros")
     b = BlaschkeProduct(tuple(zeros), args.rotation)
     at = as_complex(_parse_inline(args.at, "--at"), "--at")
@@ -161,6 +165,7 @@ def _cmd_blaschke_eval(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
+    from .blaschke import construct_ladder
     zeros_doc = load_json(args.zeros)
     strict_keys(zeros_doc, required=("zeros",), where=args.zeros)
     zeros = complex_list(zeros_doc["zeros"], f"{args.zeros}.zeros")
@@ -173,6 +178,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_hoffman_trace(args) -> int:
+    from .functions import FunctionSpec
+    from .hoffman import compose_trace
     f = FunctionSpec.from_dict(load_json(args.function), args.function)
     seq = _load_sequence(args.points)
     trace = compose_trace(f, seq, grid_radius=args.grid_radius,
@@ -182,6 +189,8 @@ def _cmd_hoffman_trace(args) -> int:
 
 
 def _cmd_l2_identity(args) -> int:
+    from .blaschke import BlaschkeProduct
+    from .hoffman import l2_distance_to_identity
     zeros = complex_list(_parse_inline(args.zeros, "--zeros"), "--zeros")
     b = BlaschkeProduct(tuple(zeros), args.rotation)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
@@ -191,6 +200,8 @@ def _cmd_l2_identity(args) -> int:
 
 
 def _cmd_measure_fit(args) -> int:
+    from .functions import FunctionSpec
+    from .measures import TargetFunctional, fit_simple_density
     infile = args.infile
     doc = load_json(infile)
     strict_keys(doc, required=("targets", "partition"), optional=("window",),
@@ -220,6 +231,7 @@ def _cmd_measure_fit(args) -> int:
 
 
 def _cmd_quartiles(args) -> int:
+    from .measures import quartiles
     s = _load_density(args.density)
     qp = quartiles(s, window=args.window)
     _emit(args, {"alpha": qp.alpha, "beta": qp.beta, "case_tag": qp.case_tag})
@@ -227,6 +239,7 @@ def _cmd_quartiles(args) -> int:
 
 
 def _cmd_pushforward(args) -> int:
+    from .measures import pushforward_density
     s = _load_density(args.density)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
     u = pushforward_density(s, c)
@@ -242,6 +255,8 @@ def _cmd_pushforward(args) -> int:
 
 
 def _cmd_align_arcs(args) -> int:
+    from .disc_geometry import OrthogonalArc
+    from .measures import align_arcs
     s = _load_density(args.density)
     target = OrthogonalArc(args.alpha, args.beta)
     aligned = align_arcs(s, target, args.case)
@@ -250,6 +265,7 @@ def _cmd_align_arcs(args) -> int:
 
 
 def _cmd_cluster_scenario(args) -> int:
+    from .corona import cluster_scenario
     fns = _load_functions(args.functions)
     seq = _load_sequence(args.points)
     report = cluster_scenario(fns, seq, eps=args.eps, min_tail=args.min_tail)
@@ -268,9 +284,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Selftest(argparse.Action):
-    """Runs the subcommand's module suites as soon as it is parsed and exits,
-    as --help does, so required flags may be absent: status 0 if every
-    check passes, 1 otherwise."""
+    """Imports the subcommand's modules (dotted names) and runs their suites
+    as soon as it is parsed, then exits as --help does, so required flags may
+    be absent: status 0 if every check passes, 1 otherwise."""
 
     def __init__(self, option_strings, dest, modules, help=None):
         super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
@@ -280,7 +296,7 @@ class _Selftest(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         passed = total = 0
         for module in self.modules:
-            for name, ok in module.selftest():
+            for name, ok in importlib.import_module(module).selftest():
                 total += 1
                 passed += bool(ok)
                 print(f"{'ok' if ok else 'FAIL'}  {name}")
@@ -311,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap", type=_integer(0), default=None,
                    help="numeric method only: polynomial degree cap (default 8)")
     p.add_argument("--tol", type=_POSITIVE, default=1e-8)
-    _add_common(p, _cmd_corona_solve, corona, exactpoly)
+    _add_common(p, _cmd_corona_solve, "corona_lab.corona", "corona_lab.exactpoly")
 
     p = sub.add_parser("corona-check", help="verify a certificate independently")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
@@ -320,21 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_integer(0), default=10000)
     p.add_argument("--seed", type=_integer(0), default=0,
                    help="seed for the random verification points")
-    _add_common(p, _cmd_corona_check, corona)
+    _add_common(p, _cmd_corona_check, "corona_lab.corona")
 
     p = sub.add_parser("delta", help="measure min of sum |f_k| over the grid")
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
-    _add_common(p, _cmd_delta, corona)
+    _add_common(p, _cmd_delta, "corona_lab.corona")
 
     p = sub.add_parser("interp-check", help="separation diagnostics of a sequence")
     p.add_argument("--points", required=True, help="sequence JSON")
-    _add_common(p, _cmd_interp_check, blaschke)
+    _add_common(p, _cmd_interp_check, "corona_lab.blaschke")
 
     p = sub.add_parser("blaschke-eval", help="evaluate a finite Blaschke product")
     p.add_argument("--zeros", required=True, help='inline JSON, e.g. "[[0,0]]"')
     p.add_argument("--rotation", type=_FINITE, default=0.0)
     p.add_argument("--at", required=True, help='inline JSON point, e.g. "[0.3,0]"')
-    _add_common(p, _cmd_blaschke_eval, disc_geometry, blaschke)
+    _add_common(p, _cmd_blaschke_eval, "corona_lab.disc_geometry", "corona_lab.blaschke")
 
     p = sub.add_parser("ladder", help="staged sector construction over a zero set")
     p.add_argument("--zeros", required=True, help='JSON file {"zeros": [...]}')
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="inline JSON list of tolerances")
     p.add_argument("--eta", required=True, help="inline JSON list of radii")
     p.add_argument("--ell", type=_RADIUS, required=True)
-    _add_common(p, _cmd_ladder, blaschke)
+    _add_common(p, _cmd_ladder, "corona_lab.blaschke")
 
     p = sub.add_parser("hoffman-trace", help="sample f o L_c along a sequence (CSV)")
     p.add_argument("--function", required=True, help="function JSON")
@@ -350,26 +366,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-radius", type=_RADIUS, default=0.9)
     p.add_argument("--grid-size", type=_integer(1), default=40)
     p.add_argument("--tol", type=_POSITIVE, default=1e-6)
-    _add_common(p, _cmd_hoffman_trace, hoffman)
+    _add_common(p, _cmd_hoffman_trace, "corona_lab.hoffman")
 
     p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")
     p.add_argument("--zeros", required=True, help="inline JSON list of zeros")
     p.add_argument("--rotation", type=_FINITE, default=0.0)
     p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
-    p.add_argument("--n-fft", type=_integer(hoffman.MIN_FFT_NODES, power_of_two=True),
+    p.add_argument("--n-fft", type=_integer(MIN_FFT_NODES, power_of_two=True),
                    default=4096)
-    _add_common(p, _cmd_l2_identity, hoffman)
+    _add_common(p, _cmd_l2_identity, "corona_lab.hoffman")
 
     p = sub.add_parser("measure-fit", help="fit a step density to integral targets")
     p.add_argument("--in", dest="infile", required=True,
                    help='JSON file {"targets": [...], "partition": [...]}')
     p.add_argument("--eps", type=_POSITIVE, default=1e-3)
-    _add_common(p, _cmd_measure_fit, measures)
+    _add_common(p, _cmd_measure_fit, "corona_lab.measures")
 
     p = sub.add_parser("quartiles", help="quartile angles and case tag of a density")
     p.add_argument("--density", required=True, help="density JSON")
     p.add_argument("--window", type=_WINDOW, default=math.pi)
-    _add_common(p, _cmd_quartiles, measures)
+    _add_common(p, _cmd_quartiles, "corona_lab.measures")
 
     p = sub.add_parser("pushforward", help="density of the image measure under L_c")
     p.add_argument("--density", required=True, help="density JSON")
@@ -379,21 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=_integer(MIN_NODES), default=None,
                    help=f"mass quadrature node count (default {DEFAULT_NODES}); "
                         "not with --samples")
-    _add_common(p, _cmd_pushforward, measures)
+    _add_common(p, _cmd_pushforward, "corona_lab.measures")
 
     p = sub.add_parser("align-arcs", help="move a density's quartile arc onto a target")
     p.add_argument("--density", required=True, help="density JSON")
     p.add_argument("--alpha", type=_FINITE, required=True)
     p.add_argument("--beta", type=_FINITE, required=True)
     p.add_argument("--case", choices=("a", "b", "c"), required=True)
-    _add_common(p, _cmd_align_arcs, measures)
+    _add_common(p, _cmd_align_arcs, "corona_lab.measures")
 
     p = sub.add_parser("cluster-scenario", help="simultaneous limits along a sequence")
     p.add_argument("--functions", required=True, help='JSON file {"functions": [...]}')
     p.add_argument("--points", required=True, help="sequence JSON")
     p.add_argument("--eps", type=_POSITIVE, default=1e-6)
     p.add_argument("--min-tail", type=_integer(2), default=3)
-    _add_common(p, _cmd_cluster_scenario, corona)
+    _add_common(p, _cmd_cluster_scenario, "corona_lab.corona")
 
     return parser
 

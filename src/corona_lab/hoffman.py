@@ -16,7 +16,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, DiscSequence, _one_minus_abs2, compose_with_mobius
 from .disc_geometry import MobiusAut, check_disc
 from .errors import AliasingError, DomainError
-from .quadrature import circle_nodes, polar_grid
+from .quadrature import MIN_FFT_NODES, circle_nodes, polar_grid
 from .serialize import csv_rows
 
 DEFAULT_GRID_RADIUS = 0.9
@@ -26,7 +26,6 @@ GRID_ANGULAR = 8
 CAUCHY_TOL = 1e-6
 
 DEFAULT_FFT_NODES = 4096
-MIN_FFT_NODES = 256
 ALIAS_TOL = 1e-3
 
 

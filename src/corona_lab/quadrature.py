@@ -8,14 +8,23 @@ handles step-density weights by placing Gauss-Legendre panels between the
 discontinuities.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError
 
 DEFAULT_NODES = 4096
 GL_ORDER = 16
+# the fewest uniform nodes of the boundary FFT (hoffman.l2_distance_to_identity)
+MIN_FFT_NODES = 256
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
+
+@functools.cache
+def gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GL_ORDER-point Gauss-Legendre rule on [-1, 1],
+    built on first use: numpy.polynomial loads only where panels are built."""
+    return np.polynomial.legendre.leggauss(GL_ORDER)
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -63,8 +72,9 @@ def gauss_legendre_panels(start, stop, per_circle) -> tuple[np.ndarray, np.ndarr
     hi[:-1] = lo[1:]
     hi[ends - 1] = stop
     half = (hi - lo) / 2
-    nodes = ((lo + hi) / 2)[:, None] + half[:, None] * _GL_X
-    return nodes.ravel(), (half[:, None] * _GL_W).ravel(), counts
+    gl_x, gl_w = gl_rule()
+    nodes = ((lo + hi) / 2)[:, None] + half[:, None] * gl_x
+    return nodes.ravel(), (half[:, None] * gl_w).ravel(), counts
 
 
 def integrate_piecewise(f, breakpoints, nodes: int = DEFAULT_NODES) -> complex:
@@ -74,8 +84,15 @@ def integrate_piecewise(f, breakpoints, nodes: int = DEFAULT_NODES) -> complex:
     with -pi and pi, cut [-pi, pi] into segments of nonzero width, so no
     segment wraps past pi; each is subdivided so roughly `nodes` evaluations
     are spent in total.  f is called once, on every node of every segment.
+    Every node is clipped into its half-open segment [a, b): on a segment a
+    few ulps wide an outer node may round onto b, where a step integrand
+    already reads the next segment.
     """
     brk = np.sort(np.append(np.asarray(breakpoints, dtype=float), (-np.pi, np.pi)))
     brk = brk[np.append(True, brk[1:] != brk[:-1])]
-    x, w, _ = gauss_legendre_panels(brk[:-1], brk[1:], nodes / GL_ORDER)
+    start, stop = brk[:-1], brk[1:]
+    x, w, counts = gauss_legendre_panels(start, stop, nodes / GL_ORDER)
+    per_segment = counts * GL_ORDER
+    x = np.clip(x, np.repeat(start, per_segment),
+                np.repeat(np.nextafter(stop, -np.inf), per_segment))
     return complex(np.sum(np.asarray(f(x), dtype=complex) * w) / (2 * np.pi))

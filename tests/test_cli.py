@@ -756,8 +756,59 @@ def test_measure_fit_runs_without_scipy(capsys, tmp_path):
     assert run(capsys, "measure-fit", "--in", spec) == (0, proc.stdout, "")
 
 
+# the modules blaschke-eval loads: the CLI, its three module-level imports,
+# blaschke and disc_geometry; the other subcommands below add their own
+_CLI_MODULES = {"blaschke", "cli", "disc_geometry", "errors", "quadrature", "serialize"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("blaschke-eval", set()),
+    ("delta", {"corona", "exactpoly", "functions"}),
+    ("quartiles", {"functions", "measures"}),
+    ("l2-identity", {"hoffman"}),
+])
+def test_a_subcommand_loads_only_the_modules_it_uses(capsys, tmp_path, command, extra):
+    argv = [command] + {
+        "blaschke-eval": ["--zeros", "[[0.5,0.1]]", "--at", "[0.3,-0.2]"],
+        "delta": ["--in", write(tmp_path, "inst.json", {
+            "functions": [_poly([0, 0, 1]), _poly([-0.5, 1])]})],
+        "quartiles": ["--density", write(tmp_path, "d.json",
+                                         {"pieces": [[-0.5, 0.5, 2 * math.pi]]})],
+        "l2-identity": ["--zeros", "[[0.5,0.1],[0,0.2]]", "--c", "[0.1,0]"],
+    }[command]
+    code = ("import json, sys, corona_lab.cli\n"
+            f"rc = corona_lab.cli.main({argv!r})\n"
+            "json.dump([rc, sorted(m for m in sys.modules if m.startswith('corona_lab.')),\n"
+            "           'numpy.polynomial' in sys.modules], sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    rc, loaded, polynomial = json.loads(proc.stderr)
+    assert rc == 0
+    assert loaded == sorted(f"corona_lab.{m}" for m in _CLI_MODULES | extra)
+    # the Gauss-Legendre table, and numpy.polynomial with it, wait for a panel
+    assert not polynomial
+    # a fresh process gives the bytes of an in-process call
+    assert run(capsys, *argv) == (0, proc.stdout, "")
+
+
+def test_the_package_surface_resolves_on_first_access():
+    # every public name is the object its defining module holds
+    for name in corona_lab.__all__:
+        obj = getattr(corona_lab, name)
+        assert obj.__module__.startswith("corona_lab.")
+        assert vars(importlib.import_module(obj.__module__))[name] is obj
+    assert set(corona_lab.__all__) <= set(dir(corona_lab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        corona_lab.no_such_name
+    # a bare import loads no submodule
+    code = "import sys, corona_lab; print(sorted(m for m in sys.modules if 'corona_lab' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("['corona_lab']\n", "")
+
+
 def test_every_module_suite_is_reachable_from_a_subcommand():
-    reached = {module.__name__ for p in subcommands().values() for a in p._actions
+    reached = {module for p in subcommands().values() for a in p._actions
                if isinstance(a, _Selftest) for module in a.modules}
     with_suite = {f"corona_lab.{m.name}" for m in pkgutil.iter_modules(corona_lab.__path__)
                   if not m.name.startswith("__")

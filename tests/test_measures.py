@@ -622,10 +622,19 @@ def test_pushforward_keeps_the_base_mass(raw, radius, angle):
     assert abs(u.mass() - s.mass()) <= 1e-10
 
 
-@pytest.mark.parametrize("width", [1e-12, 1e-14])
+@pytest.mark.parametrize("width", [1e-12, 1e-14, 64 * math.ulp(0.3), 16 * math.ulp(0.3)],
+                         ids=["1e-12", "1e-14", "64ulp", "16ulp"])
 def test_pushforward_keeps_the_mass_of_a_narrow_piece(width):
-    # the base pieces are exact, so no preimage rounding trims the piece
+    # the base pieces are exact, so no preimage rounding trims the piece; on
+    # the ulp-wide ones, a node rounded onto the end must not read past it
     s = SimpleDensity.normalized(((0.3, 0.3 + width, 1.0),))
+    assert abs(pushforward_density(s, 0.5 + 0.3j).mass() - 1) <= 1e-15
+
+
+def test_pushforward_keeps_a_narrow_gap_empty():
+    # a 16-ulp gap before a piece: its nodes must not read the piece's level
+    gap = 16 * math.ulp(0.3)
+    s = SimpleDensity.normalized(((0.3 - 1e-12, 0.3, 1.0), (0.3 + gap, 0.3 + 1e-12, 1.0)))
     assert abs(pushforward_density(s, 0.5 + 0.3j).mass() - 1) <= 1e-15
 
 

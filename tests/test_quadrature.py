@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from corona_lab import measures
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import fit_simple_density
-from corona_lab.quadrature import (_GL_W, _GL_X, GL_ORDER, gauss_legendre_panels,
-                                   integrate_piecewise)
+from corona_lab.quadrature import GL_ORDER, gauss_legendre_panels, gl_rule, integrate_piecewise
 
 TWO_PI = 2 * math.pi
 
@@ -23,8 +22,9 @@ def oracle_panels(intervals, panels):
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
     half = (hi - lo) / 2
-    nodes = ((lo + hi) / 2)[:, None] + half[:, None] * _GL_X
-    return nodes.ravel(), (half[:, None] * _GL_W).ravel()
+    gl_x, gl_w = gl_rule()
+    nodes = ((lo + hi) / 2)[:, None] + half[:, None] * gl_x
+    return nodes.ravel(), (half[:, None] * gl_w).ravel()
 
 
 def oracle_kernel(start, stop, per_circle):
