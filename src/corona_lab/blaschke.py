@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .disc_geometry import MobiusAut, canonical_angle, check_disc, pointwise
+from .disc_geometry import MobiusAut, canonical_angle, check_disc, one_minus_abs2, pointwise
 from .errors import ConstructionError, DomainError, InfeasibleError
 from .quadrature import polar_grid
 from .serialize import as_finite, complex_list, strict_keys
@@ -32,18 +32,6 @@ def _unimodular_prefactor(a: complex) -> complex:
     # an exact power-of-two scale keeps abs() out of the subnormal range
     a = a * 2.0 ** 600
     return a.conjugate() / abs(a)
-
-
-def _one_minus_abs2(a: complex) -> float:
-    """1 - |a|^2 rounded once: each square splits exactly into three
-    products of half-length parts (Veltkamp), and fsum adds them exactly."""
-    terms = [1.0]
-    for x in (a.real, a.imag):
-        c = 134217729.0 * x         # 2^27 + 1
-        hi = c - (c - x)
-        lo = x - hi
-        terms += (-hi * hi, -2 * hi * lo, -lo * lo)
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -90,11 +78,11 @@ class BlaschkeProduct:
             a, *rest = self.zeros[start:start + BLOCK]
             np.subtract(a, z, out=num)
             np.multiply(a.conjugate(), num, out=den)
-            den += _one_minus_abs2(a)
+            den += one_minus_abs2(a)
             for a in rest:
                 num *= np.subtract(a, z, out=tmp)
                 tmp *= a.conjugate()
-                tmp += _one_minus_abs2(a)
+                tmp += one_minus_abs2(a)
                 den *= tmp
             num /= den
             out *= num
@@ -115,7 +103,7 @@ class BlaschkeProduct:
         q, f = (np.empty(z.shape, dtype=complex) for _ in range(2))
         for a in self.zeros:
             u = _unimodular_prefactor(a)
-            g = _one_minus_abs2(a)
+            g = one_minus_abs2(a)
             np.subtract(a, z, out=f)
             np.multiply(a.conjugate(), f, out=q)
             q += g

@@ -18,7 +18,8 @@ import math
 import sys
 
 from .errors import ConfigError, CoronaLabError
-from .quadrature import DEFAULT_NODES, MIN_FFT_NODES, circle_nodes
+from .quadrature import (CHECK_SAMPLES, DEFAULT_FFT_NODES, DEFAULT_GRID_RADIUS,
+                         DEFAULT_GRID_SIZE, DEFAULT_NODES, MIN_FFT_NODES, circle_nodes)
 from .serialize import (as_complex, as_finite, as_list, complex_list, csv_text, dumps,
                         load_json, strict_keys)
 
@@ -103,15 +104,14 @@ def _load_sequence(path: str):
 
 
 # ---------------------------------------------------------------- handlers
+# each returns (artifact, exit status); main writes the artifact
 
-def _cmd_corona_solve(args) -> int:
+def _cmd_corona_solve(args) -> tuple:
     from .corona import CoronaInstance, bezout_exact, bezout_numeric
-    from .functions import POLYNOMIAL
     inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     method = args.method
     if method == "auto":
-        all_poly = all(f.kind == POLYNOMIAL for f in inst.functions)
-        method = "exact" if all_poly else "numeric"
+        method = "exact" if all(f.coeffs is not None for f in inst.functions) else "numeric"
     if method == "exact":
         if args.degree_cap is not None:
             raise ConfigError("--degree-cap: applies to the numeric method only, "
@@ -120,51 +120,46 @@ def _cmd_corona_solve(args) -> int:
     else:
         cap = 8 if args.degree_cap is None else args.degree_cap
         cert = bezout_numeric(inst, degree_cap=cap, tol=args.tol)
-    _emit(args, cert.to_dict())
-    return 0
+    return cert.to_dict(), 0
 
 
-def _cmd_corona_check(args) -> int:
+def _cmd_corona_check(args) -> tuple:
     from .corona import BezoutCertificate, CoronaInstance, check_certificate
     inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     cert = BezoutCertificate.from_dict(load_json(args.cert), args.cert)
     report = check_certificate(inst, cert, tol=args.tol, seed=args.seed,
                                samples=args.samples)
-    _emit(args, report.to_dict())
-    return 0 if report.passing else 1
+    return report.to_dict(), 0 if report.passing else 1
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args) -> tuple:
     from .corona import CoronaInstance, measure_delta
     inst = CoronaInstance.from_dict(load_json(args.infile), args.infile)
     report = measure_delta(inst.functions, inst.grid)
-    _emit(args, report.to_dict())
-    return 0
+    return report.to_dict(), 0
 
 
-def _cmd_interp_check(args) -> int:
+def _cmd_interp_check(args) -> tuple:
     seq = _load_sequence(args.points)
-    _emit(args, {
+    return {
         "count": len(seq),
         "gap_sum": seq.gap_sum,
         "carleson_constant": seq.carleson_constant,
         "tails": seq.separation_tails,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_blaschke_eval(args) -> int:
+def _cmd_blaschke_eval(args) -> tuple:
     from .blaschke import BlaschkeProduct
     zeros = complex_list(_parse_inline(args.zeros, "--zeros"), "--zeros")
     b = BlaschkeProduct(tuple(zeros), args.rotation)
     at = as_complex(_parse_inline(args.at, "--at"), "--at")
     if not abs(at) <= 1 + 1e-12:
         raise ConfigError("--at must lie in the closed unit disc")
-    _emit(args, {"value": b(at)})
-    return 0
+    return {"value": b(at)}, 0
 
 
-def _cmd_ladder(args) -> int:
+def _cmd_ladder(args) -> tuple:
     from .blaschke import construct_ladder
     zeros_doc = load_json(args.zeros)
     strict_keys(zeros_doc, required=("zeros",), where=args.zeros)
@@ -173,33 +168,30 @@ def _cmd_ladder(args) -> int:
     eps_seq = as_list(_parse_inline(args.eps, "--eps"), "--eps", as_finite)
     eta_seq = as_list(_parse_inline(args.eta, "--eta"), "--eta", as_finite)
     ladder = construct_ladder(zeros, candidates, eps_seq, eta_seq, args.ell)
-    _emit(args, ladder.to_dict())
-    return 0
+    return ladder.to_dict(), 0
 
 
-def _cmd_hoffman_trace(args) -> int:
+def _cmd_hoffman_trace(args) -> tuple:
     from .functions import FunctionSpec
     from .hoffman import compose_trace
     f = FunctionSpec.from_dict(load_json(args.function), args.function)
     seq = _load_sequence(args.points)
     trace = compose_trace(f, seq, grid_radius=args.grid_radius,
                           grid_size=args.grid_size, tol=args.tol)
-    _emit(args, trace.to_csv())
-    return 0
+    return trace.to_csv(), 0
 
 
-def _cmd_l2_identity(args) -> int:
+def _cmd_l2_identity(args) -> tuple:
     from .blaschke import BlaschkeProduct
     from .hoffman import l2_distance_to_identity
     zeros = complex_list(_parse_inline(args.zeros, "--zeros"), "--zeros")
     b = BlaschkeProduct(tuple(zeros), args.rotation)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
     report = l2_distance_to_identity(b, c, n_fft=args.n_fft)
-    _emit(args, report.summary())
-    return 0
+    return report.summary(), 0
 
 
-def _cmd_measure_fit(args) -> int:
+def _cmd_measure_fit(args) -> tuple:
     from .functions import FunctionSpec
     from .measures import TargetFunctional, fit_simple_density
     infile = args.infile
@@ -223,22 +215,18 @@ def _cmd_measure_fit(args) -> int:
     window = as_finite(doc["window"], f"{infile}.window") if "window" in doc else None
     fit = fit_simple_density(TargetFunctional(tuple(entries)), partition,
                              eps=args.eps, window=window)
-    payload = fit.density.to_dict()
-    payload["residuals"] = fit.residuals
-    payload["mass_error"] = fit.mass_error
-    _emit(args, payload)
-    return 0
+    return {**fit.density.to_dict(), "residuals": fit.residuals,
+            "mass_error": fit.mass_error}, 0
 
 
-def _cmd_quartiles(args) -> int:
+def _cmd_quartiles(args) -> tuple:
     from .measures import quartiles
     s = _load_density(args.density)
     qp = quartiles(s, window=args.window)
-    _emit(args, {"alpha": qp.alpha, "beta": qp.beta, "case_tag": qp.case_tag})
-    return 0
+    return {"alpha": qp.alpha, "beta": qp.beta, "case_tag": qp.case_tag}, 0
 
 
-def _cmd_pushforward(args) -> int:
+def _cmd_pushforward(args) -> tuple:
     from .measures import pushforward_density
     s = _load_density(args.density)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
@@ -247,30 +235,26 @@ def _cmd_pushforward(args) -> int:
         if args.nodes is not None:
             raise ConfigError("--nodes: applies to the mass integral, not to --samples")
         theta = circle_nodes(args.samples)
-        _emit(args, csv_text("theta,u", (theta, u(theta))))
-    else:
-        nodes = DEFAULT_NODES if args.nodes is None else args.nodes
-        _emit(args, {"mass": u.mass(nodes), "breakpoints": u.breakpoints})
-    return 0
+        return csv_text("theta,u", (theta, u(theta))), 0
+    nodes = DEFAULT_NODES if args.nodes is None else args.nodes
+    return {"mass": u.mass(nodes), "breakpoints": u.breakpoints}, 0
 
 
-def _cmd_align_arcs(args) -> int:
+def _cmd_align_arcs(args) -> tuple:
     from .disc_geometry import OrthogonalArc
     from .measures import align_arcs
     s = _load_density(args.density)
     target = OrthogonalArc(args.alpha, args.beta)
     aligned = align_arcs(s, target, args.case)
-    _emit(args, aligned.to_dict())
-    return 0
+    return aligned.to_dict(), 0
 
 
-def _cmd_cluster_scenario(args) -> int:
+def _cmd_cluster_scenario(args) -> tuple:
     from .corona import cluster_scenario
     fns = _load_functions(args.functions)
     seq = _load_sequence(args.points)
     report = cluster_scenario(fns, seq, eps=args.eps, min_tail=args.min_tail)
-    _emit(args, report.to_dict())
-    return 0
+    return report.to_dict(), 0
 
 
 # ------------------------------------------------------------------ parser
@@ -333,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--cert", required=True, help="certificate JSON")
     p.add_argument("--tol", type=_POSITIVE, default=1e-8)
-    p.add_argument("--samples", type=_integer(0), default=10000)
+    p.add_argument("--samples", type=_integer(0), default=CHECK_SAMPLES)
     p.add_argument("--seed", type=_integer(0), default=0,
                    help="seed for the random verification points")
     _add_common(p, _cmd_corona_check, "corona_lab.corona")
@@ -363,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hoffman-trace", help="sample f o L_c along a sequence (CSV)")
     p.add_argument("--function", required=True, help="function JSON")
     p.add_argument("--points", required=True, help="sequence JSON")
-    p.add_argument("--grid-radius", type=_RADIUS, default=0.9)
-    p.add_argument("--grid-size", type=_integer(1), default=40)
+    p.add_argument("--grid-radius", type=_RADIUS, default=DEFAULT_GRID_RADIUS)
+    p.add_argument("--grid-size", type=_integer(1), default=DEFAULT_GRID_SIZE)
     p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     _add_common(p, _cmd_hoffman_trace, "corona_lab.hoffman")
 
@@ -373,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rotation", type=_FINITE, default=0.0)
     p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
     p.add_argument("--n-fft", type=_integer(MIN_FFT_NODES, power_of_two=True),
-                   default=4096)
+                   default=DEFAULT_FFT_NODES)
     _add_common(p, _cmd_l2_identity, "corona_lab.hoffman")
 
     p = sub.add_parser("measure-fit", help="fit a step density to integral targets")
@@ -417,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        artifact, status = args.handler(args)
+        _emit(args, artifact)
+        return status
     except ConfigError as e:
         sys.stderr.write(dumps(e.payload()))
         return 2

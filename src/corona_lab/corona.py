@@ -21,11 +21,9 @@ from .disc_geometry import check_disc
 from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
 from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
                         poly_to_complex, residual_l1_bound)
-from .functions import POLYNOMIAL, FunctionSpec
-from .quadrature import circle_nodes, polar_grid
+from .functions import FunctionSpec, roots_in_closed_disc
+from .quadrature import CHECK_SAMPLES, circle_nodes, polar_grid
 from .serialize import as_finite, as_list, as_number, strict_keys
-
-INSIDE_TOL = 1e-9
 
 MIN_COUNT = 8
 # grid counts read from input files stop here: radial * angular ring points
@@ -101,10 +99,13 @@ def measure_delta(functions, grid: GridSpec = DEFAULT_GRID) -> DeltaReport:
     if not fns:
         raise DomainError("need at least one function")
     pts = grid.points()
-    total = np.zeros(pts.shape)
-    for f in fns:
-        total += np.abs(f(pts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(np.abs(f(pts)) for f in fns)
+    # a point whose sum is not finite cannot be the minimum
+    total[~np.isfinite(total)] = np.inf
     k = int(np.argmin(total))
+    if total[k] == np.inf:
+        raise DomainError("sum of |f_k| is not finite at any grid point")
     return DeltaReport(float(total[k]), complex(pts[k]))
 
 
@@ -210,10 +211,9 @@ def _certificate(instance: CoronaInstance, solutions: tuple, tol: float,
     z = np.exp(1j * verification_nodes(instance.grid))
     residual = _residual_sup(fns, solutions, z)
     norms = tuple(u.sup_norm_estimate() for u in solutions)
-    bound = None
-    if all(f.kind == POLYNOMIAL for f in (*fns, *solutions)):
-        bound = residual_l1_bound([f.payload[0] for f in fns],
-                                  [u.payload[0] for u in solutions])
+    coeffs = [f.coeffs for f in (*fns, *solutions)]
+    bound = (None if None in coeffs
+             else residual_l1_bound(coeffs[:len(fns)], coeffs[len(fns):]))
     return BezoutCertificate(solutions, residual, norms, residual <= tol, method, bound)
 
 
@@ -226,10 +226,10 @@ def bezout_exact(instance: CoronaInstance, tol: float = 1e-10) -> BezoutCertific
     rational solutions; any gcd root in the closed disc is a common zero, so
     no bounded solution tuple exists and UnsolvableError reports the roots.
     """
-    for f in instance.functions:
-        if f.kind != POLYNOMIAL:
-            raise DomainError("exact solver needs polynomial functions")
-    polys = [poly_from_complex(f.payload[0]) for f in instance.functions]
+    coeffs = [f.coeffs for f in instance.functions]
+    if None in coeffs:
+        raise DomainError("exact solver needs polynomial functions")
+    polys = [poly_from_complex(c) for c in coeffs]
     gcd, cofactors = iterated_xgcd(polys)
 
     if combination(polys, cofactors) != gcd:
@@ -240,9 +240,7 @@ def bezout_exact(instance: CoronaInstance, tol: float = 1e-10) -> BezoutCertific
                           for c in cofactors)
     else:
         gcd_coeffs = poly_to_complex(gcd)
-        roots = np.roots(list(reversed(gcd_coeffs)))
-        inside = [complex(r) for r in roots if abs(r) <= 1 + INSIDE_TOL]
-        if inside:
+        if inside := roots_in_closed_disc(gcd_coeffs, "common zeros"):
             raise UnsolvableError(
                 "the functions share zeros in the closed disc; "
                 "no solution tuple exists", roots=inside)
@@ -301,7 +299,7 @@ class CheckReport:
 
 def check_certificate(instance: CoronaInstance, cert: BezoutCertificate,
                       tol: float = 1e-8, seed: int = 0,
-                      samples: int = 10000) -> CheckReport:
+                      samples: int = CHECK_SAMPLES) -> CheckReport:
     """Independent certificate check on seeded random closed-disc points.
 
     Random points decouple the check from any node set the solver used; the

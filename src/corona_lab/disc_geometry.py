@@ -60,6 +60,18 @@ def check_disc(z, name: str = "z") -> complex:
     return z
 
 
+def one_minus_abs2(z: complex) -> float:
+    """1 - |z|^2 rounded once: each square splits exactly into three
+    products of half-length parts (Veltkamp), and fsum adds them exactly."""
+    terms = [1.0]
+    for x in (z.real, z.imag):
+        c = 134217729.0 * x         # 2^27 + 1
+        hi = c - (c - x)
+        lo = x - hi
+        terms += (-hi * hi, -2 * hi * lo, -lo * lo)
+    return math.fsum(terms)
+
+
 def pseudo_distance(z, w) -> float:
     """Pseudo-hyperbolic distance |z - w| / |1 - conj(w) z| for interior points."""
     z = check_disc(z, "z")
@@ -126,7 +138,7 @@ def pseudo_disc_euclidean(c, eta: float) -> tuple[complex, float]:
         raise DomainError(f"eta must lie in [0, 1), got {eta}")
     den = 1 - eta * eta * abs(c) ** 2
     center = (1 - eta * eta) * c / den
-    radius = eta * (1 - abs(c) ** 2) / den
+    radius = eta * one_minus_abs2(c) / den
     return center, radius
 
 

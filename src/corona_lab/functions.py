@@ -23,8 +23,8 @@ RATIONAL = "rational"
 _DATA_KEYS = {POLYNOMIAL: ("coeffs",), FINITE_BLASCHKE: ("zeros", "rotation"),
               RATIONAL: ("num", "den")}
 
-# poles must clear the closed disc by at least this margin
-POLE_MARGIN = 1e-9
+# a root within this margin of the closed disc counts as lying in it
+ROOT_MARGIN = 1e-9
 
 SUP_SAMPLES = 2048
 
@@ -35,6 +35,19 @@ def _poly_eval(coeffs, z):
         out *= z
         out += c
     return out
+
+
+def roots_in_closed_disc(coeffs, what: str) -> list:
+    """The roots, as Python complex values, of the polynomial with ascending
+    coefficients coeffs that lie within ROOT_MARGIN of the closed disc; what
+    names the roots in the error raised when they cannot be located."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            roots = np.roots(list(reversed(coeffs)))
+    except FloatingPointError:
+        raise DomainError(f"leading coefficient {coeffs[-1]} is too small to "
+                          f"locate the {what}") from None
+    return [complex(r) for r in roots if abs(r) <= 1 + ROOT_MARGIN]
 
 
 def _trim(coeffs) -> tuple:
@@ -78,22 +91,19 @@ class FunctionSpec:
         dc = _trim(den)
         if not any(dc):
             raise DomainError("rational denominator is identically zero")
-        if len(dc) > 1:
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    poles = np.roots(list(reversed(dc)))
-            except FloatingPointError:
-                raise DomainError("rational denominator: leading coefficient "
-                                  f"{dc[-1]} is too small to locate the poles") from None
-            inside = [p for p in poles if abs(p) <= 1 + POLE_MARGIN]
-            if inside:
-                raise DomainError(
-                    f"rational pole(s) inside or on the closed disc: {inside}")
+        if inside := roots_in_closed_disc(dc, "poles"):
+            raise DomainError(f"rational pole(s) inside or on the closed disc: {inside}")
         return cls(RATIONAL, (nc, dc))
 
     def __post_init__(self):
         if self.kind not in (POLYNOMIAL, FINITE_BLASCHKE, RATIONAL):
             raise DomainError(f"unknown function kind {self.kind!r}")
+
+    @property
+    def coeffs(self) -> tuple | None:
+        """The ascending coefficients of a polynomial, its exact form; None
+        for the other kinds."""
+        return self.payload[0] if self.kind == POLYNOMIAL else None
 
     def as_blaschke(self) -> BlaschkeProduct:
         if self.kind != FINITE_BLASCHKE:

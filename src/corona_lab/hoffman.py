@@ -13,19 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, DiscSequence, _one_minus_abs2, compose_with_mobius
-from .disc_geometry import MobiusAut, check_disc
+from .blaschke import BlaschkeProduct, DiscSequence, compose_with_mobius
+from .disc_geometry import MobiusAut, check_disc, one_minus_abs2
 from .errors import AliasingError, DomainError
-from .quadrature import MIN_FFT_NODES, circle_nodes, polar_grid
+from .quadrature import (DEFAULT_FFT_NODES, DEFAULT_GRID_RADIUS, DEFAULT_GRID_SIZE,
+                         MIN_FFT_NODES, circle_nodes, polar_grid)
 from .serialize import csv_rows
 
-DEFAULT_GRID_RADIUS = 0.9
-DEFAULT_GRID_SIZE = 40
 GRID_ANGULAR = 8
 
 CAUCHY_TOL = 1e-6
 
-DEFAULT_FFT_NODES = 4096
 ALIAS_TOL = 1e-3
 
 
@@ -126,8 +124,7 @@ def schwarz_check(seq: DiscSequence, b: BlaschkeProduct | None = None,
     tails = seq.separation_tails if b.zeros == seq.points else None
     pts = np.array(seq.points, dtype=complex)
     values = b(pts)
-    # 1 - |c|^2 rounded once: subtracting |c|^2 cancels next to the circle
-    gaps = np.array([_one_minus_abs2(c) for c in seq.points])
+    gaps = np.array([one_minus_abs2(c) for c in seq.points])
     inv = gaps * np.abs(b.derivative(pts))
     bad = np.flatnonzero(inv > 1 + tol)
     if bad.size:

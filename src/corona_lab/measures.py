@@ -15,7 +15,8 @@ from operator import add
 import numpy as np
 
 from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
-                            geodesic_endpoints, orthogonal_circle, pointwise)
+                            geodesic_endpoints, one_minus_abs2, orthogonal_circle,
+                            pointwise)
 from .errors import DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
 from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
@@ -162,7 +163,7 @@ class SimpleDensity:
 def poisson_kernel(z, theta):
     """(1 - |z|^2) / |e^{i theta} - z|^2 for an interior evaluation point."""
     z = check_disc(z, "z")
-    return (1 - abs(z) ** 2) / np.abs(np.exp(1j * theta) - z) ** 2
+    return one_minus_abs2(z) / np.abs(np.exp(1j * theta) - z) ** 2
 
 
 def poisson_integral(f, z, nodes: int = DEFAULT_NODES, tol: float | None = None):
@@ -525,7 +526,7 @@ class PushforwardDensity:
     @pointwise(float)
     def jacobian(self, theta):
         e = np.exp(1j * theta)
-        return (1 - abs(self.c) ** 2) / np.abs(1 + np.conj(self.c) * e) ** 2
+        return one_minus_abs2(self.c) / np.abs(1 + np.conj(self.c) * e) ** 2
 
     @pointwise(float)
     def __call__(self, theta):

@@ -16,8 +16,15 @@ from .errors import DomainError
 
 DEFAULT_NODES = 4096
 GL_ORDER = 16
-# the fewest uniform nodes of the boundary FFT (hoffman.l2_distance_to_identity)
+# sampling defaults the library and the CLI share: the fewest and the default
+# uniform nodes of the boundary FFT (hoffman.l2_distance_to_identity), the
+# size and outer radius of hoffman's recentering grid (disc_grid), and the
+# random points of corona.check_certificate
 MIN_FFT_NODES = 256
+DEFAULT_FFT_NODES = 4096
+DEFAULT_GRID_SIZE = 40
+DEFAULT_GRID_RADIUS = 0.9
+CHECK_SAMPLES = 10000
 
 
 @functools.cache

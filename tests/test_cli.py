@@ -178,6 +178,26 @@ def test_delta_report(capsys, tmp_path):
     assert rep["argmin"] == [0.5, 0.0]
 
 
+def test_delta_with_no_finite_sum_is_a_domain_error(capsys, tmp_path):
+    # 1.7e308 + 1.7e308 overflows at every grid point
+    inst = write(tmp_path, "inst.json", {"functions": [_poly([1.7e308]), _poly([1.7e308])]})
+    for command in ("delta", "corona-solve"):
+        rc, out, err = run(capsys, command, "--in", inst)
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "sum of |f_k| is not finite at any grid point"}
+
+
+def test_delta_skips_points_where_a_function_overflows(capsys, tmp_path):
+    # 1e308 + 1e308 z overflows next to z = 1 and vanishes at z = -1; under the
+    # warnings-as-errors setting an overflow warning would end the run
+    inst = write(tmp_path, "inst.json", {"functions": [_poly([1e308, 1e308])]})
+    rc, out, err = run(capsys, "delta", "--in", inst)
+    assert (rc, err) == (0, "")
+    assert out == ('{\n  "argmin": [\n    -1.0,\n    -1.2246467991473532e-16\n  ],\n'
+                   '  "value": 1.2246467991473532e+292\n}\n')
+
+
 def test_interp_check(capsys, tmp_path):
     points = write(tmp_path, "pts.json",
                    {"points": [[1 - 2.0 ** -j, 0.0] for j in range(1, 11)]})

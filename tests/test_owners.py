@@ -1,0 +1,185 @@
+"""One owner per decision: 1 - |z|^2 is formed by disc_geometry.one_minus_abs2,
+roots are located against the closed disc by functions.roots_in_closed_disc,
+polynomial data is read through FunctionSpec.coeffs, artifacts are written
+by cli.main, and the Gauss-Legendre table is built by quadrature.gl_rule."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import corona_lab
+from corona_lab.corona import CoronaInstance, bezout_exact
+from corona_lab.disc_geometry import one_minus_abs2, pseudo_disc_euclidean
+from corona_lab.errors import DomainError, UnsolvableError
+from corona_lab.exactpoly import iterated_xgcd, poly_from_complex, poly_to_complex
+from corona_lab.functions import FunctionSpec, roots_in_closed_disc
+from corona_lab.measures import SimpleDensity, poisson_kernel, pushforward_density
+
+EPS = np.finfo(float).eps
+SRC = Path(corona_lab.__file__).parent
+
+
+def _sites(test) -> list:
+    """'module.py:function' of every AST node in src/ for which test holds."""
+    found = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name if where is None else where
+        if test(node):
+            found.append(f"{path.name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
+def _attr(node, name: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
+def _is_abs_squared(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2
+            and isinstance(node.left, ast.Call)
+            and (_attr(node.left.func, "abs")
+                 or isinstance(node.left.func, ast.Name) and node.left.func.id == "abs"))
+
+
+def test_one_minus_abs2_is_formed_in_disc_geometry_only():
+    def subtraction(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Constant) and node.left.value == 1
+                and _is_abs_squared(node.right))
+
+    def veltkamp(node):
+        return isinstance(node, ast.Constant) and node.value == 134217729.0
+
+    assert _sites(subtraction) == []
+    assert _sites(veltkamp) == ["disc_geometry.py:one_minus_abs2"]
+
+
+def test_roots_are_located_in_one_place():
+    assert _sites(lambda n: isinstance(n, ast.Call) and _attr(n.func, "roots")) == [
+        "functions.py:roots_in_closed_disc"]
+
+
+def test_only_functions_reads_kind_and_payload():
+    def branch(node):
+        return ((isinstance(node, ast.Compare)
+                 and any(_attr(n, "kind") for n in (node.left, *node.comparators)))
+                or (isinstance(node, ast.Subscript) and _attr(node.value, "payload")))
+
+    assert {site.split(":")[0] for site in _sites(branch)} == {"functions.py"}
+
+
+def test_artifacts_are_written_by_main_only():
+    def emit(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_emit")
+
+    assert _sites(emit) == ["cli.py:main"]
+
+
+def test_the_gauss_legendre_table_is_built_in_gl_rule_only():
+    def leggauss(node):
+        return _attr(node, "leggauss") or isinstance(node, ast.Name) and node.id == "leggauss"
+
+    assert _sites(leggauss) == ["quadrature.py:gl_rule"]
+
+
+# points 1e-9 and 3e-12 from the circle, where 1 - |z|^2 formed by
+# subtraction keeps only about 7 and 4 significant digits
+NEAR_CIRCLE = [(1 - gap) * np.exp(1j * angle) for gap in (1e-9, 3e-12) for angle in (0.3, -2.1)]
+
+
+@pytest.fixture(scope="module")
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    return ctx
+
+
+def _mpc(mp, z):
+    return mp.mpc(z.real, z.imag)
+
+
+def _rel(value, ref) -> float:
+    return float(abs(value - ref) / abs(ref))
+
+
+@pytest.mark.parametrize("z", NEAR_CIRCLE)
+def test_one_minus_abs2_is_rounded_once(mp, z):
+    ref = 1 - abs(_mpc(mp, z)) ** 2
+    assert one_minus_abs2(z) == float(ref)
+
+
+@pytest.mark.parametrize("z", NEAR_CIRCLE)
+def test_poisson_kernel_near_the_circle_against_mpmath(mp, z):
+    theta = np.angle(z) + np.array([1.0, 2.5, -3.0])
+    got = poisson_kernel(z, theta)
+    w = _mpc(mp, z)
+    for t, value in zip(theta.tolist(), got.tolist()):
+        ref = (1 - abs(w) ** 2) / abs(mp.expj(t) - w) ** 2
+        assert _rel(value, ref) <= 4 * EPS, (t, _rel(value, ref))
+
+
+@pytest.mark.parametrize("c", NEAR_CIRCLE)
+def test_pushforward_jacobian_near_the_circle_against_mpmath(mp, c):
+    u = pushforward_density(SimpleDensity.uniform(-0.5, 0.5), c)
+    theta = np.angle(c) + np.array([0.0, 1.0, -2.0])
+    w = _mpc(mp, c)
+    for t, value in zip(theta.tolist(), u.jacobian(theta).tolist()):
+        ref = (1 - abs(w) ** 2) / abs(1 + mp.conj(w) * mp.expj(t)) ** 2
+        assert _rel(value, ref) <= 4 * EPS, (t, _rel(value, ref))
+
+
+@pytest.mark.parametrize("c", NEAR_CIRCLE)
+def test_pseudo_disc_radius_near_the_circle_against_mpmath(mp, c):
+    eta = 0.5
+    _, radius = pseudo_disc_euclidean(c, eta)
+    w = _mpc(mp, c)
+    ref = eta * (1 - abs(w) ** 2) / (1 - eta ** 2 * abs(w) ** 2)
+    assert _rel(radius, ref) <= 4 * EPS
+
+
+def test_roots_in_closed_disc_gives_python_complex_values():
+    # (z - 1/2)(z - 3)
+    inside = roots_in_closed_disc((1.5, -3.5, 1.0), "roots")
+    assert [type(r) for r in inside] == [complex]
+    assert abs(inside[0] - 0.5) < 1e-15
+    assert roots_in_closed_disc((2.0,), "roots") == []
+    with pytest.raises(DomainError, match="too small to locate the roots"):
+        roots_in_closed_disc((1.0, 5e-324), "roots")
+
+
+def test_rational_pole_error_lists_python_complex_values():
+    with pytest.raises(DomainError) as exc:
+        FunctionSpec.rational([1], [-0.5, 1])
+    assert exc.value.payload()["message"] == (
+        "rational pole(s) inside or on the closed disc: [(0.5-0j)]")
+
+
+def test_common_zeros_are_the_gcd_roots_in_the_disc():
+    # f2 = f1 (z - 2), so the gcd is f1 = (z - i/4)(z + 1/2), both roots inside
+    f1 = np.polymul([1, -0.25j], [1, 0.5])[::-1]
+    f2 = np.polymul(np.polymul([1, -0.25j], [1, 0.5]), [1, -2])[::-1]
+    with pytest.raises(UnsolvableError) as exc:
+        bezout_exact(CoronaInstance.build((FunctionSpec.polynomial(f1),
+                                           FunctionSpec.polynomial(f2))))
+    gcd, _ = iterated_xgcd([poly_from_complex(f) for f in (f1, f2)])
+    want = [complex(r) for r in np.roots(poly_to_complex(gcd)[::-1]) if abs(r) <= 1 + 1e-9]
+    assert exc.value.roots == want
+    assert [type(r) for r in want] == [complex, complex]
+    assert all(min(abs(r - z) for r in want) < 1e-12 for z in (-0.5, 0.25j))
+
+
+def test_coeffs_are_the_exact_form_of_polynomials_only():
+    assert FunctionSpec.polynomial([1, 2, 0]).coeffs == (1 + 0j, 2 + 0j)
+    assert FunctionSpec.finite_blaschke([0.5]).coeffs is None
+    assert FunctionSpec.rational([1], [-2, 1]).coeffs is None
