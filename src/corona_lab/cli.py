@@ -176,8 +176,7 @@ def _cmd_hoffman_trace(args) -> tuple:
     from .hoffman import compose_trace
     f = FunctionSpec.from_dict(load_json(args.function), args.function)
     seq = _load_sequence(args.points)
-    trace = compose_trace(f, seq, grid_radius=args.grid_radius,
-                          grid_size=args.grid_size, tol=args.tol)
+    trace = compose_trace(f, seq, grid_radius=args.grid_radius, grid_size=args.grid_size)
     return trace.to_csv(), 0
 
 
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="sequence JSON")
     p.add_argument("--grid-radius", type=_RADIUS, default=DEFAULT_GRID_RADIUS)
     p.add_argument("--grid-size", type=_integer(1), default=DEFAULT_GRID_SIZE)
-    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     _add_common(p, _cmd_hoffman_trace, "corona_lab.hoffman")
 
     p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")

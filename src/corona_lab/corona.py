@@ -111,11 +111,13 @@ def measure_delta(functions, grid: GridSpec = DEFAULT_GRID) -> DeltaReport:
 
 @dataclass(frozen=True)
 class CoronaInstance:
-    """A function tuple with its grid and measured joint lower bound."""
+    """A function tuple with the grid on which its joint lower bound is
+    measured.  The bound itself is not stored: `measure_delta` forms it for
+    the two readers that need it, the `delta` subcommand and `bezout_numeric`.
+    """
 
     functions: tuple
-    grid: GridSpec
-    delta_hat: float
+    grid: GridSpec = DEFAULT_GRID
 
     def __post_init__(self):
         if not self.functions:
@@ -126,25 +128,19 @@ class CoronaInstance:
 
     @classmethod
     def build(cls, functions, grid: GridSpec = DEFAULT_GRID) -> "CoronaInstance":
-        fns = tuple(functions)
-        report = measure_delta(fns, grid)
-        return cls(fns, grid, report.value)
+        return cls(tuple(functions), grid)
 
     def to_dict(self) -> dict:
         return {"functions": [f.to_dict() for f in self.functions],
-                "grid": self.grid.to_dict(),
-                "delta_hat": self.delta_hat}
+                "grid": self.grid.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "instance") -> "CoronaInstance":
-        strict_keys(d, required=("functions",), optional=("grid", "delta_hat"),
-                    where=where)
+        strict_keys(d, required=("functions",), optional=("grid",), where=where)
         fns = tuple(as_list(d["functions"], f"{where}.functions", FunctionSpec.from_dict))
         grid = (GridSpec.from_dict(d["grid"], f"{where}.grid")
                 if "grid" in d else DEFAULT_GRID)
-        if "delta_hat" in d:
-            return cls(fns, grid, as_finite(d["delta_hat"], f"{where}.delta_hat"))
-        return cls.build(fns, grid)
+        return cls(fns, grid)
 
 
 @dataclass(frozen=True)
@@ -262,7 +258,7 @@ def bezout_numeric(instance: CoronaInstance, degree_cap: int,
     """
     if degree_cap < 0:
         raise DomainError("degree_cap must be nonnegative")
-    if not instance.delta_hat > 0:
+    if not measure_delta(instance.functions, instance.grid).value > 0:
         raise UnsolvableError(
             "measured delta is zero: the functions vanish together on the grid",
             roots=[])

@@ -130,16 +130,17 @@ def pseudo_disc_euclidean(c, eta: float) -> tuple[complex, float]:
 
     The set is an honest Euclidean disc; center and radius come from the
     closed form (1 - eta^2) c / (1 - eta^2 |c|^2) and
-    eta (1 - |c|^2) / (1 - eta^2 |c|^2).
+    eta (1 - |c|^2) / (1 - eta^2 |c|^2), with the denominator written as
+    (1 - eta^2) + eta^2 (1 - |c|^2) so that no term cancels near the circle.
     """
     c = check_disc(c, "c")
     eta = float(eta)
     if not (0 <= eta < 1):
         raise DomainError(f"eta must lie in [0, 1), got {eta}")
-    den = 1 - eta * eta * abs(c) ** 2
-    center = (1 - eta * eta) * c / den
-    radius = eta * one_minus_abs2(c) / den
-    return center, radius
+    g = (1 - eta) * (1 + eta)
+    m = one_minus_abs2(c)
+    den = g + eta * eta * m
+    return g * c / den, eta * m / den
 
 
 def orthogonal_arc_midpoint(alpha: float, beta: float) -> complex:

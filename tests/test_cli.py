@@ -178,14 +178,62 @@ def test_delta_report(capsys, tmp_path):
     assert rep["argmin"] == [0.5, 0.0]
 
 
+NO_FINITE_SUM = {"error": "DomainError",
+                 "message": "sum of |f_k| is not finite at any grid point"}
+
+
 def test_delta_with_no_finite_sum_is_a_domain_error(capsys, tmp_path):
     # 1.7e308 + 1.7e308 overflows at every grid point
     inst = write(tmp_path, "inst.json", {"functions": [_poly([1.7e308]), _poly([1.7e308])]})
-    for command in ("delta", "corona-solve"):
-        rc, out, err = run(capsys, command, "--in", inst)
-        assert (rc, out) == (1, "")
-        assert json.loads(err) == {"error": "DomainError",
-                                   "message": "sum of |f_k| is not finite at any grid point"}
+    rc, out, err = run(capsys, "delta", "--in", inst)
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == NO_FINITE_SUM
+
+
+def test_only_delta_readers_fail_where_no_sum_is_finite(capsys, tmp_path):
+    # the exact method decides from the gcd, a nonzero constant, and never
+    # forms the overflowing sum; the numeric method gates on delta
+    inst = write(tmp_path, "inst.json", {"functions": [_poly([1.7e308]), _poly([1.7e308])]})
+    rc, out, err = run(capsys, "corona-solve", "--in", inst, "--method", "numeric")
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == NO_FINITE_SUM
+
+    cert = str(tmp_path / "cert.json")
+    rc, _, err = run(capsys, "corona-solve", "--in", inst, "--out", cert)
+    assert (rc, err) == (0, "")
+    doc = json.loads(Path(cert).read_text())
+    assert doc["method"] == "exact" and doc["passing"] is True
+    assert [u["data"]["coeffs"] for u in doc["solutions"]] == [[[0.0, 0.0]],
+                                                              [[1 / 1.7e308, 0.0]]]
+
+    rc, out, err = run(capsys, "corona-check", "--in", inst, "--cert", cert)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["passing"] is True
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["corona-solve"], 0),
+    (["corona-solve", "--method", "exact"], 0),
+    (["corona-check", "--cert", "cert.json"], 0),
+    (["delta"], 1),
+    (["corona-solve", "--method", "numeric", "--degree-cap", "2"], 1),
+])
+def test_delta_is_measured_only_where_it_is_read(capsys, tmp_path, monkeypatch, argv, calls):
+    from corona_lab import corona
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "inst.json", {"functions": [_poly([0, 0, 1]), _poly([-0.5, 1])]})
+    write(tmp_path, "cert.json", {"solutions": [_poly([4]), _poly([-2, -4])]})
+    seen = []
+    measure = corona.measure_delta
+
+    def counted(*a, **k):
+        seen.append(a)
+        return measure(*a, **k)
+
+    monkeypatch.setattr(corona, "measure_delta", counted)
+    rc, _, err = run(capsys, argv[0], "--in", "inst.json", *argv[1:])
+    assert (rc, err) == (0, "")
+    assert len(seen) == calls
 
 
 def test_delta_skips_points_where_a_function_overflows(capsys, tmp_path):
@@ -686,6 +734,7 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     (["cluster-scenario", "--functions", "f.json", "--points", "p.json",
       "--min-tail", "-2"], "--min-tail"),
     (["pushforward", "--density", "d.json", "--c", "[0,0]", "--nodes", "3"], "--nodes"),
+    (["hoffman-trace", "--function", "f.json", "--points", "p.json", "--tol", "1e-3"], "--tol"),
 ])
 def test_every_usage_error_is_one_json_config_error(capsys, argv, flag):
     rc, out, err = run(capsys, *argv)

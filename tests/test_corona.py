@@ -59,14 +59,16 @@ def test_measure_delta_values():
     assert abs(rep.argmin - 0.5) < 1e-15
 
 
-def test_instance_roundtrip_recomputes_delta():
-    inst = CoronaInstance.build(ANCHOR)
+def test_instance_roundtrip_keeps_functions_and_grid():
+    grid = GridSpec(radial=9, angular=16, boundary=32, ratio=0.25)
+    inst = CoronaInstance.build(ANCHOR, grid)
     d = inst.to_dict()
-    again = CoronaInstance.from_dict(d)
-    assert again.delta_hat == inst.delta_hat
-    d.pop("delta_hat", None)
-    rebuilt = CoronaInstance.from_dict(d)
-    assert rebuilt.delta_hat == inst.delta_hat
+    assert set(d) == {"functions", "grid"}
+    assert CoronaInstance.from_dict(d) == inst
+    d.pop("grid")
+    assert CoronaInstance.from_dict(d) == CoronaInstance(inst.functions)
+    with pytest.raises(ConfigError, match="unknown key 'delta_hat'"):
+        CoronaInstance.from_dict({**inst.to_dict(), "delta_hat": 0.25})
 
 
 def test_exact_solver_anchor_certificate():

@@ -85,6 +85,20 @@ def test_artifacts_are_written_by_main_only():
     assert _sites(emit) == ["cli.py:main"]
 
 
+def test_delta_is_measured_by_its_two_readers_only():
+    def call(node):
+        return isinstance(node, ast.Call) and (
+            _attr(node.func, "measure_delta")
+            or isinstance(node.func, ast.Name) and node.func.id == "measure_delta")
+
+    def delta_hat(node):
+        return (_attr(node, "delta_hat") or isinstance(node, ast.Name) and node.id == "delta_hat"
+                or isinstance(node, ast.Constant) and node.value == "delta_hat")
+
+    assert _sites(call) == ["cli.py:_cmd_delta", "corona.py:bezout_numeric"]
+    assert _sites(delta_hat) == []
+
+
 def test_the_gauss_legendre_table_is_built_in_gl_rule_only():
     def leggauss(node):
         return _attr(node, "leggauss") or isinstance(node, ast.Name) and node.id == "leggauss"
@@ -146,6 +160,17 @@ def test_pseudo_disc_radius_near_the_circle_against_mpmath(mp, c):
     w = _mpc(mp, c)
     ref = eta * (1 - abs(w) ** 2) / (1 - eta ** 2 * abs(w) ** 2)
     assert _rel(radius, ref) <= 4 * EPS
+
+
+@pytest.mark.parametrize("c, eta", [(c, eta) for c in NEAR_CIRCLE[:2]
+                                     for eta in (1 - 1e-9, 1 - 3e-12)]
+                         + [(0.5 * np.exp(0.3j), 1 - 1e-12)])
+def test_pseudo_disc_near_the_circle_against_mpmath(mp, c, eta):
+    center, radius = pseudo_disc_euclidean(c, eta)
+    w, e = _mpc(mp, c), mp.mpf(eta)
+    den = 1 - e ** 2 * abs(w) ** 2
+    assert _rel(center, (1 - e ** 2) * w / den) <= 4 * EPS
+    assert _rel(radius, e * (1 - abs(w) ** 2) / den) <= 4 * EPS
 
 
 def test_roots_in_closed_disc_gives_python_complex_values():

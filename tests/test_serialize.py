@@ -88,8 +88,7 @@ _ARTIFACTS = st.one_of(
     st.lists(_inside, min_size=1, max_size=6).map(lambda pts: DiscSequence(tuple(pts))),
     _function,
     _grid,
-    st.builds(CoronaInstance, st.lists(_function, min_size=1, max_size=3).map(tuple),
-              _grid, st.floats(0.0, 10.0)),
+    st.builds(CoronaInstance, st.lists(_function, min_size=1, max_size=3).map(tuple), _grid),
     st.builds(BezoutCertificate, st.lists(_function, max_size=3).map(tuple), _real,
               st.lists(st.floats(0.0, 1e6), max_size=3).map(tuple), st.booleans(),
               st.sampled_from(["exact", "numeric"]), st.none() | st.floats(0.0, 1.0)),
