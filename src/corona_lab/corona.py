@@ -19,8 +19,6 @@ import numpy as np
 
 from .disc_geometry import check_disc
 from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
-from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
-                        poly_to_complex, residual_l1_bound)
 from .functions import FunctionSpec, roots_in_closed_disc
 from .quadrature import CHECK_SAMPLES, circle_nodes, polar_grid
 from .serialize import as_finite, as_list, as_number, strict_keys
@@ -203,6 +201,7 @@ def verification_nodes(grid: GridSpec) -> np.ndarray:
 def _certificate(instance: CoronaInstance, solutions: tuple, tol: float,
                  method: str) -> BezoutCertificate:
     """Certificate for the solutions, checked on the verification nodes."""
+    from .exactpoly import residual_l1_bound
     fns = instance.functions
     z = np.exp(1j * verification_nodes(instance.grid))
     residual = _residual_sup(fns, solutions, z)
@@ -222,6 +221,8 @@ def bezout_exact(instance: CoronaInstance, tol: float = 1e-10) -> BezoutCertific
     rational solutions; any gcd root in the closed disc is a common zero, so
     no bounded solution tuple exists and UnsolvableError reports the roots.
     """
+    from .exactpoly import (combination, iterated_xgcd, poly_degree, poly_from_complex,
+                            poly_to_complex)
     coeffs = [f.coeffs for f in instance.functions]
     if None in coeffs:
         raise DomainError("exact solver needs polynomial functions")

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
 from .disc_geometry import pointwise
 from .errors import ConfigError, DomainError
 from .quadrature import circle_nodes
@@ -79,6 +78,7 @@ class FunctionSpec:
 
     @classmethod
     def finite_blaschke(cls, b_or_zeros, rotation: float = 0.0) -> "FunctionSpec":
+        from .blaschke import BlaschkeProduct
         if isinstance(b_or_zeros, BlaschkeProduct):
             b = b_or_zeros
         else:
@@ -105,7 +105,8 @@ class FunctionSpec:
         for the other kinds."""
         return self.payload[0] if self.kind == POLYNOMIAL else None
 
-    def as_blaschke(self) -> BlaschkeProduct:
+    def as_blaschke(self) -> "BlaschkeProduct":
+        from .blaschke import BlaschkeProduct
         if self.kind != FINITE_BLASCHKE:
             raise DomainError("not a finite Blaschke spec")
         zeros, rotation = self.payload

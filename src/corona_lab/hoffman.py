@@ -22,8 +22,6 @@ from .serialize import csv_rows
 
 GRID_ANGULAR = 8
 
-CAUCHY_TOL = 1e-6
-
 ALIAS_TOL = 1e-3
 
 
@@ -44,19 +42,12 @@ class CompositionTrace:
     """Samples of the recentered function f o L_{c_j} on a fixed grid.
 
     samples[j] holds the raw grid values for c_values[j]; no normalization
-    is applied.  cauchy_profile[j] is the sup over the grid of
-    |samples[j+1] - samples[j]|; settled_indices lists the j whose step
-    stays below the threshold, and tail_start is the first index after
-    which every later step is settled (None when the profile never
-    settles).
+    is applied.
     """
 
     c_values: tuple
     grid: np.ndarray
     samples: np.ndarray
-    cauchy_profile: tuple
-    settled_indices: tuple
-    tail_start: int | None
 
     def to_csv(self) -> str:
         """One line per sample; the grid columns are formatted once."""
@@ -68,8 +59,7 @@ class CompositionTrace:
 
 
 def compose_trace(f, seq, grid_radius: float = DEFAULT_GRID_RADIUS,
-                  grid_size: int = DEFAULT_GRID_SIZE,
-                  tol: float = CAUCHY_TOL) -> CompositionTrace:
+                  grid_size: int = DEFAULT_GRID_SIZE) -> CompositionTrace:
     """Record f recentered along the sequence on a compact polar grid; f is
     called once, on the (len(seq), grid size) array of recentred points."""
     cs = tuple(check_disc(c, "c") for c in getattr(seq, "points", seq))
@@ -77,15 +67,7 @@ def compose_trace(f, seq, grid_radius: float = DEFAULT_GRID_RADIUS,
         raise DomainError("need at least two recentering points")
     pts = disc_grid(grid_size, grid_radius)
     samples = np.asarray(f(np.array([MobiusAut(c).apply(pts) for c in cs])), dtype=complex)
-    profile = tuple(np.abs(np.diff(samples, axis=0)).max(axis=1).tolist())
-    settled = tuple(j for j, d in enumerate(profile) if d < tol)
-    tail_start = None
-    for t in range(len(profile) - 1, -1, -1):
-        if profile[t] < tol:
-            tail_start = t
-        else:
-            break
-    return CompositionTrace(cs, pts, samples, profile, settled, tail_start)
+    return CompositionTrace(cs, pts, samples)
 
 
 @dataclass(frozen=True)
@@ -226,7 +208,5 @@ def selftest() -> list[tuple[str, bool]]:
 
     trace = compose_trace(lambda z: np.full_like(z, 2.5), (0.9, 0.95, 0.99))
     checks.append(("constant trace is flat",
-                   trace.samples.shape == (3, 40)
-                   and max(trace.cauchy_profile) == 0.0
-                   and trace.tail_start == 0))
+                   trace.samples.shape == (3, 40) and bool(np.all(trace.samples == 2.5))))
     return checks

@@ -5,11 +5,26 @@ Complex values travel as [re, im] pairs of finite numbers both ways:
 and numpy scalars as Python numbers, and ``as_complex`` reads a pair back.
 Dicts are strict.  All emitters go through ``dumps`` or ``csv_rows`` so
 identical inputs produce byte identical files.
+
+``dumps`` is the one JSON writer; ``json`` only parses.  It writes the
+bytes of ``json.dumps(obj, sort_keys=True, indent=2, default=_encode)``
+plus a newline, its test oracle, without json's pure-Python indenting
+encoder: each list of floats, of complex values or of equal-length float
+rows is formatted by one ``%`` over one template, as ``csv_rows`` does.
+
+``as_list`` reads its entries under the list's own name and names an entry,
+``where[i]``, only to reject it: on a ConfigError it reads the list again
+with indexed names, so the message is that of the first bad entry.  No item
+reader's other errors name the list (``FunctionSpec.polynomial`` and
+``rational``, ``GridSpec`` and ``check_disc`` name a fixed thing), so
+those messages are the same either way.
 """
 
 import cmath
 import json
 import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -18,6 +33,10 @@ from .errors import ConfigError
 
 def as_complex(pair, where: str = "value") -> complex:
     """A finite complex from a number or an [re, im] pair, or ConfigError naming where."""
+    if type(pair) is list and len(pair) == 2:
+        re, im = pair
+        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+            return complex(re, im)
     if isinstance(pair, (int, float, complex)):
         parts = (pair.real, pair.imag)
     elif isinstance(pair, (list, tuple)) and len(pair) == 2:
@@ -52,6 +71,8 @@ def as_number(value, where: str = "value", kind=float):
 def as_finite(value, where: str = "value") -> float:
     """as_number of a key that must be finite: NaN, Infinity and 1e400, which the
     JSON reader takes as floats, are ConfigError naming where."""
+    if type(value) is float and math.isfinite(value):
+        return value
     number = as_number(value, where)
     if not math.isfinite(number):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
@@ -59,10 +80,16 @@ def as_finite(value, where: str = "value") -> float:
 
 
 def as_list(value, where: str = "list", item=None) -> list:
-    """Entries of a JSON list, each read as item(entry, "where[i]") if given."""
+    """Entries of a JSON list, each read as item(entry, where) if given; a
+    ConfigError names the first bad entry as "where[i]"."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{where}: expected a list, got {value!r}")
-    return [x if item is None else item(x, f"{where}[{i}]") for i, x in enumerate(value)]
+    if item is None:
+        return list(value)
+    try:
+        return [item(x, where) for x in value]
+    except ConfigError:
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
 def complex_list(pairs, where: str = "list") -> list:
@@ -93,8 +120,73 @@ def _encode(obj):
     raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
+def _float(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _block(items, inner: str):
+    """The lines of a list of floats, of complex values or of equal-length
+    float rows, by one % over one template; None for any other list, and for
+    NaN and infinities, which float.__repr__ does not spell as JSON."""
+    kinds, width, row = set(map(type, items)), 1, "%s"
+    if kinds == {complex}:
+        items, kinds = [(z.real, z.imag) for z in items], {tuple}
+    if kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        if len(widths) > 1 or 0 in widths:
+            return None
+        width, items = widths.pop(), list(chain.from_iterable(items))
+        row = "[" + inner + "  " + ("," + inner + "  ").join(["%s"] * width) + inner + "]"
+    try:
+        text = ("," + inner).join([row] * (len(items) // width)) % tuple(
+            map(float.__repr__, items))
+    except TypeError:
+        return None
+    return None if "n" in text else text
+
+
+def _dump(obj, indent: str, seen=None) -> str:
+    """json's text of obj with its closing line at indent; seen holds the
+    ids of the containers around obj."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    if id(obj) in seen:
+        raise ValueError("Circular reference detected")
+    seen.add(id(obj))
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        text = "[" + inner + (_block(obj, inner) or ("," + inner).join(
+            [_dump(x, inner, seen) for x in obj])) + indent + "]" if obj else "[]"
+    elif isinstance(obj, dict):
+        text = "{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _dump(v, inner, seen) for k, v in sorted(obj.items())]
+        ) + indent + "}" if obj else "{}"
+    else:
+        text = _dump(_encode(obj), indent, seen)
+    seen.remove(id(obj))
+    return text
+
+
+def _key(key) -> str:
+    """A dict key as json converts it, after sorting; a bool is an int."""
+    if isinstance(key, str):
+        return _string(key)
+    if key is None or isinstance(key, (int, float)):
+        return _string(_dump(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=_encode) + "\n"
+    """obj as sorted, 2-space-indented JSON and a newline."""
+    return _dump(obj, "\n", set()) + "\n"
 
 
 def csv_rows(columns) -> str:

@@ -825,22 +825,24 @@ def test_measure_fit_runs_without_scipy(capsys, tmp_path):
     assert run(capsys, "measure-fit", "--in", spec) == (0, proc.stdout, "")
 
 
-# the modules blaschke-eval loads: the CLI, its three module-level imports,
-# blaschke and disc_geometry; the other subcommands below add their own
-_CLI_MODULES = {"blaschke", "cli", "disc_geometry", "errors", "quadrature", "serialize"}
+# the modules every subcommand below loads: the CLI, its three module-level
+# imports and disc_geometry; each case adds its own
+_CLI_MODULES = {"cli", "disc_geometry", "errors", "quadrature", "serialize"}
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("blaschke-eval", set()),
-    ("delta", {"corona", "exactpoly", "functions"}),
+    ("blaschke-eval", {"blaschke"}),
+    ("delta", {"corona", "functions"}),
     ("quartiles", {"functions", "measures"}),
-    ("l2-identity", {"hoffman"}),
+    ("l2-identity", {"blaschke", "hoffman"}),
+    ("corona-solve", {"corona", "exactpoly", "functions"}),
 ])
 def test_a_subcommand_loads_only_the_modules_it_uses(capsys, tmp_path, command, extra):
+    instance = {"functions": [_poly([0, 0, 1]), _poly([-0.5, 1])]}
     argv = [command] + {
         "blaschke-eval": ["--zeros", "[[0.5,0.1]]", "--at", "[0.3,-0.2]"],
-        "delta": ["--in", write(tmp_path, "inst.json", {
-            "functions": [_poly([0, 0, 1]), _poly([-0.5, 1])]})],
+        "delta": ["--in", write(tmp_path, "inst.json", instance)],
+        "corona-solve": ["--in", write(tmp_path, "inst.json", instance)],
         "quartiles": ["--density", write(tmp_path, "d.json",
                                          {"pieces": [[-0.5, 0.5, 2 * math.pi]]})],
         "l2-identity": ["--zeros", "[[0.5,0.1],[0,0.2]]", "--c", "[0.1,0]"],
@@ -858,6 +860,18 @@ def test_a_subcommand_loads_only_the_modules_it_uses(capsys, tmp_path, command, 
     assert not polynomial
     # a fresh process gives the bytes of an in-process call
     assert run(capsys, *argv) == (0, proc.stdout, "")
+
+
+def test_delta_on_blaschke_data_keeps_its_bytes(capsys, tmp_path):
+    # functions imports blaschke only inside the Blaschke readers; these bytes
+    # were printed while it still imported it at module level
+    path = write(tmp_path, "inst.json", {
+        "functions": [{"kind": "finite_blaschke",
+                       "data": {"zeros": [[0.5, 0.25], [-0.125, 0.0]], "rotation": 0.75}},
+                      _poly([-0.5, 1])],
+        "grid": {"radial": 8, "angular": 16, "boundary": 32, "ratio": 0.5}})
+    assert run(capsys, "delta", "--in", path) == (
+        0, '{\n  "argmin": [\n    0.5,\n    0.0\n  ],\n  "value": 0.19341057330042033\n}\n', "")
 
 
 def test_the_package_surface_resolves_on_first_access():

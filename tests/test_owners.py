@@ -1,7 +1,8 @@
 """One owner per decision: 1 - |z|^2 is formed by disc_geometry.one_minus_abs2,
 roots are located against the closed disc by functions.roots_in_closed_disc,
 polynomial data is read through FunctionSpec.coeffs, artifacts are written
-by cli.main, and the Gauss-Legendre table is built by quadrature.gl_rule."""
+by cli.main, JSON text by serialize.dumps, and the Gauss-Legendre table is
+built by quadrature.gl_rule."""
 
 import ast
 from pathlib import Path
@@ -83,6 +84,21 @@ def test_artifacts_are_written_by_main_only():
                 and node.func.id == "_emit")
 
     assert _sites(emit) == ["cli.py:main"]
+
+
+def test_json_text_is_written_by_serialize_dumps_only():
+    # json only parses: no call of json.dump or json.dumps, and no import of either
+    def json_writer(node):
+        return (isinstance(node, ast.Call)
+                and (_attr(node.func, "dump") or _attr(node.func, "dumps"))
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+
+    def imported_writer(node):
+        return (isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(alias.name in ("dump", "dumps") for alias in node.names))
+
+    assert _sites(json_writer) == []
+    assert _sites(imported_writer) == []
 
 
 def test_delta_is_measured_by_its_two_readers_only():

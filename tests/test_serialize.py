@@ -1,6 +1,8 @@
-"""The artifact encoding: dumps, JSON round trips of every to_dict/from_dict
-pair, and the frozen bytes of every error payload."""
+"""The artifact encoding: dumps against json.dumps, the readers against the
+readers they replaced, JSON round trips of every to_dict/from_dict pair,
+and the frozen bytes of every error payload."""
 
+import cmath
 import json
 import math
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from corona_lab import errors
 from corona_lab.blaschke import BlaschkeProduct, DiscSequence
@@ -15,7 +18,8 @@ from corona_lab.corona import BezoutCertificate, CoronaInstance, GridSpec
 from corona_lab.errors import ConfigError
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import SimpleDensity
-from corona_lab.serialize import as_complex, as_finite, as_number, dumps
+from corona_lab.serialize import (_encode, as_complex, as_finite, as_list, as_number,
+                                  complex_list, dumps)
 
 
 @pytest.mark.parametrize("value, text", [
@@ -52,6 +56,191 @@ def test_as_finite_rejects_what_as_number_passes(value):
         as_finite(value, "f.rotation")
     assert str(exc.value).startswith("f.rotation: expected a finite number")
     assert as_finite(-3, "f.rotation") == -3.0
+
+
+# ------------------------------------------------------------ writer oracle
+
+def _json_dumps(obj) -> str:
+    """The writer dumps replaced, kept as its oracle."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_encode) + "\n"
+
+
+def _outcome(write, obj):
+    """The text written, or the type of the exception raised."""
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+_special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
+                            1.7976931348623157e308, 0.1])
+_number = st.one_of(st.floats(), _special, st.integers(-10 ** 30, 10 ** 30),
+                    st.integers(10 ** 300, 10 ** 301), st.booleans())
+_array = hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
+                    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3))
+_leaf = st.one_of(
+    st.none(), _number, st.text(max_size=6),
+    st.builds(complex, st.floats() | _special, st.floats() | _special),
+    _number.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.builds(np.complex128, st.floats()), st.booleans().map(np.bool_), _array,
+)
+
+
+def _containers(children):
+    key = st.one_of(st.text(max_size=4), st.integers(-20, 20) | st.floats(allow_nan=False),
+                    st.booleans(), st.none())
+    same_kind_keys = key.flatmap(
+        lambda k: st.dictionaries(st.from_type(type(k)) if k is not None else st.none(),
+                                  children, max_size=4))
+    return st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(key, children, max_size=4), same_kind_keys,
+        # equal-length float rows and complex lists, the shapes written by one template
+        st.lists(st.lists(st.floats() | _special, min_size=2, max_size=2).map(tuple), max_size=4),
+        st.lists(st.builds(complex, st.floats(), st.floats()), max_size=4))
+
+
+_document = st.recursive(_leaf, _containers, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_document)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert _outcome(dumps, obj) == _outcome(_json_dumps, obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_document, st.sampled_from([object(), {1, 2}, b"x", np.datetime64("2020-01-01")]))
+def test_dumps_rejects_what_json_dumps_rejects(obj, bad):
+    doc = [obj, {"bad": bad}]
+    assert _outcome(dumps, doc) is _outcome(_json_dumps, doc) is TypeError
+
+
+def test_dumps_rejects_a_container_that_holds_itself():
+    lst, dct = [1.0], {"a": 1}
+    lst.append(lst)
+    dct["b"] = [dct]
+    for doc in (lst, dct, {"x": [[lst]]}):
+        assert _outcome(dumps, doc) is _outcome(_json_dumps, doc) is ValueError
+    shared = [0.5, 1.5]
+    assert dumps([shared, shared, {"s": shared}]) == _json_dumps([shared, shared, {"s": shared}])
+
+
+@pytest.mark.parametrize("doc", [
+    {10: 1, 9: 2, -1.5: 3, True: 4},          # sorted as numbers, then written as strings
+    {math.inf: 1, -math.inf: 2, 0.5: 3},
+    {None: [1.0, math.nan]},
+    {"é": "ü\u2028", "a": []},
+    {np.float64(2.5): 1, 1: 2},
+    [[0.5, 1.5], (2.5, -0.0)],
+    [[1.0, 2.0], [3.0]],
+    [np.zeros((0, 3)), np.zeros((2, 0)), np.array([[1 + 2j, 3j]])],
+    [1 + 2j, complex(math.nan, 1)],
+])
+def test_dumps_matches_json_dumps_on_edge_cases(doc):
+    assert dumps(doc) == _json_dumps(doc)
+
+
+# ------------------------------------------------------------ reader oracle
+# the readers as they were before as_list named entries only to reject them
+
+def _old_as_complex(pair, where="value"):
+    if isinstance(pair, (int, float, complex)):
+        parts = (pair.real, pair.imag)
+    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
+        parts = pair
+    else:
+        raise ConfigError(f"{where}: expected [re, im] pair, got {pair!r}")
+    if not all(isinstance(part, (int, float)) for part in parts):
+        raise ConfigError(f"{where}: expected numeric [re, im] pair")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        z = complex(cmath.inf)
+    if not cmath.isfinite(z):
+        raise ConfigError(f"{where}: expected finite [re, im] parts, got {pair!r}")
+    return z
+
+
+def _old_as_finite(value, where="value"):
+    number = as_number(value, where)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _old_as_list(value, where="list", item=None):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return [x if item is None else item(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+
+def _read(reader, *args):
+    """repr of what reader returns, or the type and message of what it raises."""
+    try:
+        return repr(reader(*args))
+    except (ConfigError, errors.DomainError) as e:
+        return type(e), str(e)
+
+
+_json_scalar = st.one_of(st.integers(-3, 3), st.integers(10 ** 400, 10 ** 400 + 1),
+                         st.floats(), st.sampled_from([1e400, -0.0, 5e-324]),
+                         st.booleans(), st.none(), st.text(max_size=3))
+_json_value = st.recursive(_json_scalar, lambda c: st.lists(c, max_size=4), max_leaves=12)
+_json_pair = st.lists(_json_scalar, min_size=2, max_size=2) | _json_value
+_mostly_pairs = st.lists(_json_pair, max_size=5) | _json_value
+_mostly_rows = st.lists(st.lists(_json_scalar, min_size=3, max_size=3) | _json_value,
+                        max_size=5) | _json_value
+
+
+def _pieces(new: bool):
+    read_list, read_finite = (as_list, as_finite) if new else (_old_as_list, _old_as_finite)
+    return lambda p, at: tuple(read_list(p, at, read_finite))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_value)
+def test_number_readers_match_the_old_readers(value):
+    assert _read(as_finite, value, "f.rotation") == _read(_old_as_finite, value, "f.rotation")
+    assert _read(as_complex, value, "--at") == _read(_old_as_complex, value, "--at")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mostly_pairs, _mostly_rows)
+def test_list_readers_match_the_old_readers(pairs, rows):
+    assert (_read(complex_list, pairs, "f.coeffs")
+            == _read(_old_as_list, pairs, "f.coeffs", _old_as_complex))
+    assert (_read(as_list, rows, "d.json.pieces", _pieces(True))
+            == _read(_old_as_list, rows, "d.json.pieces", _pieces(False)))
+    assert _read(as_list, rows, "x") == _read(_old_as_list, rows, "x")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.0, 1.0, 2.0]] * 3 + [[0.0, "1", 2.0]],
+     "d.json.pieces[3][1]: expected a number, got '1'"),
+    ([[0.0, 1.0, True], [0.0, math.nan, 2.0]],
+     "d.json.pieces[0][2]: expected a number, got True"),
+    ([[0.0, 1.0, 2.0], [0.0, 1e400, 2.0]],
+     "d.json.pieces[1][1]: expected a finite number, got inf"),
+    ([[1, 2.5, 3], 4], "d.json.pieces[1]: expected a list, got 4"),
+])
+def test_a_rejected_entry_is_named_by_its_indices(rows, message):
+    assert (_read(as_list, rows, "d.json.pieces", _pieces(True))
+            == _read(_old_as_list, rows, "d.json.pieces", _pieces(False))
+            == (ConfigError, message))
+
+
+def test_list_entries_raise_other_errors_unnamed():
+    # the first bad entry's error wins, whichever kind it is and however it is read
+    empty = {"kind": "polynomial", "data": {"coeffs": []}}
+    bad_pair = {"kind": "polynomial", "data": {"coeffs": [[0.5, "x"]]}}
+    olds = []
+    for functions in ([empty, bad_pair], [bad_pair, empty]):
+        olds.append(_read(_old_as_list, functions, "in.json.functions", FunctionSpec.from_dict))
+        assert _read(as_list, functions, "in.json.functions", FunctionSpec.from_dict) == olds[-1]
+    assert olds == [(errors.DomainError, "polynomial needs at least one coefficient"),
+                    (ConfigError, "in.json.functions[0].coeffs[0]: expected numeric [re, im] pair")]
 
 
 # ------------------------------------------------------------ round trips
