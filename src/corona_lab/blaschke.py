@@ -183,19 +183,6 @@ def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
     return BlaschkeProduct(tuple(moved), turn)
 
 
-def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray]:
-    """Per-zero diagnostic for the zero transport under composition.
-
-    Returns (actual, bound) with actual[k] = 1 - |(z_k - c)/(1 - conj(c) z_k)|
-    and bound[k] = (1+|c|)/(1-|c|) (1 - |z_k|); actual <= bound always.
-    """
-    c = check_disc(c, "c")
-    actual = _transported_gaps(b.zeros, c)
-    factor = (1 + abs(c)) / (1 - abs(c))
-    bound = factor * (1 - np.abs(np.array(b.zeros, dtype=complex)))
-    return actual, bound
-
-
 @dataclass
 class DiscSequence:
     """Finite list of interior points with cached interpolation diagnostics."""

@@ -321,11 +321,14 @@ def check_certificate(instance: CoronaInstance, cert: BezoutCertificate,
 @dataclass(frozen=True)
 class ClusterReport:
     """Indices of the subsequence surviving every value filter, the limiting
-    values, and how many points survived after each stage."""
+    values, how many points survived after each stage, and per function the
+    spread: the largest |f_k(z_j) - limit_k| over the surviving j, below
+    eps by construction, which says how far the survivors have settled."""
 
     indices: tuple
     limits: tuple
     stage_counts: tuple
+    spread: tuple
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -354,11 +357,11 @@ def cluster_scenario(functions, points, eps: float,
     last = len(pts) - 1
 
     indices = list(range(len(pts)))
-    limits = []
-    stage_counts = []
+    values, limits, stage_counts = [], [], []
     for f in fns:
         vals = np.asarray(f(arr), dtype=complex)
         limit = complex(vals[last])
+        values.append(vals)
         limits.append(limit)
         indices = [j for j in indices if j == last or abs(vals[j] - limit) < eps]
         stage_counts.append(len(indices))
@@ -368,7 +371,9 @@ def cluster_scenario(functions, points, eps: float,
             f"only {len(indices)} points survive the filters (need {min_tail}); "
             "lengthen the sequence",
             report={"stage_counts": stage_counts})
-    return ClusterReport(tuple(indices), tuple(limits), tuple(stage_counts))
+    spread = tuple(float(max(abs(vals[j] - limit) for j in indices))
+                   for vals, limit in zip(values, limits))
+    return ClusterReport(tuple(indices), tuple(limits), tuple(stage_counts), spread)
 
 
 def selftest() -> list[tuple[str, bool]]:

@@ -2,15 +2,17 @@
 Bezout identities computed over the Gaussian integers.
 
 Floats convert losslessly (every finite double is a dyadic rational), so
-identities certified here transfer verbatim to the floating inputs.  An
-exact polynomial is a pair (F, den): F a tuple of GZ (Gaussian-integer)
-coefficients in ascending order with no trailing zero (the zero polynomial
-is the empty tuple), den a positive int, and its value F / den.  Pairs are
-kept in lowest terms (no prime divides den and every part of F), so equal
+identities certified here transfer verbatim to the floating inputs.  A
+Gaussian integer is a plain (re, im) pair of Python ints.  An exact
+polynomial is a pair (F, den): F a tuple of Gaussian-integer coefficients
+in ascending order with no trailing zero (the zero polynomial is the empty
+tuple), den a positive int, and its value F / den.  Pairs are kept in
+lowest terms (no prime divides den and every part of F), so equal
 polynomials are equal pairs; for float data den is a power of two.  The
-ring helpers below act on the GZ tuples alone, and the gcd runs the
-subresultant remainder sequence on them, so no step pays for a rational
-gcd.
+ring helpers below act on the coefficient tuples alone, and the gcd runs
+the subresultant remainder sequence on them with one cofactor, recovering
+the other by one exact division at the end, so no step pays for a
+rational gcd.
 """
 
 import math
@@ -19,80 +21,37 @@ import numpy as np
 
 from .errors import DomainError
 
-
-class GZ:
-    """Gaussian integer re + im*i with int parts.
-
-    ``/`` is exact division: it raises ArithmeticError when the quotient is
-    not a Gaussian integer, which the gcd below never asks for.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int = 0):
-        self.re = re
-        self.im = im
-
-    def __repr__(self) -> str:
-        return f"GZ({self.re}, {self.im})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GZ):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
-
-    def conj(self) -> "GZ":
-        return GZ(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other: "GZ") -> "GZ":
-        return GZ(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GZ") -> "GZ":
-        return GZ(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GZ":
-        return GZ(-self.re, -self.im)
-
-    def __mul__(self, other: "GZ") -> "GZ":
-        # three products instead of four: the parts grow to thousands of bits
-        a, b, c, d = self.re, self.im, other.re, other.im
-        k = c * (a + b)
-        return GZ(k - b * (c + d), k + a * (d - c))
-
-    def __pow__(self, e: int) -> "GZ":
-        out = GZ_ONE
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def div_int(self, n: int) -> "GZ":
-        """Exact quotient by a positive rational integer."""
-        re, r1 = divmod(self.re, n)
-        im, r2 = divmod(self.im, n)
-        if r1 or r2:
-            raise ArithmeticError(f"{n} does not divide the Gaussian integer")
-        return GZ(re, im)
-
-    def __truediv__(self, other: "GZ") -> "GZ":
-        return (self * other.conj()).div_int(other.norm())
+ONE = (1, 0)
 
 
-GZ_ONE = GZ(1)
+def gz_mul(x, y) -> tuple:
+    """Product of two Gaussian integers with three real products instead of
+    four: the parts grow to thousands of bits."""
+    (a, b), (c, d) = x, y
+    k = c * (a + b)
+    return k - b * (c + d), k + a * (d - c)
+
+
+def gz_div(x, y) -> tuple:
+    """Exact quotient x / y; ArithmeticError when y does not divide x, which
+    the gcd below never asks for."""
+    return _divide((x,), y)[0]
+
+
+def _gz_pow(x, e: int) -> tuple:
+    out = ONE
+    for _ in range(e):
+        out = gz_mul(out, x)
+    return out
 
 
 def _reduce(f, den: int) -> tuple:
     """The pair of f / den in lowest terms, for a trimmed f over Z[i] and
     den > 0."""
-    g = math.gcd(den, *(x for c in f for x in (c.re, c.im)))
+    g = math.gcd(den, *(x for c in f for x in c))
     if g == 1:
         return f, den
-    return tuple(GZ(c.re // g, c.im // g) for c in f), den // g
+    return tuple((re // g, im // g) for re, im in f), den // g
 
 
 def poly_from_complex(coeffs) -> tuple:
@@ -101,14 +60,14 @@ def poly_from_complex(coeffs) -> tuple:
     ratios = [x.as_integer_ratio() for c in map(complex, coeffs) for x in (c.real, c.imag)]
     den = math.lcm(*(d for _, d in ratios))
     ints = [n * (den // d) for n, d in ratios]
-    return poly_trim(GZ(ints[k], ints[k + 1]) for k in range(0, len(ints), 2)), den
+    return poly_trim(zip(ints[0::2], ints[1::2])), den
 
 
 def poly_to_complex(f) -> list:
     """Nearest complex floats of the coefficients: int / int rounds once."""
     coeffs, den = f
     try:
-        return [complex(c.re / den, c.im / den) for c in coeffs]
+        return [complex(re / den, im / den) for re, im in coeffs]
     except OverflowError:
         raise DomainError("an exact coefficient exceeds the float range, "
                           "so the exact result cannot be reported in floats") from None
@@ -120,7 +79,7 @@ def poly_degree(f) -> int:
 
 
 def poly_one() -> tuple:
-    return (GZ_ONE,), 1
+    return (ONE,), 1
 
 
 def _times(f, g) -> tuple:
@@ -128,11 +87,13 @@ def _times(f, g) -> tuple:
     return _reduce(poly_mul(f[0], g[0]), f[1] * g[1])
 
 
-# ------------------------------------------------ ring helpers on GZ tuples
+# --------------------------------------- ring helpers on Gaussian-int tuples
+# The loops inline gz_mul's three products, with the sums of the fixed
+# factor's parts formed once.
 
 def poly_trim(f) -> tuple:
     cs = list(f)
-    while cs and cs[-1].is_zero():
+    while cs and not (cs[-1][0] or cs[-1][1]):
         cs.pop()
     return tuple(cs)
 
@@ -140,59 +101,81 @@ def poly_trim(f) -> tuple:
 def poly_add(f, g) -> tuple:
     if len(f) < len(g):
         f, g = g, f
-    return poly_trim(tuple(a + b for a, b in zip(f, g)) + tuple(f[len(g):]))
+    return poly_trim(tuple((a + c, b + d) for (a, b), (c, d) in zip(f, g)) + f[len(g):])
 
 
 def poly_sub(f, g) -> tuple:
-    return poly_add(f, tuple(-c for c in g))
+    return poly_add(f, tuple((-a, -b) for a, b in g))
 
 
 def poly_mul(f, g) -> tuple:
     if not f or not g:
         return ()
-    out = [None] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            p = a * b
-            out[i + j] = p if out[i + j] is None else out[i + j] + p
+    re, im = [0] * (len(f) + len(g) - 1), [0] * (len(f) + len(g) - 1)
+    parts = [(c, c + d, d - c) for c, d in g]
+    for i, (a, b) in enumerate(f):
+        s = a + b
+        for j, (c, cd, dc) in enumerate(parts, i):
+            k = c * s
+            re[j] += k - b * cd
+            im[j] += k + a * dc
+    return poly_trim(zip(re, im))
+
+
+def poly_scale(f, w) -> tuple:
+    c, d = w
+    cd, dc = c + d, d - c
+    out = []
+    for a, b in f:
+        k = c * (a + b)
+        out.append((k - b * cd, k + a * dc))
     return poly_trim(out)
-
-
-def poly_scale(f, c) -> tuple:
-    return poly_trim(tuple(a * c for a in f))
 
 
 def poly_divmod(f, g) -> tuple:
     """Quotient and remainder with deg(remainder) < deg(g).
 
     Every coefficient division must be exact, which holds when f carries
-    the factor lc(g)^(deg f - deg g + 1) (pseudo-division).
+    the factor lc(g)^(deg f - deg g + 1) (pseudo-division); gz_div raises
+    ArithmeticError where it is not.
     """
     if not g:
         raise DomainError("polynomial division by zero")
-    rem = list(f)
-    lead = g[-1]
     dg = len(g) - 1
-    if len(rem) - 1 < dg:
-        return (), poly_trim(rem)
-    quot = [None] * (len(rem) - dg)
-    for k in range(len(rem) - 1, dg - 1, -1):
-        if rem[k].is_zero():
-            quot[k - dg] = rem[k]
-            continue
-        q = rem[k] / lead
-        quot[k - dg] = q
-        for j in range(dg + 1):
-            rem[k - dg + j] = rem[k - dg + j] - q * g[j]
-    return poly_trim(quot), poly_trim(rem)
+    if len(f) - 1 < dg:
+        return (), poly_trim(f)
+    re, im = [c[0] for c in f], [c[1] for c in f]
+    lead = g[-1]
+    parts = [(c, c + d, d - c) for c, d in g[:-1]]
+    quot = []
+    for k in range(len(f) - 1, dg - 1, -1):
+        # the top coefficient cancels exactly, so only the lower ones update
+        a, b = q = gz_div((re[k], im[k]), lead)
+        quot.append(q)
+        s = a + b
+        for j, (c, cd, dc) in enumerate(parts, k - dg):
+            m = c * s
+            re[j] -= m - b * cd
+            im[j] -= m + a * dc
+    return poly_trim(reversed(quot)), poly_trim(zip(re[:dg], im[:dg]))
 
 
-def _divide(f, c: GZ) -> tuple:
-    """f / c for f over Z[i] whose every coefficient c divides exactly."""
-    if c.im == 0 and c.re == 1:
+def _divide(f, w) -> tuple:
+    """f / w for f over Z[i] whose every coefficient w divides exactly:
+    f conj(w) / norm(w), and ArithmeticError where a remainder is left."""
+    if w == ONE:
         return f
-    cc, n = c.conj(), c.norm()
-    return tuple((a * cc).div_int(n) for a in f)
+    c, d = w
+    n, cd, cmd = c * c + d * d, c + d, c - d
+    out = []
+    for a, b in f:
+        k = c * (a + b)
+        re, r1 = divmod(k - b * cmd, n)
+        im, r2 = divmod(k - a * cd, n)
+        if r1 or r2:
+            raise ArithmeticError("a Gaussian-integer division is not exact")
+        out.append((re, im))
+    return tuple(out)
 
 
 # ------------------------------------------------------- gcds and identities
@@ -204,10 +187,14 @@ def poly_xgcd(f, g) -> tuple:
     Runs the subresultant remainder sequence (Collins 1967; Brown-Traub
     1971; Knuth TAOCP 4.6.1, Algorithm C) over Z[i] on F = a f and G = b g,
     the numerators of the pairs (F, a) and (G, b).  Each step pseudo-divides
-    through poly_divmod and divides the remainder and both cofactors exactly
-    by beta, so s F + t G = r holds over Z[i] throughout and coefficients
-    grow only linearly with the step.  The last remainder's leading
-    coefficient and the scales a, b are divided out once, at the end.
+    through poly_divmod and divides the remainder and the cofactor t of G
+    exactly by beta, so s F + t G = r holds over Z[i] throughout for an s
+    that is never formed, and coefficients grow only linearly with the
+    step.  The last remainder r fixes s = (r - t G) / F, recovered by one
+    exact poly_divmod (the half-extended Euclidean algorithm; von zur
+    Gathen & Gerhard, Modern Computer Algebra, 3.2).  The last remainder's
+    leading coefficient and the scales a, b are divided out once, at the
+    end.
 
     u and v are the unique cofactors with deg u < deg g - deg d and
     deg v < deg f - deg d, the ones Euclid's algorithm over the Gaussian
@@ -216,48 +203,55 @@ def poly_xgcd(f, g) -> tuple:
     (big_f, a), (big_g, b) = f, g
     if not big_f and not big_g:
         raise DomainError("gcd of zero polynomials is undefined")
-    r0, s0, t0 = big_f, (GZ_ONE,), ()
-    r1, s1, t1 = big_g, (), (GZ_ONE,)
-    lead, h = GZ_ONE, GZ_ONE
+    r0, t0, r1, t1 = big_f, (), big_g, (ONE,)
+    lead, h = ONE, ONE
     while r1:
         # delta < 0 only in a first step with deg f < deg g: a plain swap
         delta = len(r0) - len(r1)
-        e = r1[-1] ** max(delta + 1, 0)
+        e = _gz_pow(r1[-1], max(delta + 1, 0))
         q, r = poly_divmod(poly_scale(r0, e), r1)
         if not r:
-            r0, s0, t0 = r1, s1, t1
+            r0, t0 = r1, t1
             break
-        beta = lead * h ** max(delta, 0)
-        r0, s0, t0, r1, s1, t1 = (
-            r1, s1, t1, _divide(r, beta),
-            _divide(poly_sub(poly_scale(s0, e), poly_mul(q, s1)), beta),
-            _divide(poly_sub(poly_scale(t0, e), poly_mul(q, t1)), beta))
+        beta = gz_mul(lead, _gz_pow(h, max(delta, 0)))
+        r0, t0, r1, t1 = (r1, t1, _divide(r, beta),
+                          _divide(poly_sub(poly_scale(t0, e), poly_mul(q, t1)), beta))
         if delta >= 0:
             lead = r0[-1]
             if delta:
-                h = lead ** delta / h ** (delta - 1)
+                h = gz_div(_gz_pow(lead, delta), _gz_pow(h, delta - 1))
+    s0 = ()
+    if big_f:
+        s0, rest = poly_divmod(poly_sub(r0, poly_mul(t0, big_g)), big_f)
+        if rest:
+            raise ArithmeticError("the cofactor of f is not a Gaussian-integer polynomial")
     # p / last == p conj(last) / norm(last)
-    cc, n = r0[-1].conj(), r0[-1].norm()
-    return (_reduce(poly_scale(r0, cc), n), _reduce(poly_scale(s0, GZ(a) * cc), n),
-            _reduce(poly_scale(t0, GZ(b) * cc), n))
+    x, y = r0[-1]
+    cc, n = (x, -y), x * x + y * y
+    return (_reduce(poly_scale(r0, cc), n), _reduce(poly_scale(s0, gz_mul((a, 0), cc)), n),
+            _reduce(poly_scale(t0, gz_mul((b, 0), cc)), n))
 
 
 def iterated_xgcd(polys) -> tuple:
     """Monic gcd of the list of pairs plus one cofactor per entry.
 
-    Back-substitution through pairwise steps: after each new polynomial the
-    previous cofactors get multiplied by the left Bezout weight.  Returns
+    Back-substitution through pairwise steps: the first pair's cofactors
+    start the list, and after each further polynomial the previous
+    cofactors get multiplied by the left Bezout weight.  A single entry
+    pairs with the zero polynomial, which makes it monic.  Returns
     (gcd, cofactors) with sum_k cofactors[k] * polys[k] == gcd exactly.
     """
     entries = list(polys)
     if not any(f for f, _ in entries):
         raise DomainError("need at least one nonzero polynomial")
-    g = entries[0]
-    cofactors = [poly_one()]
-    for f in entries[1:]:
+    if len(entries) == 1:
+        g, u, _ = poly_xgcd(entries[0], ((), 1))
+        return g, [u]
+    g, u, v = poly_xgcd(entries[0], entries[1])
+    cofactors = [u, v]
+    for f in entries[2:]:
         g, u, v = poly_xgcd(g, f)
-        cofactors = [_times(u, c) for c in cofactors]
-        cofactors.append(v)
+        cofactors = [_times(u, c) for c in cofactors] + [v]
     return g, cofactors
 
 
@@ -268,7 +262,7 @@ def _combination_gz(terms) -> tuple:
 
     The products are numpy convolutions of object arrays of Python ints:
     exact, with the coefficient loop in C (three real products per
-    Gaussian one, as in GZ.__mul__).
+    Gaussian one, as in gz_mul).
     """
     den = math.lcm(*(a * b for (_, a), (_, b) in terms))
     n = max((len(big_f) + len(big_c) - 1 for (big_f, _), (big_c, _) in terms), default=0)
@@ -276,13 +270,12 @@ def _combination_gz(terms) -> tuple:
     for (big_f, a), (big_c, b) in terms:
         if not big_f or not big_c:
             continue
-        fr, fi, cr, ci = (np.array([getattr(c, part) for c in p], dtype=object)
-                          for p in (big_f, big_c) for part in ("re", "im"))
+        (fr, fi), (cr, ci) = (np.array(p, dtype=object).T for p in (big_f, big_c))
         t = np.convolve(cr, fr + fi)
         w = den // (a * b)
         re[:t.size] += w * (t - np.convolve(fi, cr + ci))
         im[:t.size] += w * (t + np.convolve(fr, ci - cr))
-    return poly_trim(GZ(x, y) for x, y in zip(re, im)), den
+    return poly_trim(zip(re.tolist(), im.tolist())), den
 
 
 def combination(polys, cofactors) -> tuple:
@@ -303,10 +296,10 @@ def residual_l1_bound(functions, solutions) -> float:
     """
     total, den = _combination_gz([(poly_from_complex(f), poly_from_complex(u))
                                   for f, u in zip(functions, solutions)])
-    total = poly_sub(total, (GZ(den),))
+    total = poly_sub(total, ((den, 0),))
     acc = 0
-    for c in total:
-        n = c.norm() << 128
+    for re, im in total:
+        n = (re * re + im * im) << 128
         root = math.isqrt(n)
         acc += root if root * root == n else root + 1
     scale = den << 64

@@ -154,11 +154,3 @@ class FunctionSpec:
             return cls.rational(complex_list(data["num"], f"{where}.num"),
                                 complex_list(data["den"], f"{where}.den"))
         raise ConfigError(f"{where}.kind: unknown function kind {kind!r}")
-
-
-def identity_function() -> FunctionSpec:
-    return FunctionSpec.polynomial((0, 1))
-
-
-def constant_function(value) -> FunctionSpec:
-    return FunctionSpec.polynomial((complex(value),))

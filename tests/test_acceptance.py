@@ -19,12 +19,14 @@ from corona_lab.blaschke import (BlaschkeProduct, DiscSequence,
                                  min_modulus_on_disc, modulus_lower_bound)
 from corona_lab.corona import CoronaInstance, bezout_exact, bezout_numeric, cluster_scenario
 from corona_lab.disc_geometry import MobiusAut, pseudo_disc_euclidean, pseudo_distance
-from corona_lab.functions import FunctionSpec, identity_function
+from corona_lab.functions import FunctionSpec
 from corona_lab.hoffman import l2_distance_to_identity, schwarz_check
 from corona_lab.measures import (CASE_LEFT, CASE_RIGHT, CASE_STRADDLE,
                                  SimpleDensity, poisson_integral,
                                  pushforward_density, quartiles)
 from corona_lab.quadrature import integrate_piecewise
+
+from helpers import identity_function
 
 
 class Budget:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from corona_lab.blaschke import (BLOCK, BlaschkeProduct, DiscSequence, Sector,
                                  carleson_diagnostics,
                                  compose_with_mobius, construct_ladder,
-                                 min_modulus_on_disc, modulus_lower_bound,
-                                 transport_tail_bounds)
+                                 min_modulus_on_disc, modulus_lower_bound)
 from corona_lab.disc_geometry import MobiusAut, pseudo_distance
 from corona_lab.errors import ConfigError, ConstructionError, DomainError, InfeasibleError
+
+from helpers import transport_tail_bounds
 
 RNG = np.random.default_rng(771002)
 

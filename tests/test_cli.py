@@ -387,6 +387,26 @@ def test_cluster_scenario_cli(capsys, tmp_path):
     assert abs(rep["limits"][0][0] - (1 - 2.0 ** -20)) < 1e-15
 
 
+def test_cluster_scenario_bytes_without_spread_are_unchanged(capsys, tmp_path):
+    # printed before the artifact carried spread
+    before = ('{\n  "indices": [\n    7,\n    8,\n    9,\n    10,\n    11\n  ],\n'
+              '  "limits": [\n    [\n      0.999755859375,\n      0.0\n    ],\n'
+              '    [\n      0.0,\n      0.9995117783546448\n    ]\n  ],\n'
+              '  "stage_counts": [\n    6,\n    5\n  ]\n}\n')
+    fns = write(tmp_path, "fns.json", {"functions": [
+        _poly([0, 1]), {"kind": "polynomial", "data": {"coeffs": [[0, 0], [0, 0], [0, 1]]}}]})
+    pts = write(tmp_path, "pts.json",
+                {"points": [[1 - 2.0 ** -j, 0.0] for j in range(1, 13)]})
+    rc, out, _ = run(capsys, "cluster-scenario", "--functions", fns,
+                     "--points", pts, "--eps", "1e-2")
+    assert rc == 0
+    assert all(0 < s < 1e-2 for s in json.loads(out)["spread"])
+    lines = out.splitlines(keepends=True)
+    start = lines.index('  "spread": [\n')
+    end = lines.index("  ],\n", start)
+    assert "".join(lines[:start] + lines[end + 1:]) == before
+
+
 def test_cluster_scenario_failure_reports_stage_counts(capsys, tmp_path):
     fns = write(tmp_path, "fns.json", {"functions": [
         {"kind": "polynomial", "data": {"coeffs": [[0, 0], [1, 0]]}},

@@ -13,7 +13,9 @@ from corona_lab.corona import (DEFAULT_GRID, BezoutCertificate, CoronaInstance,
                                measure_delta, verification_nodes)
 from corona_lab.errors import (ConfigError, DomainError, ExtractionError,
                                UnsolvableError)
-from corona_lab.functions import FunctionSpec, constant_function, identity_function
+from corona_lab.functions import FunctionSpec
+
+from helpers import constant_function, identity_function
 
 ANCHOR = (FunctionSpec.polynomial([0, 0, 1]),       # z^2
           FunctionSpec.polynomial([-0.5, 1]))        # z - 1/2
@@ -80,6 +82,13 @@ def test_exact_solver_anchor_certificate():
     assert u1.payload[0] == (4 + 0j,)
     assert u2.payload[0] == (-2 + 0j, -4 + 0j)
     assert cert.residual_bound == 0.0          # 4 z^2 + (-4z - 2)(z - 1/2) == 1
+
+
+def test_exact_solver_inverts_a_single_constant():
+    # the gcd of one function is its monic associate, so u = 1/c, not 1
+    cert = bezout_exact(CoronaInstance.build((constant_function(2 - 2j),)))
+    assert cert.solutions[0].payload[0] == (0.25 + 0.25j,)
+    assert cert.passing and cert.residual_bound == 0.0
 
 
 def test_exact_solver_common_zero_unsolvable():
@@ -266,6 +275,19 @@ def test_cluster_identity_and_product_limits():
     assert rep.indices[-1] == len(SEQ45) - 1
     # survivors are a tail: consecutive indices up to the last
     assert list(rep.indices) == list(range(rep.indices[0], len(SEQ45)))
+
+
+def test_cluster_spread_is_the_survivors_largest_distance_below_eps():
+    b = BlaschkeProduct(SEQ45)
+    fns = (identity_function(), FunctionSpec.finite_blaschke(b), constant_function(0.5j))
+    for eps in (1e-2, 1e-6, 1e-9):
+        rep = cluster_scenario(fns, SEQ45, eps=eps)
+        assert len(rep.spread) == len(fns)
+        for f, limit, spread in zip(fns, rep.limits, rep.spread):
+            vals = np.asarray(f(np.array(SEQ45)), dtype=complex)
+            assert spread == max(abs(vals[j] - limit) for j in rep.indices)
+            assert 0 <= spread < eps
+        assert rep.spread[0] > 0 and rep.spread[2] == 0
 
 
 def test_cluster_requires_approach_to_one():

@@ -1,7 +1,8 @@
 """Exact Gaussian-rational polynomial arithmetic used by the algebraic solver.
 
-Polynomials are pairs (F, den): GZ numerators over one positive int
-denominator, in lowest terms.  The oracle is extended Euclid over sympy's
+Gaussian integers are (re, im) pairs of ints, and polynomials are pairs
+(F, den): tuples of them as numerators over one positive int denominator,
+in lowest terms.  The oracle is extended Euclid over sympy's
 Gaussian rationals QQ_I, which shares no code with exactpoly.
 """
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from corona_lab import exactpoly
 from corona_lab.errors import DomainError
-from corona_lab.exactpoly import (GZ, combination, iterated_xgcd, poly_add,
+from corona_lab.exactpoly import (combination, gz_div, gz_mul, iterated_xgcd, poly_add,
                                   poly_degree, poly_divmod, poly_from_complex,
                                   poly_mul, poly_one, poly_scale, poly_sub,
                                   poly_to_complex, poly_xgcd, residual_l1_bound)
@@ -34,9 +35,9 @@ def pair(parts):
     """The pair in lowest terms of coefficients given as (re, im) Fractions,
     ascending, the last one nonzero."""
     den = math.lcm(*(x.denominator for c in parts for x in c))
-    cs = [GZ(int(re * den), int(im * den)) for re, im in parts]
-    g = math.gcd(den, *(x for c in cs for x in (c.re, c.im)))
-    return tuple(GZ(c.re // g, c.im // g) for c in cs), den // g
+    cs = [(int(re * den), int(im * den)) for re, im in parts]
+    g = math.gcd(den, *(x for c in cs for x in c))
+    return tuple((re // g, im // g) for re, im in cs), den // g
 
 
 def rand_poly(rng, max_deg=5):
@@ -47,31 +48,59 @@ def rand_poly(rng, max_deg=5):
 
 
 def test_gz_ring_ops():
-    a, b = GZ(3, -7), GZ(-2, 5)
-    assert a == GZ(3, -7) and a != b and a != (3, -7)
-    assert (a + b) - b == a
-    assert a * b == GZ(3 * -2 + 7 * 5, 3 * 5 + 7 * 2)
-    assert (a * b) / b == a
-    assert a * GZ(1) == a and -a + a == GZ(0)
-    assert a.conj() == GZ(3, 7) and a.norm() == 58
-    assert a ** 3 == a * a * a and a ** 0 == GZ(1)
+    a, b = (3, -7), (-2, 5)
+    assert poly_sub(poly_add((a,), (b,)), (b,)) == (a,)
+    assert gz_mul(a, b) == (3 * -2 + 7 * 5, 3 * 5 + 7 * 2)
+    assert gz_div(gz_mul(a, b), b) == a
+    assert gz_mul(a, (1, 0)) == a and poly_add((a,), ((-3, 7),)) == ()
+    assert gz_mul(a, (3, 7)) == (58, 0)                  # a conj(a) = |a|^2
+    assert exactpoly._gz_pow(a, 3) == gz_mul(gz_mul(a, a), a)
+    assert exactpoly._gz_pow(a, 0) == (1, 0)
 
 
 def test_gz_division_is_exact_or_raises():
-    a, b = GZ(3, -7), GZ(-2, 5)
-    p = a * b
-    assert p / b == a
+    a, b = (3, -7), (-2, 5)
+    p = gz_mul(a, b)
+    assert gz_div(p, b) == a
     with pytest.raises(ArithmeticError):
-        (p + GZ(1)) / b
+        gz_div((p[0] + 1, p[1]), b)
+
+
+# big parts of either sign, and zero parts
+_part = st.one_of(st.integers(-2**4000, 2**4000), st.integers(-3, 3), st.just(0))
+_gaussian = st.tuples(_part, _part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gaussian, _gaussian, _gaussian)
+def test_gaussian_product_and_exact_quotient_property(x, y, r):
+    (a, b), (c, d) = x, y
+    p = gz_mul(x, y)
+    assert p == (a * c - b * d, a * d + b * c)           # the schoolbook product
+    if y == (0, 0):
+        return
+    assert gz_div(p, y) == x
+    n = c * c + d * d
+    # r is a multiple of y exactly when n divides r conj(y)
+    multiple = (r[0] * c + r[1] * d) % n == 0 and (r[1] * c - r[0] * d) % n == 0
+    q = (p[0] + r[0], p[1] + r[1])
+    if multiple:
+        assert gz_mul(gz_div(q, y), y) == q
+    else:
+        with pytest.raises(ArithmeticError):
+            gz_div(q, y)
+    if n > 1:                                            # a unit divides everything
+        with pytest.raises(ArithmeticError):
+            gz_div((p[0] + 1, p[1]), y)
 
 
 def test_from_complex_is_exact_and_in_lowest_terms():
     # binary floats convert losslessly: 0.1 is 3602879701896397 / 2^55
     f = poly_from_complex([0.1 + 0.25j])
-    assert f == ((GZ(3602879701896397, 2**53),), 2**55)
+    assert f == (((3602879701896397, 2**53),), 2**55)
     assert poly_to_complex(f) == [0.1 + 0.25j]
-    assert poly_from_complex([2, 4j, 0, 0]) == ((GZ(2), GZ(0, 4)), 1)
-    assert poly_from_complex([0.5, 0.5j]) == ((GZ(1), GZ(0, 1)), 2)
+    assert poly_from_complex([2, 4j, 0, 0]) == (((2, 0), (0, 4)), 1)
+    assert poly_from_complex([0.5, 0.5j]) == (((1, 0), (0, 1)), 2)
     assert poly_from_complex([0j, 0]) == poly_from_complex([]) == ((), 1)
 
 
@@ -88,9 +117,9 @@ def test_to_complex_rounds_like_a_fraction():
         except OverflowError:
             overflows += 1
             with pytest.raises(DomainError, match="float range"):
-                poly_to_complex(((GZ(re, im),), den))
+                poly_to_complex((((re, im),), den))
             continue
-        assert poly_to_complex(((GZ(re, im),), den)) == expect
+        assert poly_to_complex((((re, im),), den)) == expect
     assert overflows
 
 
@@ -100,17 +129,17 @@ def test_poly_ring_basics():
     assert poly_degree(f) == 2
     assert poly_degree(((), 1)) == -1
     assert poly_sub(f[0], f[0]) == ()
-    assert poly_add(f[0], g[0]) == (GZ(1), GZ(3), GZ(3))
-    assert poly_mul(g[0], g[0]) == (GZ(0), GZ(0), GZ(1))
-    assert poly_scale(g[0], GZ(0, 2)) == (GZ(0), GZ(0, 2))
+    assert poly_add(f[0], g[0]) == ((1, 0), (3, 0), (3, 0))
+    assert poly_mul(g[0], g[0]) == ((0, 0), (0, 0), (1, 0))
+    assert poly_scale(g[0], (0, 2)) == ((0, 0), (0, 2))
 
 
 def test_divmod_property():
     # pseudo-division: f lc(g)^(deg f - deg g + 1) divides exactly over Z[i]
     for _ in range(25):
         f, g = rand_poly(RNG, 6)[0], rand_poly(RNG, 3)[0]
-        g = poly_scale(g, GZ(int(RNG.integers(1, 4)), int(RNG.integers(-3, 4))))
-        f = poly_scale(f, g[-1] ** max(len(f) - len(g) + 1, 0))
+        g = poly_scale(g, (int(RNG.integers(1, 4)), int(RNG.integers(-3, 4))))
+        f = poly_scale(f, exactpoly._gz_pow(g[-1], max(len(f) - len(g) + 1, 0)))
         q, r = poly_divmod(f, g)
         assert poly_sub(f, poly_add(poly_mul(q, g), r)) == ()
         assert len(r) < len(g)
@@ -124,7 +153,7 @@ def test_xgcd_identity_exact():
         g = rand_poly(RNG, 4)
         d, u, v = poly_xgcd(f, g)
         assert combination((f, g), (u, v)) == d
-        assert d[0][-1] == GZ(d[1])      # monic normalization
+        assert d[0][-1] == (d[1], 0)     # monic normalization
 
 
 def test_xgcd_detects_common_factor():
@@ -148,6 +177,15 @@ def test_iterated_xgcd_combination():
         iterated_xgcd([])
 
 
+def test_iterated_xgcd_of_one_polynomial_is_monic():
+    for coeffs in ([2], [0.5j, 0, -4 + 4j], [-1, 1]):
+        f = poly_from_complex(coeffs)
+        d, (u,) = iterated_xgcd([f])
+        assert d[0][-1] == (d[1], 0)
+        assert combination([f], [u]) == d
+    assert iterated_xgcd([poly_from_complex([2])]) == (poly_one(), [poly_from_complex([0.5])])
+
+
 def test_iterated_xgcd_unit_for_coprime_pair():
     # z^2 and z - 1/2 share no roots: the gcd is exactly 1
     f1 = poly_from_complex([0, 0, 1])
@@ -165,7 +203,7 @@ def test_iterated_xgcd_unit_for_coprime_pair():
 def to_qq_i(f):
     """A pair as a list of QQ_I coefficients."""
     coeffs, den = f
-    return [QQ_I(QQ(c.re, den), QQ(c.im, den)) for c in coeffs]
+    return [QQ_I(QQ(re, den), QQ(im, den)) for re, im in coeffs]
 
 
 def _ref_trim(f):
@@ -252,6 +290,7 @@ def test_xgcd_equals_reference_on_seeded_pairs():
     for d in range(1, 9):
         for make in (_53bit, _dyadic):
             assert_matches_reference(make(rng, d), make(rng, d))
+    assert_matches_reference(_53bit(rng, 10), _53bit(rng, 10))   # the benchmark's largest
     for _ in range(10):
         assert_matches_reference(rand_poly(RNG, 4), rand_poly(RNG, 4))
 
@@ -294,16 +333,36 @@ def test_iterated_xgcd_equals_reference_for_three_functions():
 
 @needs_sympy
 def test_xgcd_divides_once_per_remainder(monkeypatch):
+    # plus the one division that recovers the cofactor of a nonzero f
     calls = []
     divmod_ = exactpoly.poly_divmod
     monkeypatch.setattr(exactpoly, "poly_divmod",
                         lambda f, g: calls.append(1) or divmod_(f, g))
     rng = np.random.default_rng(3)
     for f, g in ((_53bit(rng, 5), _53bit(rng, 5)), (_dyadic(rng, 2), _53bit(rng, 4)),
-                 (poly_one(), _dyadic(rng, 3))):
+                 (poly_one(), _dyadic(rng, 3)), (poly_from_complex([]), _dyadic(rng, 3))):
         calls.clear()
         poly_xgcd(f, g)
-        assert len(calls) == ref_xgcd(to_qq_i(f), to_qq_i(g))[3]
+        assert len(calls) == ref_xgcd(to_qq_i(f), to_qq_i(g))[3] + bool(f[0])
+
+
+@needs_sympy
+def test_xgcd_raises_when_the_recovered_cofactor_is_not_exact(monkeypatch):
+    # a unit added to the recovery's dividend leaves a remainder modulo f
+    rng = np.random.default_rng(4)
+    f, g = _53bit(rng, 4), _53bit(rng, 4)
+    steps = ref_xgcd(to_qq_i(f), to_qq_i(g))[3]
+    calls = []
+    divmod_ = exactpoly.poly_divmod
+
+    def perturbed(p, q):
+        calls.append(1)
+        return divmod_(poly_add(p, ((1, 0),)) if len(calls) > steps else p, q)
+
+    monkeypatch.setattr(exactpoly, "poly_divmod", perturbed)
+    with pytest.raises(ArithmeticError):
+        poly_xgcd(f, g)
+    assert len(calls) == steps + 1
 
 
 _dyadic_coeff = st.builds(lambda a, b: complex(a, b) / 4,

@@ -8,10 +8,12 @@ import pytest
 
 from corona_lab.blaschke import BlaschkeProduct
 from corona_lab.errors import ConfigError, DomainError
-from corona_lab.functions import FunctionSpec, constant_function, identity_function
+from corona_lab.functions import FunctionSpec
 from corona_lab.quadrature import (circle_nodes, integrate_piecewise,
                                    integrate_uniform_checked)
 from corona_lab.serialize import as_complex, complex_list, dumps, strict_keys
+
+from helpers import constant_function, identity_function
 
 RNG = np.random.default_rng(771004)
 

@@ -8,9 +8,11 @@ import pytest
 from corona_lab.blaschke import BlaschkeProduct, DiscSequence, compose_with_mobius
 from corona_lab.disc_geometry import MobiusAut
 from corona_lab.errors import AliasingError, DomainError
-from corona_lab.functions import FunctionSpec, constant_function, identity_function
+from corona_lab.functions import FunctionSpec
 from corona_lab.hoffman import (compose_trace, disc_grid, l2_distance_to_identity,
                                 schwarz_check)
+
+from helpers import constant_function, identity_function
 
 RNG = np.random.default_rng(771006)
 

@@ -11,13 +11,15 @@ from corona_lab import measures
 from corona_lab.disc_geometry import OrthogonalArc, canonical_angle, orthogonal_circle
 from corona_lab.errors import (ConfigError, DomainError, InfeasibleError,
                                QuadratureError)
-from corona_lab.functions import FunctionSpec, constant_function, identity_function
+from corona_lab.functions import FunctionSpec
 from corona_lab.measures import (CASE_LEFT, CASE_RIGHT, CASE_STRADDLE,
                                  MASS_ROW_WEIGHT, RIDGE, SimpleDensity,
                                  TargetFunctional, align_arcs, fit_simple_density,
                                  nnls, poisson_integral, poisson_kernel,
                                  pushforward_density, quartiles)
 from corona_lab.quadrature import integrate_piecewise
+
+from helpers import constant_function, identity_function
 
 RNG = np.random.default_rng(771005)
 TWO_PI = 2 * math.pi

@@ -2,7 +2,8 @@
 roots are located against the closed disc by functions.roots_in_closed_disc,
 polynomial data is read through FunctionSpec.coeffs, artifacts are written
 by cli.main, JSON text by serialize.dumps, and the Gauss-Legendre table is
-built by quadrature.gl_rule."""
+built by quadrature.gl_rule.  Every top-level function in src/ has a caller
+there or is public, so code that only the tests use stays in tests/."""
 
 import ast
 from pathlib import Path
@@ -120,6 +121,27 @@ def test_the_gauss_legendre_table_is_built_in_gl_rule_only():
         return _attr(node, "leggauss") or isinstance(node, ast.Name) and node.id == "leggauss"
 
     assert _sites(leggauss) == ["quadrature.py:gl_rule"]
+
+
+def test_every_top_level_function_is_referenced_in_src_or_public():
+    # the selftest suites are reached by name through --selftest, and the
+    # module's __getattr__ and __dir__ by Python; a function's references
+    # to itself do not count
+    defined, referenced = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own is not None:
+                defined.append((path.name, own))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != own:
+                    referenced.add(name)
+    exempt = set(corona_lab._SOURCE) | {"selftest", "__getattr__", "__dir__"}
+    assert [f"{module}:{name}" for module, name in defined
+            if name not in referenced and name not in exempt] == []
 
 
 # points 1e-9 and 3e-12 from the circle, where 1 - |z|^2 formed by
