@@ -16,7 +16,8 @@ from .errors import ConstructionError, DomainError, InfeasibleError
 from .quadrature import polar_grid
 from .serialize import as_finite, complex_list, strict_keys
 
-DEFAULT_THIN_THRESHOLD = 0.9
+# LadderConstruction.thin_product: the chosen points' last separation tail must exceed this
+THIN_THRESHOLD = 0.9
 
 # zeros per complex division in BlaschkeProduct.__call__
 BLOCK = 8
@@ -296,30 +297,29 @@ class LadderConstruction:
         return (BlaschkeProduct(tuple(b1)), BlaschkeProduct(tuple(b2)),
                 BlaschkeProduct(tuple(b3)))
 
-    def thin_product(self, threshold: float = DEFAULT_THIN_THRESHOLD) -> BlaschkeProduct:
+    def thin_product(self) -> BlaschkeProduct:
         """Product over the chosen transport points, gated by a thinness check.
 
-        The last separation tail of the chosen subsequence must exceed the
-        threshold, otherwise the points are too crowded to serve as the thin
-        part of a candidate.
+        The last separation tail of the chosen subsequence must exceed
+        THIN_THRESHOLD, otherwise the points are too crowded to serve as the
+        thin part of a candidate.
         """
         seq = DiscSequence(self.chosen_points)
         tail_last = seq.separation_tails[-1]
-        if not tail_last > threshold:
+        if not tail_last > THIN_THRESHOLD:
             raise InfeasibleError(
-                f"chosen points fail thinness: last tail {tail_last:.6f} <= {threshold}",
+                f"chosen points fail thinness: last tail {tail_last:.6f} <= {THIN_THRESHOLD}",
                 residuals=[tail_last])
         return BlaschkeProduct(self.chosen_points)
 
-    def candidate_products(self, threshold: float = DEFAULT_THIN_THRESHOLD
-                           ) -> tuple[BlaschkeProduct, BlaschkeProduct]:
+    def candidate_products(self) -> tuple[BlaschkeProduct, BlaschkeProduct]:
         """The two admissible assemblies band*oddgaps*thin and band*evengaps*thin.
 
         Which one the caller wants depends on measured behavior downstream,
         so both are returned.
         """
         b1, b2, b3 = self.band_products()
-        b4 = self.thin_product(threshold)
+        b4 = self.thin_product()
         return b1 * b2 * b4, b1 * b3 * b4
 
     def to_dict(self) -> dict:

@@ -24,6 +24,9 @@ from .serialize import (as_complex, as_finite, as_list, complex_list, csv_text, 
                         load_json, strict_keys)
 
 MIN_NODES = 4
+# point counts given as flags stop here, about 64 MB per complex array, the
+# bound corona.MAX_COUNT keeps for grids read from files
+MAX_POINTS = 2 ** 22
 
 def _parse_inline(text: str, where: str):
     try:
@@ -32,18 +35,19 @@ def _parse_inline(text: str, where: str):
         raise ConfigError(f"{where}: invalid inline JSON ({e})")
 
 
-def _integer(lo: int, power_of_two: bool = False):
-    """argparse type of an integer >= lo, and a power of two if power_of_two."""
+def _integer(lo: int, hi: float = math.inf, power_of_two: bool = False):
+    """argparse type of an integer in [lo, hi], and a power of two if power_of_two."""
     wanted = "a power of two" if power_of_two else "an integer"
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = lo - 1
-        if value >= lo and not (power_of_two and value & (value - 1)):
+        if lo <= value <= hi and not (power_of_two and value & (value - 1)):
             return value
-        raise argparse.ArgumentTypeError(f"expected {wanted} >= {lo}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {wanted} {span}, got {text!r}")
     return parse
 
 
@@ -192,7 +196,7 @@ def _cmd_l2_identity(args) -> tuple:
 
 def _cmd_measure_fit(args) -> tuple:
     from .functions import FunctionSpec
-    from .measures import TargetFunctional, fit_simple_density
+    from .measures import fit_simple_density
     infile = args.infile
     doc = load_json(infile)
     strict_keys(doc, required=("targets", "partition"), optional=("window",),
@@ -212,8 +216,7 @@ def _cmd_measure_fit(args) -> tuple:
     entries = as_list(doc["targets"], f"{infile}.targets", target)
     partition = as_list(doc["partition"], f"{infile}.partition", arc)
     window = as_finite(doc["window"], f"{infile}.window") if "window" in doc else None
-    fit = fit_simple_density(TargetFunctional(tuple(entries)), partition,
-                             eps=args.eps, window=window)
+    fit = fit_simple_density(entries, partition, eps=args.eps, window=window)
     return {**fit.density.to_dict(), "residuals": fit.residuals,
             "mass_error": fit.mass_error}, 0
 
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="instance JSON")
     p.add_argument("--cert", required=True, help="certificate JSON")
     p.add_argument("--tol", type=_POSITIVE, default=1e-8)
-    p.add_argument("--samples", type=_integer(0), default=CHECK_SAMPLES)
+    p.add_argument("--samples", type=_integer(0, MAX_POINTS), default=CHECK_SAMPLES)
     p.add_argument("--seed", type=_integer(0), default=0,
                    help="seed for the random verification points")
     _add_common(p, _cmd_corona_check, "corona_lab.corona")
@@ -347,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True, help="function JSON")
     p.add_argument("--points", required=True, help="sequence JSON")
     p.add_argument("--grid-radius", type=_RADIUS, default=DEFAULT_GRID_RADIUS)
-    p.add_argument("--grid-size", type=_integer(1), default=DEFAULT_GRID_SIZE)
+    p.add_argument("--grid-size", type=_integer(1, MAX_POINTS), default=DEFAULT_GRID_SIZE)
     _add_common(p, _cmd_hoffman_trace, "corona_lab.hoffman")
 
     p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")
     p.add_argument("--zeros", required=True, help="inline JSON list of zeros")
     p.add_argument("--rotation", type=_FINITE, default=0.0)
     p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
-    p.add_argument("--n-fft", type=_integer(MIN_FFT_NODES, power_of_two=True),
+    p.add_argument("--n-fft", type=_integer(MIN_FFT_NODES, MAX_POINTS, power_of_two=True),
                    default=DEFAULT_FFT_NODES)
     _add_common(p, _cmd_l2_identity, "corona_lab.hoffman")
 
@@ -372,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pushforward", help="density of the image measure under L_c")
     p.add_argument("--density", required=True, help="density JSON")
     p.add_argument("--c", required=True, help="inline JSON point")
-    p.add_argument("--samples", type=_integer(0), default=0,
+    p.add_argument("--samples", type=_integer(0, MAX_POINTS), default=0,
                    help="emit a CSV of this many samples instead of JSON")
-    p.add_argument("--nodes", type=_integer(MIN_NODES), default=None,
+    p.add_argument("--nodes", type=_integer(MIN_NODES, MAX_POINTS), default=None,
                    help=f"mass quadrature node count (default {DEFAULT_NODES}); "
                         "not with --samples")
     _add_common(p, _cmd_pushforward, "corona_lab.measures")

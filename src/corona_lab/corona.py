@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .disc_geometry import check_disc
 from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
 from .functions import FunctionSpec, roots_in_closed_disc
 from .quadrature import CHECK_SAMPLES, circle_nodes, polar_grid
@@ -123,10 +122,6 @@ class CoronaInstance:
         for f in self.functions:
             if not isinstance(f, FunctionSpec):
                 raise DomainError("instance functions must be FunctionSpec values")
-
-    @classmethod
-    def build(cls, functions, grid: GridSpec = DEFAULT_GRID) -> "CoronaInstance":
-        return cls(tuple(functions), grid)
 
     def to_dict(self) -> dict:
         return {"functions": [f.to_dict() for f in self.functions],
@@ -334,10 +329,9 @@ class ClusterReport:
         return asdict(self)
 
 
-def cluster_scenario(functions, points, eps: float,
-                     min_tail: int = 3) -> ClusterReport:
-    """Extract a subsequence along which every function simultaneously
-    settles near its value at the final point.
+def cluster_scenario(functions, seq, eps: float, min_tail: int = 3) -> ClusterReport:
+    """Extract a subsequence of the DiscSequence seq along which every
+    function simultaneously settles near its value at the final point.
 
     Stage k keeps the indices j with |f_k(z_j) - f_k(z_last)| < eps (the
     last index always survives).  If fewer than min_tail indices survive all
@@ -345,9 +339,9 @@ def cluster_scenario(functions, points, eps: float,
     ExtractionError says to lengthen it.
     """
     fns = tuple(functions)
-    pts = tuple(check_disc(z, "point") for z in getattr(points, "points", points))
-    if not fns or not pts:
-        raise DomainError("need at least one function and one point")
+    pts = seq.points
+    if not fns:
+        raise DomainError("need at least one function")
     if eps <= 0:
         raise DomainError("eps must be positive")
     dists = [abs(1 - z) for z in pts]
@@ -379,8 +373,8 @@ def cluster_scenario(functions, points, eps: float,
 def selftest() -> list[tuple[str, bool]]:
     checks = []
 
-    inst = CoronaInstance.build((FunctionSpec.polynomial((0, 0, 1)),
-                                 FunctionSpec.polynomial((-0.5, 1))))
+    inst = CoronaInstance((FunctionSpec.polynomial((0, 0, 1)),
+                           FunctionSpec.polynomial((-0.5, 1))))
     cert = bezout_exact(inst)
     checks.append(("exact solver closes the anchor pair",
                    cert.passing and cert.residual_sup < 1e-12))
@@ -392,8 +386,8 @@ def selftest() -> list[tuple[str, bool]]:
     rep = check_certificate(inst, cert, tol=1e-10)
     checks.append(("random check accepts the certificate", rep.passing))
 
-    bad = CoronaInstance.build((FunctionSpec.polynomial((0, 1)),
-                                FunctionSpec.polynomial((0, 0, 1))))
+    bad = CoronaInstance((FunctionSpec.polynomial((0, 1)),
+                          FunctionSpec.polynomial((0, 0, 1))))
     try:
         bezout_exact(bad)
         checks.append(("common zero detected", False))

@@ -77,12 +77,9 @@ class FunctionSpec:
         return cls(POLYNOMIAL, (cs,))
 
     @classmethod
-    def finite_blaschke(cls, b_or_zeros, rotation: float = 0.0) -> "FunctionSpec":
+    def finite_blaschke(cls, zeros, rotation: float = 0.0) -> "FunctionSpec":
         from .blaschke import BlaschkeProduct
-        if isinstance(b_or_zeros, BlaschkeProduct):
-            b = b_or_zeros
-        else:
-            b = BlaschkeProduct(tuple(b_or_zeros), rotation)
+        b = BlaschkeProduct(tuple(zeros), rotation)
         return cls(FINITE_BLASCHKE, (b.zeros, b.rotation))
 
     @classmethod

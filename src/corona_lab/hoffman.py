@@ -23,6 +23,8 @@ from .serialize import csv_rows
 GRID_ANGULAR = 8
 
 ALIAS_TOL = 1e-3
+# rounding allowed above one in schwarz_check's invariant derivative
+INVARIANT_SLACK = 1e-9
 
 
 def disc_grid(grid_size: int = DEFAULT_GRID_SIZE,
@@ -58,11 +60,11 @@ class CompositionTrace:
             f"{g},{j},{next(values)}\n" for j in range(len(self.c_values)) for g in grid)
 
 
-def compose_trace(f, seq, grid_radius: float = DEFAULT_GRID_RADIUS,
+def compose_trace(f, seq: DiscSequence, grid_radius: float = DEFAULT_GRID_RADIUS,
                   grid_size: int = DEFAULT_GRID_SIZE) -> CompositionTrace:
     """Record f recentered along the sequence on a compact polar grid; f is
     called once, on the (len(seq), grid size) array of recentred points."""
-    cs = tuple(check_disc(c, "c") for c in getattr(seq, "points", seq))
+    cs = seq.points
     if len(cs) < 2:
         raise DomainError("need at least two recentering points")
     pts = disc_grid(grid_size, grid_radius)
@@ -72,50 +74,48 @@ def compose_trace(f, seq, grid_radius: float = DEFAULT_GRID_RADIUS,
 
 @dataclass(frozen=True)
 class SchwarzRow:
-    """Invariant-derivative data for a product at one sequence point.
+    """Invariant-derivative data for the product B over a sequence at one of
+    its points c.
 
-    derivative_invariant is (1 - |c|^2) |B'(c)|.  When c is a zero of B the
-    value vanishes and the invariant equals the pseudo-hyperbolic separation
-    of c from the remaining zeros; a nonzero value is a diagnostic that c is
-    not on the zero list.
+    derivative_invariant is (1 - |c|^2) |B'(c)|.  Since c is a zero of B,
+    value vanishes up to rounding and the invariant equals separation_tail,
+    the pseudo-hyperbolic separation of c from the other points; gap is how
+    far the two computations differ.
     """
 
     index: int
     point: complex
     value: complex
     derivative_invariant: float
-    separation_tail: float | None
+    separation_tail: float
 
     @property
     def gap(self) -> float:
-        if self.separation_tail is None:
-            return math.nan
         return abs(self.derivative_invariant - self.separation_tail)
 
 
-def schwarz_check(seq: DiscSequence, b: BlaschkeProduct | None = None,
-                  tol: float = 1e-9) -> list[SchwarzRow]:
-    """Evaluate the invariant derivative of b at each sequence point.
-
-    With b omitted, the product over the sequence itself is used, in which
-    case every row also carries the matching separation tail for an exact
+def schwarz_check(seq: DiscSequence) -> list[SchwarzRow]:
+    """Evaluate the invariant derivative of the product over the sequence at
+    each of its points, beside the matching separation tail for an exact
     cross-check of the derivative identity.
+
+    Schwarz-Pick keeps the invariant at most one, so a value above
+    1 + INVARIANT_SLACK means the evaluation lost accuracy; DomainError names
+    the first such point.
     """
-    if b is None:
-        b = BlaschkeProduct(seq.points)
-    tails = seq.separation_tails if b.zeros == seq.points else None
+    b = BlaschkeProduct(seq.points)
+    tails = seq.separation_tails
     pts = np.array(seq.points, dtype=complex)
     values = b(pts)
     gaps = np.array([one_minus_abs2(c) for c in seq.points])
     inv = gaps * np.abs(b.derivative(pts))
-    bad = np.flatnonzero(inv > 1 + tol)
+    bad = np.flatnonzero(inv > 1 + INVARIANT_SLACK)
     if bad.size:
         j = int(bad[0])
         raise DomainError(
             f"invariant derivative {float(inv[j])} exceeds one at point {j}; "
             "evaluation is unreliable this close to the boundary")
-    return [SchwarzRow(j, c, complex(values[j]), float(inv[j]),
-                       float(tails[j]) if tails is not None else None)
+    return [SchwarzRow(j, c, complex(values[j]), float(inv[j]), float(tails[j]))
             for j, c in enumerate(seq.points)]
 
 
@@ -206,7 +206,7 @@ def selftest() -> list[tuple[str, bool]]:
     checks.append(("single factor invariant is one",
                    abs(single[0].derivative_invariant - 1) < 1e-12))
 
-    trace = compose_trace(lambda z: np.full_like(z, 2.5), (0.9, 0.95, 0.99))
+    trace = compose_trace(lambda z: np.full_like(z, 2.5), DiscSequence((0.9, 0.95, 0.99)))
     checks.append(("constant trace is flat",
                    trace.samples.shape == (3, 40) and bool(np.all(trace.samples == 2.5))))
     return checks

@@ -167,17 +167,16 @@ def poisson_kernel(z, theta):
 
 
 def poisson_integral(f, z, nodes: int = DEFAULT_NODES, tol: float | None = None):
-    """Boundary average of f against the kernel at z; reproduces f(z) for
-    functions analytic on the closed disc.
+    """Boundary average of the callable f against the kernel at z; reproduces
+    f(z) for functions analytic on the closed disc.
 
     With tol set, the achieved error estimate (full rule against the half
     rule) is enforced and QuadratureError carries it on failure.
     """
     z = check_disc(z, "z")
-    fn = f if callable(f) else FunctionSpec.from_dict(f)
 
     def integrand(theta):
-        return np.asarray(fn(np.exp(1j * theta)), dtype=complex) * poisson_kernel(z, theta)
+        return np.asarray(f(np.exp(1j * theta)), dtype=complex) * poisson_kernel(z, theta)
 
     value, estimate = integrate_uniform_checked(integrand, nodes)
     if tol is not None and estimate > tol:
@@ -336,6 +335,7 @@ def fit_simple_density(targets, partition, eps: float,
                        window: float | None = None) -> DensityFit:
     """Nonnegative least squares fit of a step density to integral targets.
 
+    targets holds (FunctionSpec, value) pairs, screened by TargetFunctional;
     partition is a list of disjoint (start, end) arcs that carry the
     unknown constant values.  The unit-mass constraint rides along as a
     heavily weighted row and is then enforced exactly by renormalizing; a
@@ -344,10 +344,7 @@ def fit_simple_density(targets, partition, eps: float,
     partition is not finite, and InfeasibleError with the achieved
     residuals when any target misses by more than eps.
     """
-    if isinstance(targets, TargetFunctional):
-        entries = targets.entries
-    else:
-        entries = TargetFunctional(tuple(targets)).entries
+    entries = TargetFunctional(tuple(targets)).entries
     bins = _sorted_arcs([(float(a), float(b)) for a, b in partition], "partition bin", window)
     if not bins:
         raise DomainError("partition must be nonempty")

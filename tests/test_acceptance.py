@@ -231,7 +231,7 @@ def test_criterion_09_exact_and_numeric_solver_anchor():
     budget = Budget(5.0)
     anchor = (FunctionSpec.polynomial([0, 0, 1]),
               FunctionSpec.polynomial([-0.5, 1]))
-    inst = CoronaInstance.build(anchor)
+    inst = CoronaInstance(anchor)
     cert = bezout_exact(inst)
     g1, g2 = cert.solutions
     exact_ok = (cert.residual_sup < 1e-12
@@ -262,10 +262,9 @@ def test_criterion_10_sector_ladder_rungs():
 def test_criterion_11_cluster_limits():
     budget = Budget(1.0)
     pts = tuple(1 - 2.0 ** -j for j in range(1, 46))
-    b = BlaschkeProduct(pts)
-    fns = (identity_function(), FunctionSpec.finite_blaschke(b),
-           FunctionSpec.finite_blaschke(b * b))
-    rep = cluster_scenario(fns, pts, eps=1e-6)
+    fns = (identity_function(), FunctionSpec.finite_blaschke(pts),
+           FunctionSpec.finite_blaschke(pts * 2))
+    rep = cluster_scenario(fns, DiscSequence(pts), eps=1e-6)
     limits_ok = (abs(rep.limits[0] - 1) < 1e-6
                  and abs(rep.limits[1]) < 1e-6
                  and abs(rep.limits[2]) < 1e-6)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corona_lab.blaschke import (BLOCK, BlaschkeProduct, DiscSequence, Sector,
-                                 carleson_diagnostics,
+from corona_lab.blaschke import (BLOCK, THIN_THRESHOLD, BlaschkeProduct, DiscSequence,
+                                 Sector, carleson_diagnostics,
                                  compose_with_mobius, construct_ladder,
                                  min_modulus_on_disc, modulus_lower_bound)
 from corona_lab.disc_geometry import MobiusAut, pseudo_distance
@@ -417,16 +417,25 @@ def test_ladder_partition_equals_the_loop():
 
 
 def test_ladder_products_assemble():
-    lad = construct_ladder(LADDER_ZEROS, LADDER_CANDIDATES, LADDER_EPS,
-                           LADDER_ETA, 0.5)
-    # ratio-3 candidate spacing gives pseudo-gaps of 1/2, so the default
-    # thinness gate rejects these points; assembly is tested below it
+    # ratio-3 candidate spacing gives pseudo-gaps of 1/2, so the thinness
+    # gate rejects the points chosen from these candidates
+    crowded = construct_ladder(LADDER_ZEROS, LADDER_CANDIDATES, LADDER_EPS,
+                               LADDER_ETA, 0.5)
     with pytest.raises(InfeasibleError):
-        lad.thin_product()
-    thin = lad.thin_product(threshold=0.4)
+        crowded.thin_product()
+    with pytest.raises(InfeasibleError):
+        crowded.candidate_products()
+    # ratio-40 candidates over four rungs choose points whose last
+    # separation tail, 0.9517, passes the gate
+    sparse = DiscSequence(tuple(1 - 40.0 ** -n for n in range(1, 10)))
+    lad = construct_ladder(LADDER_ZEROS, sparse, LADDER_EPS[:4], LADDER_ETA[:4], 0.5)
+    assert lad.chosen_indices == (0, 3, 7, 8)
+    assert THIN_THRESHOLD < DiscSequence(lad.chosen_points).separation_tails[-1] < 0.952
+    thin = lad.thin_product()
     assert thin.zeros == lad.chosen_points
-    cand_odd, cand_even = lad.candidate_products(threshold=0.4)
+    cand_odd, cand_even = lad.candidate_products()
     bands, odd, even = lad.partition
+    assert odd and even
     assert sorted(cand_odd.zeros, key=abs) == sorted(
         bands + odd + lad.chosen_points, key=abs)
     assert sorted(cand_even.zeros, key=abs) == sorted(

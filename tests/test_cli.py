@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import corona_lab
-from corona_lab.cli import _Selftest, build_parser, main
+from corona_lab.cli import MAX_POINTS, _Selftest, build_parser, main
 from corona_lab.measures import SimpleDensity, pushforward_density
 
 
@@ -472,6 +472,29 @@ def test_exit_code_two_on_usage_errors(capsys, tmp_path):
     assert rc == 2
     payload = json.loads(err)
     assert "--candidates" in payload["message"]
+
+
+# each point-count flag with the required flags of its subcommand; parsing
+# reads no file, and a rejected value stops main before any computation
+_POINT_COUNTS = {
+    "l2-identity --n-fft": ["--zeros", "[[0,0]]"],
+    "pushforward --samples": ["--density", "d.json", "--c", "[0,0]"],
+    "pushforward --nodes": ["--density", "d.json", "--c", "[0,0]"],
+    "corona-check --samples": ["--in", "inst.json", "--cert", "cert.json"],
+    "hoffman-trace --grid-size": ["--function", "f.json", "--points", "seq.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POINT_COUNTS))
+def test_point_count_flags_stop_at_max_points(capsys, case):
+    command, flag = case.split()
+    argv = [command, *_POINT_COUNTS[case], flag]
+    args = build_parser().parse_args(argv + [str(MAX_POINTS)])
+    assert getattr(args, flag[2:].replace("-", "_")) == MAX_POINTS == 2 ** 22
+    for value in (MAX_POINTS + 1, 2 * MAX_POINTS):
+        rc, out, err = run(capsys, *argv, str(value))
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["message"].startswith(f"argument {flag}: ")
 
 
 def test_measure_fit_malformed_partition_names_key(capsys, tmp_path):
@@ -942,9 +965,10 @@ def test_inline_json_nested_too_deep_is_a_usage_error(capsys):
 
 # ------------------------------------------------------------------ fuzzing
 # argv drawn over every subcommand: junk and out-of-range flag values,
-# malformed and random JSON files.  Counts in the pools stay small, so no
-# drawn value asks for a large computation; random documents may carry grid
-# keys because counts read from files are bounded (corona.MAX_COUNT).
+# malformed and random JSON files.  Point-count flags are bounded
+# (cli.MAX_POINTS) and so are grid counts read from files
+# (corona.MAX_COUNT), but a value at a bound still asks for a large
+# computation, so the pools draw small counts only.
 
 def _poly(coeffs):
     return {"kind": "polynomial", "data": {"coeffs": [[c, 0] for c in coeffs]}}

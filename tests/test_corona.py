@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corona_lab.blaschke import BlaschkeProduct, DiscSequence
+from corona_lab.blaschke import DiscSequence
 from corona_lab.corona import (DEFAULT_GRID, BezoutCertificate, CoronaInstance,
                                GridSpec, bezout_exact, bezout_numeric,
                                check_certificate, cluster_scenario,
@@ -63,7 +63,7 @@ def test_measure_delta_values():
 
 def test_instance_roundtrip_keeps_functions_and_grid():
     grid = GridSpec(radial=9, angular=16, boundary=32, ratio=0.25)
-    inst = CoronaInstance.build(ANCHOR, grid)
+    inst = CoronaInstance(ANCHOR, grid)
     d = inst.to_dict()
     assert set(d) == {"functions", "grid"}
     assert CoronaInstance.from_dict(d) == inst
@@ -74,7 +74,7 @@ def test_instance_roundtrip_keeps_functions_and_grid():
 
 
 def test_exact_solver_anchor_certificate():
-    cert = bezout_exact(CoronaInstance.build(ANCHOR))
+    cert = bezout_exact(CoronaInstance(ANCHOR))
     assert cert.method == "exact"
     assert cert.passing
     assert cert.residual_sup < 1e-12
@@ -86,13 +86,13 @@ def test_exact_solver_anchor_certificate():
 
 def test_exact_solver_inverts_a_single_constant():
     # the gcd of one function is its monic associate, so u = 1/c, not 1
-    cert = bezout_exact(CoronaInstance.build((constant_function(2 - 2j),)))
+    cert = bezout_exact(CoronaInstance((constant_function(2 - 2j),)))
     assert cert.solutions[0].payload[0] == (0.25 + 0.25j,)
     assert cert.passing and cert.residual_bound == 0.0
 
 
 def test_exact_solver_common_zero_unsolvable():
-    inst = CoronaInstance.build((identity_function(),
+    inst = CoronaInstance((identity_function(),
                                  FunctionSpec.polynomial([0, 0, 1])))
     with pytest.raises(UnsolvableError) as exc:
         bezout_exact(inst)
@@ -103,7 +103,7 @@ def test_exact_solver_outside_gcd_gives_rational_solutions():
     # common factor z - 2 has its root outside the closed disc
     f1 = FunctionSpec.polynomial([0, -2, 1])         # z(z - 2)
     f2 = FunctionSpec.polynomial([-1, 2.5, -1])      # -(z - 2)(z - 1/2)
-    cert = bezout_exact(CoronaInstance.build((f1, f2)))
+    cert = bezout_exact(CoronaInstance((f1, f2)))
     assert cert.passing
     assert cert.residual_sup < 1e-10
     assert all(u.kind == "rational" for u in cert.solutions)
@@ -112,7 +112,7 @@ def test_exact_solver_outside_gcd_gives_rational_solutions():
 
 
 def test_exact_solver_rejects_non_polynomials():
-    inst = CoronaInstance.build((FunctionSpec.finite_blaschke((0.5,)),
+    inst = CoronaInstance((FunctionSpec.finite_blaschke((0.5,)),
                                  constant_function(1)))
     with pytest.raises(DomainError):
         bezout_exact(inst)
@@ -121,7 +121,7 @@ def test_exact_solver_rejects_non_polynomials():
 def test_exact_solver_near_collinear_norm_growth():
     f1 = identity_function()
     f2 = FunctionSpec.polynomial([1e-6, 1])       # z + 1e-6
-    cert = bezout_exact(CoronaInstance.build((f1, f2)))
+    cert = bezout_exact(CoronaInstance((f1, f2)))
     assert max(cert.norms) > 1e5
     assert cert.residual_sup < 1e-8
 
@@ -158,7 +158,7 @@ def test_residual_bound_dominates_the_exact_residual():
         funcs = tuple(FunctionSpec.polynomial(rng.normal(size=d + 1)
                                               + 1j * rng.normal(size=d + 1))
                       for _ in range(2))
-        inst = CoronaInstance.build(funcs)
+        inst = CoronaInstance(funcs)
         for cert in (bezout_exact(inst), bezout_numeric(inst, degree_cap=d)):
             exact = _exact_residual_sup_squared(inst, cert, theta)
             assert Fraction(cert.residual_bound) ** 2 >= exact > 0
@@ -166,13 +166,13 @@ def test_residual_bound_dominates_the_exact_residual():
 
 
 def test_residual_bound_needs_polynomial_data():
-    inst = CoronaInstance.build((FunctionSpec.finite_blaschke((0.5,)),
+    inst = CoronaInstance((FunctionSpec.finite_blaschke((0.5,)),
                                  constant_function(1)))
     assert bezout_numeric(inst, degree_cap=4).residual_bound is None
 
 
 def test_certificate_roundtrip_keeps_residual_bound():
-    cert = bezout_numeric(CoronaInstance.build(ANCHOR), degree_cap=2)
+    cert = bezout_numeric(CoronaInstance(ANCHOR), degree_cap=2)
     again = BezoutCertificate.from_dict(cert.to_dict())
     assert again.residual_bound == cert.residual_bound > 0
     bad = dict(cert.to_dict(), residual_bound="x")
@@ -194,14 +194,14 @@ def test_exact_solver_degree_20_pair():
     rng = np.random.default_rng(2020)
     part = lambda: rng.uniform(0.5, 1.0, 21) * rng.choice((-1.0, 1.0), 21)
     funcs = tuple(FunctionSpec.polynomial(part() + 1j * part()) for _ in range(2))
-    cert = bezout_exact(CoronaInstance.build(funcs))   # the identity guard raises on failure
+    cert = bezout_exact(CoronaInstance(funcs))   # the identity guard raises on failure
     assert cert.passing
     assert all(len(u.payload[0]) == 20 for u in cert.solutions)
     assert cert.residual_bound < 1e-12
 
 
 def test_numeric_solver_anchor():
-    inst = CoronaInstance.build(ANCHOR)
+    inst = CoronaInstance(ANCHOR)
     cert = bezout_numeric(inst, degree_cap=2)
     assert cert.method == "numeric"
     assert cert.passing
@@ -211,7 +211,7 @@ def test_numeric_solver_anchor():
 def test_numeric_solver_geometric_tail():
     # single function bounded away from zero: inversion truncates to a
     # geometric series whose tail the cap controls
-    inst = CoronaInstance.build((FunctionSpec.polynomial([1, -0.5]),))
+    inst = CoronaInstance((FunctionSpec.polynomial([1, -0.5]),))
     cert = bezout_numeric(inst, degree_cap=20)
     assert cert.residual_sup < 1e-5
     low = bezout_numeric(inst, degree_cap=2)
@@ -219,16 +219,16 @@ def test_numeric_solver_geometric_tail():
 
 
 def test_numeric_solver_preconditions():
-    inst = CoronaInstance.build(ANCHOR)
+    inst = CoronaInstance(ANCHOR)
     with pytest.raises(DomainError):
         bezout_numeric(inst, degree_cap=-1)
-    dead = CoronaInstance.build((FunctionSpec.polynomial([0j]),))
+    dead = CoronaInstance((FunctionSpec.polynomial([0j]),))
     with pytest.raises(UnsolvableError):
         bezout_numeric(dead, degree_cap=2)
 
 
 def test_check_certificate_confirms_and_rejects():
-    inst = CoronaInstance.build(ANCHOR)
+    inst = CoronaInstance(ANCHOR)
     cert = bezout_exact(inst)
     rep = check_certificate(inst, cert, tol=1e-12)
     assert rep.passing
@@ -243,14 +243,14 @@ def test_check_certificate_confirms_and_rejects():
 
 
 def test_check_certificate_seed_stability():
-    inst = CoronaInstance.build(ANCHOR)
+    inst = CoronaInstance(ANCHOR)
     cert = bezout_exact(inst)
     for seed in (0, 1, 12345):
         assert check_certificate(inst, cert, tol=1e-10, seed=seed).passing
 
 
 def test_check_certificate_shape_contract():
-    inst = CoronaInstance.build(ANCHOR)
+    inst = CoronaInstance(ANCHOR)
     empty = BezoutCertificate((), math.nan, (), False, "unknown")
     rep = check_certificate(inst, empty)
     assert not rep.passing
@@ -264,10 +264,9 @@ SEQ45 = tuple(1 - 2.0 ** -j for j in range(1, 46))
 
 
 def test_cluster_identity_and_product_limits():
-    b = BlaschkeProduct(SEQ45)
-    fns = (identity_function(), FunctionSpec.finite_blaschke(b),
-           FunctionSpec.finite_blaschke(b * b))
-    rep = cluster_scenario(fns, SEQ45, eps=1e-6)
+    fns = (identity_function(), FunctionSpec.finite_blaschke(SEQ45),
+           FunctionSpec.finite_blaschke(SEQ45 * 2))
+    rep = cluster_scenario(fns, DiscSequence(SEQ45), eps=1e-6)
     assert abs(rep.limits[0] - 1) < 1e-6
     assert rep.limits[1] == 0j
     assert rep.limits[2] == 0j
@@ -278,10 +277,9 @@ def test_cluster_identity_and_product_limits():
 
 
 def test_cluster_spread_is_the_survivors_largest_distance_below_eps():
-    b = BlaschkeProduct(SEQ45)
-    fns = (identity_function(), FunctionSpec.finite_blaschke(b), constant_function(0.5j))
+    fns = (identity_function(), FunctionSpec.finite_blaschke(SEQ45), constant_function(0.5j))
     for eps in (1e-2, 1e-6, 1e-9):
-        rep = cluster_scenario(fns, SEQ45, eps=eps)
+        rep = cluster_scenario(fns, DiscSequence(SEQ45), eps=eps)
         assert len(rep.spread) == len(fns)
         for f, limit, spread in zip(fns, rep.limits, rep.spread):
             vals = np.asarray(f(np.array(SEQ45)), dtype=complex)
@@ -292,7 +290,7 @@ def test_cluster_spread_is_the_survivors_largest_distance_below_eps():
 
 def test_cluster_requires_approach_to_one():
     with pytest.raises(DomainError):
-        cluster_scenario((identity_function(),), (0.9, 0.5), eps=1e-3)
+        cluster_scenario((identity_function(),), DiscSequence((0.9, 0.5)), eps=1e-3)
 
 
 def test_cluster_extraction_error_reports_counts():
@@ -304,6 +302,6 @@ def test_cluster_extraction_error_reports_counts():
 
 def test_cluster_parameter_validation():
     with pytest.raises(DomainError):
-        cluster_scenario((), (0.5,), eps=1e-3)
+        cluster_scenario((), DiscSequence((0.5,)), eps=1e-3)
     with pytest.raises(DomainError):
-        cluster_scenario((identity_function(),), (0.5,), eps=0.0)
+        cluster_scenario((identity_function(),), DiscSequence((0.5,)), eps=0.0)

@@ -47,23 +47,22 @@ def test_pseudo_distance_symmetry_and_range():
 
 def test_mobius_inverse_roundtrip():
     for _ in range(50):
-        m = MobiusAut(random_disc_point(RNG), RNG.uniform(-5, 5))
+        m = MobiusAut(random_disc_point(RNG))
         z = random_disc_point(RNG)
         assert abs(m.inverse(m.apply(z)) - z) < 1e-13
         assert abs(m.apply(m.inverse(z)) - z) < 1e-13
-        assert m(z) == m.apply(z)
 
 
 def test_mobius_preserves_pseudo_distance():
     for _ in range(50):
-        m = MobiusAut(random_disc_point(RNG), RNG.uniform(-5, 5))
+        m = MobiusAut(random_disc_point(RNG))
         z, w = random_disc_point(RNG), random_disc_point(RNG)
         assert abs(pseudo_distance(m.apply(z), m.apply(w))
                    - pseudo_distance(z, w)) < 1e-12
 
 
 def test_mobius_boundary_to_boundary():
-    m = MobiusAut(0.4 - 0.3j, 1.2)
+    m = MobiusAut(0.4 - 0.3j)
     theta = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     image = m.apply(np.exp(1j * theta))
     assert np.max(np.abs(np.abs(image) - 1)) < 1e-14
@@ -124,7 +123,7 @@ def test_geodesic_endpoints_passes_through_point():
         lo, hi = min(t1, t2), max(t1, t2)
         if hi - lo < math.pi:
             arc = OrthogonalArc(lo, hi)
-            assert arc.contains(p, tol=1e-8)
+            assert arc.contains(p)
 
 
 def test_geodesic_diameter_degenerate_case():
@@ -150,9 +149,9 @@ def _disc(rmax):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_disc(0.9), st.floats(-20.0, 20.0), _disc(0.9))
-def test_mobius_inverse_property(c, rotation, z):
-    m = MobiusAut(c, rotation)
+@given(_disc(0.9), _disc(0.9))
+def test_mobius_inverse_property(c, z):
+    m = MobiusAut(c)
     assert abs(m.inverse(m.apply(z)) - z) < 1e-12
 
 

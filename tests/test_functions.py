@@ -57,7 +57,7 @@ def test_polynomial_trims_trailing_zeros():
 
 def test_finite_blaschke_roundtrip():
     b = BlaschkeProduct((0.3, -0.2j), 0.7)
-    f = FunctionSpec.finite_blaschke(b)
+    f = FunctionSpec.finite_blaschke(b.zeros, b.rotation)
     assert f.as_blaschke().zeros == b.zeros
     z = 0.4 - 0.1j
     assert abs(f(z) - b(z)) < 1e-15
@@ -77,20 +77,20 @@ def test_rational_rejects_interior_poles():
 def test_sup_norm_dominates_boundary_samples():
     specs = [
         FunctionSpec.polynomial([0.3, -1j, 0.2]),
-        FunctionSpec.finite_blaschke(BlaschkeProduct((0.5, 0.1j))),
+        FunctionSpec.finite_blaschke((0.5, 0.1j)),
         FunctionSpec.rational([1, 1], [-3, 0, 1]),
     ]
     theta = RNG.uniform(-math.pi, math.pi, 400)
     for f in specs:
         vals = np.abs(f(np.exp(1j * theta)))
         assert f.sup_norm_estimate() >= np.max(vals) * (1 - 1e-9)
-    assert FunctionSpec.finite_blaschke(BlaschkeProduct((0.5,))).sup_norm_estimate() == 1.0
+    assert FunctionSpec.finite_blaschke((0.5,)).sup_norm_estimate() == 1.0
 
 
 def test_function_dict_roundtrip_all_kinds():
     specs = [
         FunctionSpec.polynomial([1, 2j]),
-        FunctionSpec.finite_blaschke(BlaschkeProduct((0.3,), 0.4)),
+        FunctionSpec.finite_blaschke((0.3,), 0.4),
         FunctionSpec.rational([1], [-2, 1]),
         identity_function(),
         constant_function(3 - 1j),

@@ -7,6 +7,7 @@ import pytest
 
 from corona_lab.blaschke import BlaschkeProduct, DiscSequence, compose_with_mobius
 from corona_lab.disc_geometry import MobiusAut
+from corona_lab import hoffman
 from corona_lab.errors import AliasingError, DomainError
 from corona_lab.functions import FunctionSpec
 from corona_lab.hoffman import (compose_trace, disc_grid, l2_distance_to_identity,
@@ -64,7 +65,7 @@ def test_trace_identity_approaches_unimodular_constant():
 
 def test_trace_requires_two_points():
     with pytest.raises(DomainError):
-        compose_trace(identity_function(), (0.5,))
+        compose_trace(identity_function(), DiscSequence((0.5,)))
 
 
 def test_trace_csv_layout():
@@ -109,22 +110,14 @@ def test_schwarz_invariant_matches_separation_tails():
         assert abs(row.value) < 1e-13
 
 
-def test_schwarz_foreign_product_has_no_tails():
-    seq = DiscSequence((0.1, 0.2))
-    b = BlaschkeProduct((0.5,))
-    rows = schwarz_check(seq, b)
-    assert all(r.separation_tail is None for r in rows)
-    assert all(math.isnan(r.gap) for r in rows)
-    # nonzero values flag that the points are not zeros of b
-    assert all(abs(r.value) > 0.1 for r in rows)
-
-
-def test_schwarz_check_names_first_point_above_one():
-    # B(z) = z has invariant 1 - |c|^2; a negative tol puts points 2 and 3
-    # above the threshold, and the error names the first of them
-    seq = DiscSequence((0.9, 0.8, 0.1, 0.2))
+def test_schwarz_check_names_first_point_above_one(monkeypatch):
+    # the invariants of this sequence are 0.303, 0.252, 0.382 and 0.512; a
+    # slack of -0.65 puts points 2 and 3 above the threshold 1 + slack, and
+    # the error names the first of them
+    monkeypatch.setattr(hoffman, "INVARIANT_SLACK", -0.65)
+    seq = DiscSequence((0.9, 0.8, 0.1, -0.5))
     with pytest.raises(DomainError, match="at point 2;"):
-        schwarz_check(seq, BlaschkeProduct((0j,)), tol=-0.5)
+        schwarz_check(seq)
 
 
 def test_schwarz_thin_sequence_tail_large():

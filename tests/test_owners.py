@@ -3,7 +3,8 @@ roots are located against the closed disc by functions.roots_in_closed_disc,
 polynomial data is read through FunctionSpec.coeffs, artifacts are written
 by cli.main, JSON text by serialize.dumps, and the Gauss-Legendre table is
 built by quadrature.gl_rule.  Every top-level function in src/ has a caller
-there or is public, so code that only the tests use stays in tests/."""
+there or is public, and every setting is set by a caller there, so code and
+settings that only the tests use stay out of src/."""
 
 import ast
 from pathlib import Path
@@ -144,6 +145,50 @@ def test_every_top_level_function_is_referenced_in_src_or_public():
             if name not in referenced and name not in exempt] == []
 
 
+def test_every_setting_is_set_by_a_caller_in_src():
+    # a setting is a defaulted parameter of a function or method, or a
+    # defaulted dataclass field; some call in src/ outside the selftest
+    # suites must pass it, by keyword or by position.  Callees are matched
+    # by name, and cls(...) is its class.  main(argv) is the entry point,
+    # Python calls the dunder methods, and poisson_integral keeps nodes and
+    # tol for its in-process callers
+    settings, passed = [], set()
+
+    def visit(node, module, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+            if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                   for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                settings.extend((module, cls, f.target.id, i)
+                                for i, f in enumerate(fields) if f.value is not None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = fn or node.name
+            params = node.args.posonlyargs + node.args.args
+            if cls is not None and params and params[0].arg in ("self", "cls"):
+                params = params[1:]
+            first = len(params) - len(node.args.defaults)
+            settings.extend((module, node.name, a.arg, i)
+                            for i, a in enumerate(params) if i >= first)
+            settings.extend((module, node.name, a.arg, None)
+                            for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                            if d is not None)
+        elif isinstance(node, ast.Call) and fn != "selftest":
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            name = cls if name == "cls" else name
+            passed.update((name, i) for i in range(len(node.args)))
+            passed.update((name, k.arg) for k in node.keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, cls, fn)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None, None)
+    exempt = {("cli.py", "main"), ("measures.py", "poisson_integral")}
+    assert [f"{module}:{owner}({name})" for module, owner, name, i in settings
+            if (module, owner) not in exempt and not owner.startswith("__")
+            and (owner, name) not in passed and (owner, i) not in passed] == []
+
+
 # points 1e-9 and 3e-12 from the circle, where 1 - |z|^2 formed by
 # subtraction keeps only about 7 and 4 significant digits
 NEAR_CIRCLE = [(1 - gap) * np.exp(1j * angle) for gap in (1e-9, 3e-12) for angle in (0.3, -2.1)]
@@ -233,7 +278,7 @@ def test_common_zeros_are_the_gcd_roots_in_the_disc():
     f1 = np.polymul([1, -0.25j], [1, 0.5])[::-1]
     f2 = np.polymul(np.polymul([1, -0.25j], [1, 0.5]), [1, -2])[::-1]
     with pytest.raises(UnsolvableError) as exc:
-        bezout_exact(CoronaInstance.build((FunctionSpec.polynomial(f1),
+        bezout_exact(CoronaInstance((FunctionSpec.polynomial(f1),
                                            FunctionSpec.polynomial(f2))))
     gcd, _ = iterated_xgcd([poly_from_complex(f) for f in (f1, f2)])
     want = [complex(r) for r in np.roots(poly_to_complex(gcd)[::-1]) if abs(r) <= 1 + 1e-9]

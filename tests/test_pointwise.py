@@ -18,7 +18,7 @@ from corona_lab.functions import FunctionSpec
 from corona_lab.measures import PushforwardDensity, SimpleDensity, poisson_kernel
 
 _B = BlaschkeProduct((0.5 + 0.1j, -0.3j, 0.7, 0.2 - 0.6j, -0.45 + 0.45j, 0.05), 0.7)
-_M = MobiusAut(0.4 - 0.3j, 1.1)
+_M = MobiusAut(0.4 - 0.3j)
 _S = SimpleDensity.normalized(((-2.5, -1.0, 1.0), (-1.0, 0.5, 3.0), (1.2, 2.9, 0.5)))
 _U = PushforwardDensity(_S, 0.3 + 0.25j)
 
@@ -36,7 +36,7 @@ KERNELS = {
     "FunctionSpec.__call__[rational]": (
         FunctionSpec.rational((1, 0.5j, -0.25), (2 + 0.5j, -1)), _POINTS, complex),
     "FunctionSpec.__call__[finite_blaschke]": (
-        FunctionSpec.finite_blaschke(_B), _POINTS, complex),
+        FunctionSpec.finite_blaschke(_B.zeros, _B.rotation), _POINTS, complex),
     "poisson_kernel": (functools.partial(poisson_kernel, 0.3 + 0.2j), _ANGLES, float),
     "SimpleDensity.__call__": (_S, _ANGLES, float),
     "PushforwardDensity.__call__": (_U, _ANGLES, float),
