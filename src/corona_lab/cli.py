@@ -25,7 +25,8 @@ from .serialize import (as_complex, as_finite, as_list, complex_list, csv_text, 
 
 MIN_NODES = 4
 # point counts given as flags stop here, about 64 MB per complex array, the
-# bound corona.MAX_COUNT keeps for grids read from files
+# bound corona.MAX_COUNT keeps for grids read from files; so do the arrays
+# that a flag and an input size span together
 MAX_POINTS = 2 ** 22
 
 def _parse_inline(text: str, where: str):
@@ -123,6 +124,12 @@ def _cmd_corona_solve(args) -> tuple:
         cert = bezout_exact(inst, tol=args.tol)
     else:
         cap = 8 if args.degree_cap is None else args.degree_cap
+        # bezout_numeric's matrix: max(boundary, 2 N (cap + 1)) nodes by N (cap + 1)
+        n = len(inst.functions)
+        unknowns = n * (cap + 1)
+        if max(inst.grid.boundary, 2 * unknowns) * unknowns > MAX_POINTS:
+            raise ConfigError(f"--degree-cap: {cap} with {n} functions asks for a "
+                              f"least-squares matrix of more than {MAX_POINTS} entries")
         cert = bezout_numeric(inst, degree_cap=cap, tol=args.tol)
     return cert.to_dict(), 0
 
@@ -145,6 +152,9 @@ def _cmd_delta(args) -> tuple:
 
 def _cmd_interp_check(args) -> tuple:
     seq = _load_sequence(args.points)
+    if len(seq) ** 2 > MAX_POINTS:
+        raise ConfigError(f"--points: {len(seq)} points ask for a pseudo-distance matrix "
+                          f"of more than {MAX_POINTS} entries")
     return {
         "count": len(seq),
         "gap_sum": seq.gap_sum,
@@ -177,9 +187,13 @@ def _cmd_ladder(args) -> tuple:
 
 def _cmd_hoffman_trace(args) -> tuple:
     from .functions import FunctionSpec
-    from .hoffman import compose_trace
+    from .hoffman import GRID_ANGULAR, compose_trace
     f = FunctionSpec.from_dict(load_json(args.function), args.function)
     seq = _load_sequence(args.points)
+    # disc_grid rounds the grid up to whole rings of GRID_ANGULAR points
+    if len(seq) * GRID_ANGULAR * -(-args.grid_size // GRID_ANGULAR) > MAX_POINTS:
+        raise ConfigError(f"--grid-size: {args.grid_size} at each of {len(seq)} points "
+                          f"asks for more than {MAX_POINTS} recentred points")
     trace = compose_trace(f, seq, grid_radius=args.grid_radius, grid_size=args.grid_size)
     return trace.to_csv(), 0
 

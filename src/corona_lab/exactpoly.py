@@ -17,8 +17,6 @@ rational gcd.
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 ONE = (1, 0)
@@ -76,15 +74,6 @@ def poly_to_complex(f) -> list:
 def poly_degree(f) -> int:
     """Degree of a pair; -1 for the zero polynomial."""
     return len(f[0]) - 1
-
-
-def poly_one() -> tuple:
-    return (ONE,), 1
-
-
-def _times(f, g) -> tuple:
-    """Product of two pairs."""
-    return _reduce(poly_mul(f[0], g[0]), f[1] * g[1])
 
 
 # --------------------------------------- ring helpers on Gaussian-int tuples
@@ -251,31 +240,19 @@ def iterated_xgcd(polys) -> tuple:
     cofactors = [u, v]
     for f in entries[2:]:
         g, u, v = poly_xgcd(g, f)
-        cofactors = [_times(u, c) for c in cofactors] + [v]
+        cofactors = [combination([u], [c]) for c in cofactors] + [v]
     return g, cofactors
 
 
 def _combination_gz(terms) -> tuple:
     """(T, den) with T over Z[i] and T / den == sum_k (F_k / a_k) (C_k / b_k)
     for terms of pairs ((F_k, a_k), (C_k, b_k)); den is the lcm of the
-    a_k b_k, and the result is not reduced.
-
-    The products are numpy convolutions of object arrays of Python ints:
-    exact, with the coefficient loop in C (three real products per
-    Gaussian one, as in gz_mul).
-    """
+    a_k b_k, and the result is not reduced."""
     den = math.lcm(*(a * b for (_, a), (_, b) in terms))
-    n = max((len(big_f) + len(big_c) - 1 for (big_f, _), (big_c, _) in terms), default=0)
-    re, im = (np.zeros(max(n, 0), dtype=object) for _ in range(2))
+    total = ()
     for (big_f, a), (big_c, b) in terms:
-        if not big_f or not big_c:
-            continue
-        (fr, fi), (cr, ci) = (np.array(p, dtype=object).T for p in (big_f, big_c))
-        t = np.convolve(cr, fr + fi)
-        w = den // (a * b)
-        re[:t.size] += w * (t - np.convolve(fi, cr + ci))
-        im[:t.size] += w * (t + np.convolve(fr, ci - cr))
-    return poly_trim(zip(re.tolist(), im.tolist())), den
+        total = poly_add(total, poly_scale(poly_mul(big_f, big_c), (den // (a * b), 0)))
+    return total, den
 
 
 def combination(polys, cofactors) -> tuple:
@@ -314,14 +291,14 @@ def selftest() -> list[tuple[str, bool]]:
     f = poly_from_complex((0, 0, 1))                     # z^2
     g = poly_from_complex((-0.5, 1.0))                   # z - 1/2
     d, cof = iterated_xgcd((f, g))
-    checks.append(("coprime pair has unit gcd", d == poly_one()))
+    checks.append(("coprime pair has unit gcd", d == ((ONE,), 1)))
     checks.append(("bezout identity exact", combination((f, g), cof) == d))
     checks.append(("anchor cofactors (4, -4z - 2)",
                    [poly_to_complex(c) for c in cof] == [[4], [-2, -4]]))
     checks.append(("exact identity has zero residual bound",
                    residual_l1_bound([[0, 0, 1], [-0.5, 1]], [[4], [-2, -4]]) == 0.0))
 
-    h, g2 = _times(f, g), _times(g, g)
+    h, g2 = combination([f], [g]), combination([g], [g])
     d2, cof2 = iterated_xgcd((h, g2))
     checks.append(("common factor recovered",
                    d2 == g and combination((h, g2), cof2) == d2))

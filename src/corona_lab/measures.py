@@ -92,7 +92,7 @@ class SimpleDensity:
         return cls(tuple((a, b, c / mass) for a, b, c in pieces))
 
     @classmethod
-    def uniform(cls, a: float = -math.pi, b: float = math.pi) -> "SimpleDensity":
+    def uniform(cls, a: float, b: float) -> "SimpleDensity":
         return cls.normalized(((a, b, 1.0),))
 
     @pointwise(float)

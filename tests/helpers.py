@@ -8,6 +8,11 @@ from corona_lab.disc_geometry import check_disc
 from corona_lab.functions import FunctionSpec
 
 
+def poly_one() -> tuple:
+    """The exactpoly pair of the constant 1."""
+    return ((1, 0),), 1
+
+
 def identity_function() -> FunctionSpec:
     return FunctionSpec.polynomial((0, 1))
 

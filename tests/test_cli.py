@@ -497,6 +497,53 @@ def test_point_count_flags_stop_at_max_points(capsys, case):
         assert json.loads(err)["message"].startswith(f"argument {flag}: ")
 
 
+# arrays spanned by a flag and an input size together stop at MAX_POINTS
+# entries too: each case is refused before its builder runs
+_ANCHOR = {"functions": [{"kind": "polynomial", "data": {"coeffs": [[0, 0], [0, 0], [1, 0]]}},
+                         {"kind": "polynomial", "data": {"coeffs": [[-0.5, 0], [1, 0]]}}]}
+_BLASCHKE = {"kind": "finite_blaschke", "data": {"zeros": [[0.5, 0]]}}
+_SPANNED_ARRAYS = {
+    # 2 functions at cap 10^15: 28.4 PiB of least-squares matrix
+    "numeric cap": (["corona-solve", "--in", "inst.json", "--method", "numeric",
+                     "--degree-cap", "1000000000000000"], {"inst.json": _ANCHOR},
+                    "corona.bezout_numeric", "--degree-cap"),
+    # auto picks numeric for 162 Blaschke functions, at the default cap 8
+    "auto cap": (["corona-solve", "--in", "inst.json"],
+                 {"inst.json": {"functions": [_BLASCHKE] * 162}},
+                 "corona.bezout_numeric", "--degree-cap"),
+    "trace grid": (["hoffman-trace", "--function", "f.json", "--points", "seq.json",
+                    "--grid-size", str(MAX_POINTS)],
+                   {"f.json": _BLASCHKE, "seq.json": {"points": [[0.1, 0]] * 3}},
+                   "hoffman.compose_trace", "--grid-size"),
+    # 2^21 + 1 rounds up to 2^21 + 8, a whole number of eight-point rings
+    "trace rings": (["hoffman-trace", "--function", "f.json", "--points", "seq.json",
+                     "--grid-size", str(MAX_POINTS // 2 + 1)],
+                    {"f.json": _BLASCHKE, "seq.json": {"points": [[0.1, 0]] * 2}},
+                    "hoffman.compose_trace", "--grid-size"),
+    "interp matrix": (["interp-check", "--points", "seq.json"],
+                      {"seq.json": {"points": [[k / 4096, 0] for k in range(2049)]}},
+                      "blaschke.carleson_diagnostics", "--points"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPANNED_ARRAYS))
+def test_arrays_spanned_by_a_flag_and_an_input_stop_at_max_points(capsys, tmp_path,
+                                                                   monkeypatch, case):
+    argv, files, builder, flag = _SPANNED_ARRAYS[case]
+    module, name = builder.split(".")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{builder} ran")
+
+    monkeypatch.setattr(importlib.import_module(f"corona_lab.{module}"), name, refuse)
+    paths = {name: write(tmp_path, name, payload) for name, payload in files.items()}
+    rc, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and payload["message"].startswith(f"{flag}: ")
+    assert str(MAX_POINTS) in payload["message"]
+
+
 def test_measure_fit_malformed_partition_names_key(capsys, tmp_path):
     spec = write(tmp_path, "fit.json", {"targets": [], "partition": [[0.1]]})
     rc, _, err = run(capsys, "measure-fit", "--in", spec)

@@ -18,8 +18,9 @@ from corona_lab import exactpoly
 from corona_lab.errors import DomainError
 from corona_lab.exactpoly import (combination, gz_div, gz_mul, iterated_xgcd, poly_add,
                                   poly_degree, poly_divmod, poly_from_complex,
-                                  poly_mul, poly_one, poly_scale, poly_sub,
-                                  poly_to_complex, poly_xgcd, residual_l1_bound)
+                                  poly_mul, poly_scale, poly_sub, poly_to_complex,
+                                  poly_xgcd, residual_l1_bound)
+from helpers import poly_one
 
 try:
     from sympy.polys.domains import QQ, QQ_I
@@ -329,6 +330,24 @@ def test_iterated_xgcd_equals_reference_for_three_functions():
     g, cof = iterated_xgcd(polys)
     assert (to_qq_i(g), [to_qq_i(c) for c in cof]) == ref_iterated([to_qq_i(p) for p in polys])
     assert combination(polys, cof) == g == common
+
+
+@needs_sympy
+def test_combination_equals_reference_sum():
+    # 1-4 terms of 53-bit, dyadic, small-denominator and zero polynomials,
+    # so the terms' denominators differ
+    rng = np.random.default_rng(23)
+    makers = (_53bit, _dyadic, rand_poly, lambda rng, d: poly_from_complex([]))
+    for _ in range(60):
+        terms = [[makers[int(rng.integers(len(makers)))](rng, int(rng.integers(0, 6)))
+                  for _ in range(2)] for _ in range(int(rng.integers(1, 5)))]
+        polys, cofactors = zip(*terms)
+        want = []
+        for f, c in terms:
+            want = _ref_sub(want, [-x for x in _ref_mul(to_qq_i(f), to_qq_i(c))])
+        got = combination(polys, cofactors)
+        assert to_qq_i(got) == want
+        assert math.gcd(got[1], *(x for c in got[0] for x in c)) == 1
 
 
 @needs_sympy

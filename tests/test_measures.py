@@ -34,7 +34,7 @@ def random_density(rng, max_pieces=4):
         if b - a > 1e-3:
             pieces.append((float(a), float(b), float(rng.uniform(0.2, 2.0))))
     if not pieces:
-        return SimpleDensity.uniform()
+        return SimpleDensity.uniform(-math.pi, math.pi)
     return SimpleDensity.normalized(tuple(pieces))
 
 

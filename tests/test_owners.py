@@ -1,10 +1,11 @@
 """One owner per decision: 1 - |z|^2 is formed by disc_geometry.one_minus_abs2,
 roots are located against the closed disc by functions.roots_in_closed_disc,
 polynomial data is read through FunctionSpec.coeffs, artifacts are written
-by cli.main, JSON text by serialize.dumps, and the Gauss-Legendre table is
-built by quadrature.gl_rule.  Every top-level function in src/ has a caller
-there or is public, and every setting is set by a caller there, so code and
-settings that only the tests use stay out of src/."""
+by cli.main, JSON text by serialize.dumps, the Gauss-Legendre table is
+built by quadrature.gl_rule, and exact polynomial products by
+exactpoly.poly_mul, in a module without numpy.  Every top-level function in
+src/ has a caller there or is public, and every setting is set by a caller
+there, so code and settings that only the tests use stay out of src/."""
 
 import ast
 from pathlib import Path
@@ -124,16 +125,29 @@ def test_the_gauss_legendre_table_is_built_in_gl_rule_only():
     assert _sites(leggauss) == ["quadrature.py:gl_rule"]
 
 
+def test_exactpoly_imports_math_and_errors_only():
+    # poly_mul is the one exact product: no numpy kernel can come back
+    tree = ast.parse((SRC / "exactpoly.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert imported == {"math", ".errors"}
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "np"] == []
+
+
 def test_every_top_level_function_is_referenced_in_src_or_public():
     # the selftest suites are reached by name through --selftest, and the
     # module's __getattr__ and __dir__ by Python; a function's references
-    # to itself do not count
+    # to itself, and the references inside the selftest suites, do not count
     defined, referenced = [], set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
             if own is not None:
                 defined.append((path.name, own))
+            if own == "selftest":
+                continue
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute)
@@ -149,7 +163,8 @@ def test_every_setting_is_set_by_a_caller_in_src():
     # a setting is a defaulted parameter of a function or method, or a
     # defaulted dataclass field; some call in src/ outside the selftest
     # suites must pass it, by keyword or by position.  Callees are matched
-    # by name, and cls(...) is its class.  main(argv) is the entry point,
+    # by name, and cls(...) is its class; calls through np. and rng. are
+    # numpy's, whatever their name.  main(argv) is the entry point,
     # Python calls the dunder methods, and poisson_integral keeps nodes and
     # tol for its in-process callers
     settings, passed = [], set()
@@ -173,7 +188,8 @@ def test_every_setting_is_set_by_a_caller_in_src():
             settings.extend((module, node.name, a.arg, None)
                             for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
                             if d is not None)
-        elif isinstance(node, ast.Call) and fn != "selftest":
+        elif (isinstance(node, ast.Call) and fn != "selftest"
+              and getattr(getattr(node.func, "value", None), "id", None) not in ("np", "rng")):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             name = cls if name == "cls" else name
             passed.update((name, i) for i in range(len(node.args)))
