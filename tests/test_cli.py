@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import argparse
+import ast
 import importlib
 import json
 import math
@@ -876,11 +877,18 @@ def _src_env():
 def test_in_process_calls_match_fresh_processes(capsys, tmp_path):
     # One parser serves every main call of the process; calls that leave
     # through a usage error, --selftest or --help leave no state in it, so
-    # each call gives the bytes of a fresh process.
+    # each call gives the bytes of a fresh process.  A fresh process ends
+    # through cli.run without the interpreter's teardown: a domain error's
+    # report and a stdout artifact larger than a pipe buffer arrive whole.
     a = ["blaschke-eval", "--zeros", "[[0.5,0.1]]", "--at", "[0.3,-0.2]",
          "--rotation", "1.25"]
     b = ["l2-identity", "--zeros", "[[0.5,0.1],[0,0.2]]", "--c", "[0.1,0]"]
     usage = ["blaschke-eval", "--zeros", "[[0.5,0.1]]", "--rotation", "x"]
+    domain = ["blaschke-eval", "--zeros", "[[1.5,0]]", "--at", "[0.3,0]"]
+    trace = ["hoffman-trace", "--grid-size", "128",
+             "--function", write(tmp_path, "f.json", _poly([0, 1])),
+             "--points", write(tmp_path, "pts.json",
+                               {"points": [[1 - 2.0 ** -j, 0.0] for j in range(1, 11)]})]
     selftest = ["blaschke-eval", "--selftest"]
 
     def fresh(argv):
@@ -888,15 +896,53 @@ def test_in_process_calls_match_fresh_processes(capsys, tmp_path):
                               capture_output=True, text=True, timeout=120)
         return proc.returncode, proc.stdout, proc.stderr
 
-    calls = (a, b, usage, selftest, a)
+    calls = (a, b, usage, domain, trace, selftest, a)
     expected = [fresh(argv) for argv in calls]
-    assert [rc for rc, _, _ in expected] == [0, 0, 2, 0, 0]
+    assert [rc for rc, _, _ in expected] == [0, 0, 2, 1, 0, 0, 0]
+    assert json.loads(expected[3][2])["error"] == "DomainError"
+    assert len(expected[4][1]) > 65536
     for argv, want in zip(calls, expected):
         assert run(capsys, *argv) == want
     rc, out, _ = run(capsys, "blaschke-eval", "--help")
     assert rc == 0 and out.startswith("usage: corona-lab blaschke-eval")
     assert run(capsys, *a) == expected[0]
     assert build_parser() is build_parser()
+
+
+def test_the_installed_script_runs_what_python_m_runs():
+    # __main__.py hands the process to one function of cli, and the
+    # corona-lab script names the same one, so both end the same way
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(corona_lab.__file__).parent
+    tree = ast.parse((package / "__main__.py").read_text())
+    from_cli = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module == "cli" for alias in node.names}
+    calls = [node.value.func for node in tree.body
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    assert len(calls) == 1 and isinstance(calls[0], ast.Name) and calls[0].id in from_cli
+    with open(package.parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"corona-lab": f"corona_lab.cli:{calls[0].id}"}
+
+
+def test_a_closed_stdout_is_reported_by_the_interpreter():
+    # with stdout block-buffered, the artifact is still in its buffer when
+    # main returns; the flush in cli.run fails on the closed pipe and leaves
+    # the exit to the interpreter, which reports it and exits 120
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "corona_lab", "blaschke-eval",
+                               "--zeros", "[[0.5,0]]", "--at", "[0.3,0]"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 120
+    assert lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert lines[1:] == ["BrokenPipeError: [Errno 32] Broken pipe"]
 
 
 def test_measure_fit_runs_without_scipy(capsys, tmp_path):

@@ -1,11 +1,12 @@
 """One owner per decision: 1 - |z|^2 is formed by disc_geometry.one_minus_abs2,
 roots are located against the closed disc by functions.roots_in_closed_disc,
 polynomial data is read through FunctionSpec.coeffs, artifacts are written
-by cli.main, JSON text by serialize.dumps, the Gauss-Legendre table is
-built by quadrature.gl_rule, and exact polynomial products by
-exactpoly.poly_mul, in a module without numpy.  Every top-level function in
-src/ has a caller there or is public, and every setting is set by a caller
-there, so code and settings that only the tests use stay out of src/."""
+by cli.main, the process is ended by cli.run, JSON text is written by
+serialize.dumps, the Gauss-Legendre table is built by quadrature.gl_rule,
+and exact polynomial products by exactpoly.poly_mul, in a module without
+numpy.  Every top-level function in src/ has a caller there or is public,
+and every setting is set by a caller there, so code and settings that only
+the tests use stay out of src/."""
 
 import ast
 from pathlib import Path
@@ -87,6 +88,21 @@ def test_artifacts_are_written_by_main_only():
                 and node.func.id == "_emit")
 
     assert _sites(emit) == ["cli.py:main"]
+
+
+def test_the_process_is_ended_by_cli_run_only():
+    # os._exit skips the interpreter's teardown; run, the entry point that
+    # __main__.py calls, is its one caller, so every library and in-process
+    # caller of main keeps a live interpreter
+    def hard_exit(node):
+        return _attr(node, "_exit") or isinstance(node, ast.Name) and node.id == "_exit"
+
+    def run_call(node):
+        return isinstance(node, ast.Call) and (
+            _attr(node.func, "run") or isinstance(node.func, ast.Name) and node.func.id == "run")
+
+    assert _sites(hard_exit) == ["cli.py:run"]
+    assert [site.split(":")[0] for site in _sites(run_call)] == ["__main__.py"]
 
 
 def test_json_text_is_written_by_serialize_dumps_only():
