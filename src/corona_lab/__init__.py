@@ -23,9 +23,9 @@ _SOURCE = {name: module for module, names in {
     "functions": ("FunctionSpec",),
     "hoffman": ("CompositionTrace", "L2Report", "compose_trace", "l2_distance_to_identity",
                 "schwarz_check"),
-    "measures": ("DensityFit", "QuartilePair", "SimpleDensity", "TargetFunctional",
+    "measures": ("DensityFit", "PushforwardDensity", "QuartilePair", "SimpleDensity",
                  "align_arcs", "fit_simple_density", "poisson_integral", "poisson_kernel",
-                 "pushforward_density", "quartiles"),
+                 "quartiles"),
 }.items() for name in names}
 
 __all__ = sorted(_SOURCE)

@@ -368,16 +368,13 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     if any(not (0 < h < 1) for h in eta_seq) or any(h2 <= h1 for h1, h2 in zip(eta_seq, eta_seq[1:])):
         raise DomainError("eta schedule must be strictly increasing inside (0, 1)")
 
-    home = Sector(ell, ell, 1.0)
     zeros = tuple(check_disc(z, "zero") for z in zeros)
-    for z in zeros:
-        if not home.contains(z):
-            raise DomainError(f"zero {z} lies outside the home sector")
-
     zs = np.array(zeros, dtype=complex)
-    # hypot rounds like abs() on a Python complex, so the cut radii are the
-    # moduli the sector check saw, bit for bit
     moduli = np.hypot(zs.real, zs.imag)
+    # the home sector S[ell, 1): ell <= |z| and |arg z| <= (1 - ell)/2
+    outside = np.flatnonzero((moduli < ell) | (np.abs(np.angle(zs)) > (1 - ell) / 2))
+    if outside.size:
+        raise DomainError(f"zero {zeros[outside[0]]} lies outside the home sector")
     order = np.argsort(moduli, kind="stable")
     by_modulus = zs[order]
     mods = moduli[order]

@@ -231,6 +231,9 @@ def _cmd_measure_fit(args) -> tuple:
     entries = as_list(doc["targets"], f"{infile}.targets", target)
     partition = as_list(doc["partition"], f"{infile}.partition", arc)
     window = as_finite(doc["window"], f"{infile}.window") if "window" in doc else None
+    if window is not None and not 0 < window <= math.pi:
+        # the interval quartiles --window takes
+        raise ConfigError(f"{infile}.window: expected a number in (0, pi], got {doc['window']!r}")
     fit = fit_simple_density(entries, partition, eps=args.eps, window=window)
     return {**fit.density.to_dict(), "residuals": fit.residuals,
             "mass_error": fit.mass_error}, 0
@@ -244,10 +247,10 @@ def _cmd_quartiles(args) -> tuple:
 
 
 def _cmd_pushforward(args) -> tuple:
-    from .measures import pushforward_density
+    from .measures import PushforwardDensity
     s = _load_density(args.density)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
-    u = pushforward_density(s, c)
+    u = PushforwardDensity(s, c)
     if args.samples:
         if args.nodes is not None:
             raise ConfigError("--nodes: applies to the mass integral, not to --samples")
@@ -443,7 +446,3 @@ def run() -> None:
     except OSError:
         sys.exit(status)
     os._exit(status)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

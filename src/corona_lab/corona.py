@@ -66,9 +66,11 @@ class GridSpec:
                   for key in ("radial", "angular", "boundary")}
         values["ratio"] = as_finite(d["ratio"], f"{where}.ratio")
         for key in ("radial", "angular", "boundary"):
-            if values[key] > MAX_COUNT:
-                raise ConfigError(f"{where}.{key}: expected a count of at most "
-                                  f"{MAX_COUNT}, got {d[key]!r}")
+            if not MIN_COUNT <= values[key] <= MAX_COUNT:
+                raise ConfigError(f"{where}.{key}: expected a count in [{MIN_COUNT}, "
+                                  f"{MAX_COUNT}], got {d[key]!r}")
+        if not 0 < values["ratio"] < 1:
+            raise ConfigError(f"{where}.ratio: expected a number in (0, 1), got {d['ratio']!r}")
         return cls(**values)
 
 

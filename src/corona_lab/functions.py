@@ -18,9 +18,8 @@ POLYNOMIAL = "polynomial"
 FINITE_BLASCHKE = "finite_blaschke"
 RATIONAL = "rational"
 
-# JSON keys of the payload entries, by kind
-_DATA_KEYS = {POLYNOMIAL: ("coeffs",), FINITE_BLASCHKE: ("zeros", "rotation"),
-              RATIONAL: ("num", "den")}
+# JSON keys of the payload entries of the coefficient kinds
+_DATA_KEYS = {POLYNOMIAL: ("coeffs",), RATIONAL: ("num", "den")}
 
 # a root within this margin of the closed disc counts as lying in it
 ROOT_MARGIN = 1e-9
@@ -62,7 +61,7 @@ class FunctionSpec:
 
     payload layout by kind:
       polynomial      -> (coeffs,)
-      finite_blaschke -> (zeros, rotation)
+      finite_blaschke -> (BlaschkeProduct,)
       rational        -> (num_coeffs, den_coeffs)
     """
 
@@ -79,8 +78,7 @@ class FunctionSpec:
     @classmethod
     def finite_blaschke(cls, zeros, rotation: float = 0.0) -> "FunctionSpec":
         from .blaschke import BlaschkeProduct
-        b = BlaschkeProduct(tuple(zeros), rotation)
-        return cls(FINITE_BLASCHKE, (b.zeros, b.rotation))
+        return cls(FINITE_BLASCHKE, (BlaschkeProduct(tuple(zeros), rotation),))
 
     @classmethod
     def rational(cls, num, den) -> "FunctionSpec":
@@ -103,18 +101,16 @@ class FunctionSpec:
         return self.payload[0] if self.kind == POLYNOMIAL else None
 
     def as_blaschke(self) -> "BlaschkeProduct":
-        from .blaschke import BlaschkeProduct
         if self.kind != FINITE_BLASCHKE:
             raise DomainError("not a finite Blaschke spec")
-        zeros, rotation = self.payload
-        return BlaschkeProduct(zeros, rotation)
+        return self.payload[0]
 
     @pointwise(complex)
     def __call__(self, z):
         if self.kind == POLYNOMIAL:
             return _poly_eval(self.payload[0], z)
         if self.kind == FINITE_BLASCHKE:
-            return self.as_blaschke()(z)
+            return self.payload[0](z)
         num, den = self.payload
         return _poly_eval(num, z) / _poly_eval(den, z)
 
@@ -131,7 +127,9 @@ class FunctionSpec:
         return float(np.max(np.abs(self(np.exp(1j * circle_nodes(SUP_SAMPLES)))))) * 1.01
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "data": dict(zip(_DATA_KEYS[self.kind], self.payload))}
+        data = (self.payload[0].to_dict() if self.kind == FINITE_BLASCHKE
+                else dict(zip(_DATA_KEYS[self.kind], self.payload)))
+        return {"kind": self.kind, "data": data}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "function") -> "FunctionSpec":

@@ -187,31 +187,6 @@ def poisson_integral(f, z, nodes: int = DEFAULT_NODES, tol: float | None = None)
 
 
 @dataclass(frozen=True)
-class TargetFunctional:
-    """Pairs (function, expected integral value) a density should reproduce."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        cleaned = []
-        for idx, (f, v) in enumerate(self.entries):
-            if not isinstance(f, FunctionSpec):
-                raise DomainError(f"target {idx}: expected a FunctionSpec")
-            v = complex(v)
-            sup = f.sup_norm_estimate()
-            if abs(v) > sup + 1e-12:
-                raise InfeasibleError(
-                    f"target {idx}: |value| = {abs(v):.6g} exceeds the sup norm "
-                    f"estimate {sup:.6g}; no unit-mass density can reach it",
-                    residuals=[abs(v) - sup])
-            cleaned.append((f, v))
-        object.__setattr__(self, "entries", tuple(cleaned))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class DensityFit:
     density: SimpleDensity
     residuals: tuple
@@ -335,16 +310,27 @@ def fit_simple_density(targets, partition, eps: float,
                        window: float | None = None) -> DensityFit:
     """Nonnegative least squares fit of a step density to integral targets.
 
-    targets holds (FunctionSpec, value) pairs, screened by TargetFunctional;
-    partition is a list of disjoint (start, end) arcs that carry the
-    unknown constant values.  The unit-mass constraint rides along as a
+    targets holds (FunctionSpec, value) pairs, each |value| at most the sup
+    norm estimate; partition is a list of disjoint (start, end) arcs that carry
+    the unknown constant values.  The unit-mass constraint rides along as a
     heavily weighted row and is then enforced exactly by renormalizing; a
     small ridge pulls toward the uniform density so underdetermined fits
     are reproducible.  Raises DomainError when a target's integral over the
-    partition is not finite, and InfeasibleError with the achieved
-    residuals when any target misses by more than eps.
+    partition is not finite, and InfeasibleError with the excess when a value
+    is out of reach, or with the achieved residuals when any target misses
+    by more than eps.
     """
-    entries = TargetFunctional(tuple(targets)).entries
+    entries = []
+    for idx, (f, v) in enumerate(targets):
+        if not isinstance(f, FunctionSpec):
+            raise DomainError(f"target {idx}: expected a FunctionSpec")
+        v, sup = complex(v), f.sup_norm_estimate()
+        if abs(v) > sup + 1e-12:
+            raise InfeasibleError(
+                f"target {idx}: |value| = {abs(v):.6g} exceeds the sup norm "
+                f"estimate {sup:.6g}; no unit-mass density can reach it",
+                residuals=[abs(v) - sup])
+        entries.append((f, v))
     bins = _sorted_arcs([(float(a), float(b)) for a, b in partition], "partition bin", window)
     if not bins:
         raise DomainError("partition must be nonempty")
@@ -542,10 +528,6 @@ class PushforwardDensity:
         return float(self.integrate(lambda th: np.ones_like(th), nodes).real)
 
 
-def pushforward_density(s: SimpleDensity, c) -> PushforwardDensity:
-    return PushforwardDensity(s, c)
-
-
 def selftest() -> list[tuple[str, bool]]:
     checks = []
 
@@ -560,7 +542,7 @@ def selftest() -> list[tuple[str, bool]]:
     qp = quartiles(s)
     checks.append(("uniform quartiles mirror", qp.beta == -qp.alpha and abs(qp.alpha + 0.4) < 1e-15))
 
-    u = pushforward_density(s, 0.3 + 0.1j)
+    u = PushforwardDensity(s, 0.3 + 0.1j)
     checks.append(("pushforward preserves mass", abs(u.mass(nodes=1024) - 1) < 1e-10))
 
     fit = fit_simple_density((), [(-0.5, 0.0), (0.0, 0.5)], eps=1e-6)

@@ -22,8 +22,8 @@ from corona_lab.disc_geometry import MobiusAut, pseudo_disc_euclidean, pseudo_di
 from corona_lab.functions import FunctionSpec
 from corona_lab.hoffman import l2_distance_to_identity, schwarz_check
 from corona_lab.measures import (CASE_LEFT, CASE_RIGHT, CASE_STRADDLE,
-                                 SimpleDensity, poisson_integral,
-                                 pushforward_density, quartiles)
+                                 PushforwardDensity, SimpleDensity, poisson_integral,
+                                 quartiles)
 from corona_lab.quadrature import integrate_piecewise
 
 from helpers import identity_function
@@ -152,7 +152,7 @@ def test_criterion_05_pushforward_change_of_variables():
         s = _random_density(rng)
         c = random_disc_point(rng, 0.8)
         f = _random_function(rng, i)
-        u = pushforward_density(s, c)
+        u = PushforwardDensity(s, c)
         # the image-side rule: g u between the preimage breakpoints
         lhs = integrate_piecewise(
             lambda th: np.asarray(f(np.exp(1j * th)), dtype=complex) * u(th),

@@ -1,5 +1,6 @@
 """Blaschke products, certified bounds, sequences, and the sector ladder."""
 
+import cmath
 import math
 
 import numpy as np
@@ -330,6 +331,47 @@ def test_sector_membership():
         Sector(0.0, 0.2, 0.4)
     with pytest.raises(DomainError):
         Sector(0.5, 0.6, 0.6)
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps, up for k > 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _near_home_edge(draw, ell):
+    """A zero within 4 ulps of the edge of S[ell, 1): the real part of a
+    point with |z| = ell moved, or the imaginary part of a point with
+    |arg z| = (1 - ell)/2 moved."""
+    half = (1 - ell) / 2
+    k = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        z = ell * cmath.exp(1j * draw(st.sampled_from([0.0, half, -half])
+                                      | st.floats(-half, half)))
+        return complex(_ulps(z.real, k), z.imag)
+    z = draw(st.floats(ell, 0.99)) * cmath.exp(1j * draw(st.sampled_from([half, -half])))
+    return complex(z.real, _ulps(z.imag, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 0.95), st.data())
+def test_home_sector_check_agrees_with_sector(ell, data):
+    # construct_ladder refuses exactly the zero sets with a zero outside
+    # Sector(ell, ell, 1), and names the first; a 1e-12 tolerance ends any
+    # other set at rung 1 or after one cheap rung
+    zeros = data.draw(st.lists(_near_home_edge(ell), min_size=1, max_size=4))
+    home = Sector(ell, ell, 1.0)
+    outside = [z for z in zeros if not home.contains(z)]
+    try:
+        construct_ladder(zeros, DiscSequence((0.5,)), [1e-12], [0.5], ell)
+        message = None
+    except ConstructionError:
+        message = None
+    except DomainError as e:
+        message = str(e)
+    assert message == (f"zero {outside[0]} lies outside the home sector" if outside else None)
 
 
 LADDER_ZEROS = tuple(1 - 2.0 ** -k for k in range(1, 31))

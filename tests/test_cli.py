@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import corona_lab
 from corona_lab.cli import MAX_POINTS, _Selftest, build_parser, main
-from corona_lab.measures import SimpleDensity, pushforward_density
+from corona_lab.corona import GridSpec
+from corona_lab.errors import DomainError
+from corona_lab.measures import PushforwardDensity, SimpleDensity
 
 
 def run(capsys, *argv):
@@ -568,6 +570,26 @@ def test_delta_non_numeric_grid_names_key(capsys, tmp_path):
     assert "grid.radial" in payload["message"]
 
 
+@pytest.mark.parametrize("key, value", [("radial", 7), ("angular", 4096),
+                                        ("ratio", 0.0), ("ratio", 1.0)])
+def test_delta_out_of_range_grid_names_key(capsys, tmp_path, key, value):
+    # each bound on a grid read from a file is a usage error naming the key;
+    # the library constructor keeps its DomainError, and the count cap
+    # (corona.MAX_COUNT) applies to files only
+    grid = {"radial": 8, "angular": 2048, "boundary": 8, "ratio": 0.5}
+    inst = write(tmp_path, "inst.json", {"functions": [POLY_ONE], "grid": grid})
+    assert run(capsys, "delta", "--in", inst)[0] == 0
+    inst = write(tmp_path, "inst.json", {"functions": [POLY_ONE], "grid": {**grid, key: value}})
+    rc, out, err = run(capsys, "delta", "--in", inst)
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{inst}.grid.{key}: expected a ")
+    if value != 4096:
+        with pytest.raises(DomainError):
+            GridSpec(**{**grid, key: value})
+
+
 def _assert_names_key(rc, err, key):
     assert rc == 2
     payload = json.loads(err)
@@ -619,6 +641,20 @@ def test_measure_fit_non_numeric_window_names_key(capsys, tmp_path):
                                         "window": "x"})
     rc, _, err = run(capsys, "measure-fit", "--in", spec)
     _assert_names_key(rc, err, "window")
+
+
+@pytest.mark.parametrize("window", [-1.0, 0.0, 3.1415926535897936])
+def test_measure_fit_window_outside_zero_to_pi_names_key(capsys, tmp_path, window):
+    # (0, pi], the range quartiles --window takes; pi itself is accepted
+    doc = {"targets": [], "partition": [[0.0, 0.1]]}
+    assert run(capsys, "measure-fit", "--in",
+               write(tmp_path, "fit.json", {**doc, "window": math.pi}))[0] == 0
+    spec = write(tmp_path, "fit.json", {**doc, "window": window})
+    rc, out, err = run(capsys, "measure-fit", "--in", spec)
+    assert (rc, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == f"{spec}.window: expected a number in (0, pi], got {window!r}"
 
 
 def test_non_numeric_density_piece_names_key(capsys, tmp_path):
@@ -750,7 +786,7 @@ def test_pushforward_csv_matches_per_row_formatting(capsys, tmp_path):
                      "--c", "[0.3,-0.2]", "--samples", "64")
     assert rc == 0
     s = SimpleDensity.from_dict({"pieces": pieces})
-    u = pushforward_density(s, 0.3 - 0.2j)
+    u = PushforwardDensity(s, 0.3 - 0.2j)
     theta = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     expected = "theta,u\n" + "".join(f"{t:.17g},{v:.17g}\n"
                                      for t, v in zip(theta, u(theta)))

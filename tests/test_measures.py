@@ -13,10 +13,9 @@ from corona_lab.errors import (ConfigError, DomainError, InfeasibleError,
                                QuadratureError)
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import (CASE_LEFT, CASE_RIGHT, CASE_STRADDLE,
-                                 MASS_ROW_WEIGHT, RIDGE, SimpleDensity,
-                                 TargetFunctional, align_arcs, fit_simple_density,
-                                 nnls, poisson_integral, poisson_kernel,
-                                 pushforward_density, quartiles)
+                                 MASS_ROW_WEIGHT, RIDGE, PushforwardDensity,
+                                 SimpleDensity, align_arcs, fit_simple_density,
+                                 nnls, poisson_integral, poisson_kernel, quartiles)
 from corona_lab.quadrature import integrate_piecewise
 
 from helpers import constant_function, identity_function
@@ -297,10 +296,15 @@ def test_poisson_integral_tolerance_enforced():
 
 
 def test_target_functional_screens_unreachable_values():
-    with pytest.raises(InfeasibleError):
-        TargetFunctional(((identity_function(), 5.0),))
-    tf = TargetFunctional(((identity_function(), 0.5),))
-    assert len(tf) == 1
+    # the fit screens its targets before it reads the partition: |5| is
+    # beyond the sup norm 1 of z, and a plain callable is not a FunctionSpec
+    partition = [(-0.5, 0.0), (0.0, 0.5)]
+    with pytest.raises(InfeasibleError, match="^target 1: ") as exc:
+        fit_simple_density(((identity_function(), 0.5), (identity_function(), 5.0)),
+                           partition, eps=1e-3)
+    assert exc.value.residuals == [4.0]
+    with pytest.raises(DomainError, match="^target 0: expected a FunctionSpec$"):
+        fit_simple_density(((lambda z: z, 0.5),), [], eps=1e-3)
 
 
 def test_fit_empty_targets_gives_uniform():
@@ -575,7 +579,7 @@ def test_align_infeasible_gap_support():
 
 def test_pushforward_identity_center():
     s = random_density(RNG)
-    u = pushforward_density(s, 0)
+    u = PushforwardDensity(s, 0)
     for theta in RNG.uniform(-math.pi, math.pi, 16):
         assert abs(u(theta) - s(theta)) < 1e-14
 
@@ -583,7 +587,7 @@ def test_pushforward_identity_center():
 def test_pushforward_mass_and_breakpoints():
     s = SimpleDensity.normalized(((-1.0, -0.2, 0.7), (0.3, 1.4, 1.1)))
     c = 0.37 - 0.21j
-    u = pushforward_density(s, c)
+    u = PushforwardDensity(s, c)
     assert abs(u.mass() - 1) < 1e-10
     # breakpoints map forward onto the base discontinuities
     images = sorted(float(np.angle(u.automorphism.apply(np.exp(1j * t))))
@@ -620,7 +624,7 @@ def test_pushforward_keeps_the_base_mass(raw, radius, angle):
     if math.pi - x < NARROWEST:
         pieces[-1][1] = math.pi
     s = SimpleDensity.normalized(tuple(pieces))
-    u = pushforward_density(s, radius * complex(np.exp(1j * angle)))
+    u = PushforwardDensity(s, radius * complex(np.exp(1j * angle)))
     assert abs(u.mass() - s.mass()) <= 1e-10
 
 
@@ -630,20 +634,20 @@ def test_pushforward_keeps_the_mass_of_a_narrow_piece(width):
     # the base pieces are exact, so no preimage rounding trims the piece; on
     # the ulp-wide ones, a node rounded onto the end must not read past it
     s = SimpleDensity.normalized(((0.3, 0.3 + width, 1.0),))
-    assert abs(pushforward_density(s, 0.5 + 0.3j).mass() - 1) <= 1e-15
+    assert abs(PushforwardDensity(s, 0.5 + 0.3j).mass() - 1) <= 1e-15
 
 
 def test_pushforward_keeps_a_narrow_gap_empty():
     # a 16-ulp gap before a piece: its nodes must not read the piece's level
     gap = 16 * math.ulp(0.3)
     s = SimpleDensity.normalized(((0.3 - 1e-12, 0.3, 1.0), (0.3 + gap, 0.3 + 1e-12, 1.0)))
-    assert abs(pushforward_density(s, 0.5 + 0.3j).mass() - 1) <= 1e-15
+    assert abs(PushforwardDensity(s, 0.5 + 0.3j).mass() - 1) <= 1e-15
 
 
 def test_pushforward_change_of_variables():
     s = SimpleDensity.normalized(((-1.2, 0.4, 0.9), (0.8, 2.0, 0.6)))
     c = -0.3 + 0.45j
-    u = pushforward_density(s, c)
+    u = PushforwardDensity(s, c)
     f = FunctionSpec.polynomial([0.2, 1.0, -0.7j])
 
     # the image-side rule: f times the pushforward density u, whose jumps sit

@@ -1,10 +1,11 @@
 """One owner per decision: 1 - |z|^2 is formed by disc_geometry.one_minus_abs2,
 roots are located against the closed disc by functions.roots_in_closed_disc,
-polynomial data is read through FunctionSpec.coeffs, artifacts are written
-by cli.main, the process is ended by cli.run, JSON text is written by
-serialize.dumps, the Gauss-Legendre table is built by quadrature.gl_rule,
-and exact polynomial products by exactpoly.poly_mul, in a module without
-numpy.  Every top-level function in src/ has a caller there or is public,
+polynomial data is read through FunctionSpec.coeffs, a finite Blaschke
+spec's product is built once, by FunctionSpec.finite_blaschke, artifacts are
+written by cli.main, which cli.run alone calls, the process is ended by
+cli.run, JSON text is written by serialize.dumps, the Gauss-Legendre table
+is built by quadrature.gl_rule, and exact polynomial products by
+exactpoly.poly_mul, in a module without numpy.  Every top-level function in src/ has a caller there or is public,
 and every setting is set by a caller there, so code and settings that only
 the tests use stay out of src/."""
 
@@ -20,7 +21,7 @@ from corona_lab.disc_geometry import one_minus_abs2, pseudo_disc_euclidean
 from corona_lab.errors import DomainError, UnsolvableError
 from corona_lab.exactpoly import iterated_xgcd, poly_from_complex, poly_to_complex
 from corona_lab.functions import FunctionSpec, roots_in_closed_disc
-from corona_lab.measures import SimpleDensity, poisson_kernel, pushforward_density
+from corona_lab.measures import PushforwardDensity, SimpleDensity, poisson_kernel
 
 EPS = np.finfo(float).eps
 SRC = Path(corona_lab.__file__).parent
@@ -45,6 +46,14 @@ def _sites(test) -> list:
 
 def _attr(node, name: str) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == name
+
+
+def _calls(name: str):
+    """Node test: a call of name, bare or as an attribute."""
+    def call(node):
+        return isinstance(node, ast.Call) and (
+            _attr(node.func, name) or isinstance(node.func, ast.Name) and node.func.id == name)
+    return call
 
 
 def _is_abs_squared(node) -> bool:
@@ -83,26 +92,27 @@ def test_only_functions_reads_kind_and_payload():
 
 
 def test_artifacts_are_written_by_main_only():
-    def emit(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_emit")
-
-    assert _sites(emit) == ["cli.py:main"]
+    assert _sites(_calls("_emit")) == ["cli.py:main"]
 
 
 def test_the_process_is_ended_by_cli_run_only():
     # os._exit skips the interpreter's teardown; run, the entry point that
     # __main__.py calls, is its one caller, so every library and in-process
-    # caller of main keeps a live interpreter
+    # caller of main keeps a live interpreter, and run is the one process
+    # entry that calls main
     def hard_exit(node):
         return _attr(node, "_exit") or isinstance(node, ast.Name) and node.id == "_exit"
 
-    def run_call(node):
-        return isinstance(node, ast.Call) and (
-            _attr(node.func, "run") or isinstance(node.func, ast.Name) and node.func.id == "run")
-
     assert _sites(hard_exit) == ["cli.py:run"]
-    assert [site.split(":")[0] for site in _sites(run_call)] == ["__main__.py"]
+    assert [site.split(":")[0] for site in _sites(_calls("run"))] == ["__main__.py"]
+    assert _sites(_calls("main")) == ["cli.py:run"]
+
+
+def test_a_blaschke_spec_builds_its_product_once():
+    # finite_blaschke keeps the product it validated; evaluation and
+    # as_blaschke read it instead of building a new one per call
+    assert [site for site in _sites(_calls("BlaschkeProduct"))
+            if site.startswith("functions.py:")] == ["functions.py:finite_blaschke"]
 
 
 def test_json_text_is_written_by_serialize_dumps_only():
@@ -121,16 +131,11 @@ def test_json_text_is_written_by_serialize_dumps_only():
 
 
 def test_delta_is_measured_by_its_two_readers_only():
-    def call(node):
-        return isinstance(node, ast.Call) and (
-            _attr(node.func, "measure_delta")
-            or isinstance(node.func, ast.Name) and node.func.id == "measure_delta")
-
     def delta_hat(node):
         return (_attr(node, "delta_hat") or isinstance(node, ast.Name) and node.id == "delta_hat"
                 or isinstance(node, ast.Constant) and node.value == "delta_hat")
 
-    assert _sites(call) == ["cli.py:_cmd_delta", "corona.py:bezout_numeric"]
+    assert _sites(_calls("measure_delta")) == ["cli.py:_cmd_delta", "corona.py:bezout_numeric"]
     assert _sites(delta_hat) == []
 
 
@@ -260,7 +265,7 @@ def test_poisson_kernel_near_the_circle_against_mpmath(mp, z):
 
 @pytest.mark.parametrize("c", NEAR_CIRCLE)
 def test_pushforward_jacobian_near_the_circle_against_mpmath(mp, c):
-    u = pushforward_density(SimpleDensity.uniform(-0.5, 0.5), c)
+    u = PushforwardDensity(SimpleDensity.uniform(-0.5, 0.5), c)
     theta = np.angle(c) + np.array([0.0, 1.0, -2.0])
     w = _mpc(mp, c)
     for t, value in zip(theta.tolist(), u.jacobian(theta).tolist()):
