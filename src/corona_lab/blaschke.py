@@ -6,7 +6,6 @@ the unimodular prefactor is -1 when a = 0, so the factor degenerates to z.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -14,6 +13,7 @@ import numpy as np
 from .disc_geometry import MobiusAut, canonical_angle, check_disc, one_minus_abs2, pointwise
 from .errors import ConstructionError, DomainError, InfeasibleError
 from .quadrature import polar_grid
+from .records import Record
 from .serialize import as_finite, complex_list, strict_keys
 
 # LadderConstruction.thin_product: the chosen points' last separation tail must exceed this
@@ -35,8 +35,7 @@ def _unimodular_prefactor(a: complex) -> complex:
     return a.conjugate() / abs(a)
 
 
-@dataclass(frozen=True)
-class BlaschkeProduct:
+class BlaschkeProduct(Record):
     """Finite Blaschke product e^{i rotation} prod_k factor(zeros[k], z)."""
 
     zeros: tuple
@@ -184,8 +183,7 @@ def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
     return BlaschkeProduct(tuple(moved), turn)
 
 
-@dataclass
-class DiscSequence:
+class DiscSequence(Record, frozen=False):
     """Finite list of interior points with cached interpolation diagnostics."""
 
     points: tuple
@@ -235,8 +233,7 @@ def carleson_diagnostics(seq: DiscSequence) -> tuple[float, list[float]]:
     return float(tails.min()), tails.tolist()
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(Record):
     """Radial slice {r e^{i t} : s <= r < t_outer, |angle| <= (1 - ell)/2}."""
 
     ell: float
@@ -265,8 +262,7 @@ class Sector:
         return abs(float(np.angle(z))) <= self.half_angle
 
 
-@dataclass(frozen=True)
-class RungRecord:
+class RungRecord(Record):
     """Verification row for one rung: measured minimum on |z| <= eta."""
 
     rung: int
@@ -275,8 +271,7 @@ class RungRecord:
     min_modulus: float
 
 
-@dataclass(frozen=True)
-class LadderConstruction:
+class LadderConstruction(Record):
     """Result of the staged sector construction.
 
     s_values has one more entry than r_values; the covered region is the

@@ -242,8 +242,7 @@ def _cmd_measure_fit(args) -> tuple:
 def _cmd_quartiles(args) -> tuple:
     from .measures import quartiles
     s = _load_density(args.density)
-    qp = quartiles(s, window=args.window)
-    return {"alpha": qp.alpha, "beta": qp.beta, "case_tag": qp.case_tag}, 0
+    return quartiles(s, window=args.window).to_dict(), 0
 
 
 def _cmd_pushforward(args) -> tuple:
@@ -308,118 +307,126 @@ class _Selftest(argparse.Action):
         parser.exit(0 if passed == total else 1)
 
 
-def _add_common(p: argparse.ArgumentParser, handler, *modules) -> None:
-    p.set_defaults(handler=handler)
-    p.add_argument("--selftest", action=_Selftest, modules=modules,
-                   help="run this module's invariant suite and exit")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+def _arg(*flags, **options) -> tuple:
+    """One add_argument call of a subcommand, as its arguments."""
+    return flags, options
+
+
+# subcommand -> (help line, handler, the modules its --selftest runs, its own
+# arguments); every subcommand takes --selftest and --out after them
+_COMMANDS = {
+    "corona-solve": (
+        "solve sum u_k f_k = 1 for an instance", _cmd_corona_solve,
+        ("corona_lab.corona", "corona_lab.exactpoly"),
+        [_arg("--in", dest="infile", required=True, help="instance JSON"),
+         _arg("--method", choices=("auto", "exact", "numeric"), default="auto"),
+         _arg("--degree-cap", type=_integer(0), default=None,
+              help="numeric method only: polynomial degree cap (default 8)"),
+         _arg("--tol", type=_POSITIVE, default=1e-8)]),
+    "corona-check": (
+        "verify a certificate independently", _cmd_corona_check, ("corona_lab.corona",),
+        [_arg("--in", dest="infile", required=True, help="instance JSON"),
+         _arg("--cert", required=True, help="certificate JSON"),
+         _arg("--tol", type=_POSITIVE, default=1e-8),
+         _arg("--samples", type=_integer(0, MAX_POINTS), default=CHECK_SAMPLES),
+         _arg("--seed", type=_integer(0), default=0,
+              help="seed for the random verification points")]),
+    "delta": (
+        "measure min of sum |f_k| over the grid", _cmd_delta, ("corona_lab.corona",),
+        [_arg("--in", dest="infile", required=True, help="instance JSON")]),
+    "interp-check": (
+        "separation diagnostics of a sequence", _cmd_interp_check, ("corona_lab.blaschke",),
+        [_arg("--points", required=True, help="sequence JSON")]),
+    "blaschke-eval": (
+        "evaluate a finite Blaschke product", _cmd_blaschke_eval,
+        ("corona_lab.disc_geometry", "corona_lab.blaschke"),
+        [_arg("--zeros", required=True, help='inline JSON, e.g. "[[0,0]]"'),
+         _arg("--rotation", type=_FINITE, default=0.0),
+         _arg("--at", required=True, help='inline JSON point, e.g. "[0.3,0]"')]),
+    "ladder": (
+        "staged sector construction over a zero set", _cmd_ladder, ("corona_lab.blaschke",),
+        [_arg("--zeros", required=True, help='JSON file {"zeros": [...]}'),
+         _arg("--candidates", required=True, help="sequence JSON"),
+         _arg("--eps", required=True, help="inline JSON list of tolerances"),
+         _arg("--eta", required=True, help="inline JSON list of radii"),
+         _arg("--ell", type=_RADIUS, required=True)]),
+    "hoffman-trace": (
+        "sample f o L_c along a sequence (CSV)", _cmd_hoffman_trace, ("corona_lab.hoffman",),
+        [_arg("--function", required=True, help="function JSON"),
+         _arg("--points", required=True, help="sequence JSON"),
+         _arg("--grid-radius", type=_RADIUS, default=DEFAULT_GRID_RADIUS),
+         _arg("--grid-size", type=_integer(1, MAX_POINTS), default=DEFAULT_GRID_SIZE)]),
+    "l2-identity": (
+        "L2 distance of B o L_c to the identity", _cmd_l2_identity, ("corona_lab.hoffman",),
+        [_arg("--zeros", required=True, help="inline JSON list of zeros"),
+         _arg("--rotation", type=_FINITE, default=0.0),
+         _arg("--c", default="[0,0]", help="recentering point, inline JSON"),
+         _arg("--n-fft", type=_integer(MIN_FFT_NODES, MAX_POINTS, power_of_two=True),
+              default=DEFAULT_FFT_NODES)]),
+    "measure-fit": (
+        "fit a step density to integral targets", _cmd_measure_fit, ("corona_lab.measures",),
+        [_arg("--in", dest="infile", required=True,
+              help='JSON file {"targets": [...], "partition": [...]}'),
+         _arg("--eps", type=_POSITIVE, default=1e-3)]),
+    "quartiles": (
+        "quartile angles and case tag of a density", _cmd_quartiles, ("corona_lab.measures",),
+        [_arg("--density", required=True, help="density JSON"),
+         _arg("--window", type=_WINDOW, default=math.pi)]),
+    "pushforward": (
+        "density of the image measure under L_c", _cmd_pushforward, ("corona_lab.measures",),
+        [_arg("--density", required=True, help="density JSON"),
+         _arg("--c", required=True, help="inline JSON point"),
+         _arg("--samples", type=_integer(0, MAX_POINTS), default=0,
+              help="emit a CSV of this many samples instead of JSON"),
+         _arg("--nodes", type=_integer(MIN_NODES, MAX_POINTS), default=None,
+              help=f"mass quadrature node count (default {DEFAULT_NODES}); "
+                   "not with --samples")]),
+    "align-arcs": (
+        "move a density's quartile arc onto a target", _cmd_align_arcs,
+        ("corona_lab.measures",),
+        [_arg("--density", required=True, help="density JSON"),
+         _arg("--alpha", type=_FINITE, required=True),
+         _arg("--beta", type=_FINITE, required=True),
+         _arg("--case", choices=("a", "b", "c"), required=True)]),
+    "cluster-scenario": (
+        "simultaneous limits along a sequence", _cmd_cluster_scenario, ("corona_lab.corona",),
+        [_arg("--functions", required=True, help='JSON file {"functions": [...]}'),
+         _arg("--points", required=True, help="sequence JSON"),
+         _arg("--eps", type=_POSITIVE, default=1e-6),
+         _arg("--min-tail", type=_integer(2), default=3)]),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: it keeps no state between parse_args
-    calls, so every main call reuses it instead of building 13 subparsers."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone.  main builds only
+    the subcommand it runs, whose parse, help text and usage errors are
+    those of the full parser; it takes the full one for a top-level --help
+    and a missing or unknown subcommand.  A parser keeps no state between
+    parse_args calls, so the process builds each one once."""
     parser = _Parser(
         prog="corona-lab",
         description="Constructions on the unit disc: Blaschke products, "
                     "circle densities, and Bezout certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("corona-solve", help="solve sum u_k f_k = 1 for an instance")
-    p.add_argument("--in", dest="infile", required=True, help="instance JSON")
-    p.add_argument("--method", choices=("auto", "exact", "numeric"), default="auto")
-    p.add_argument("--degree-cap", type=_integer(0), default=None,
-                   help="numeric method only: polynomial degree cap (default 8)")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-8)
-    _add_common(p, _cmd_corona_solve, "corona_lab.corona", "corona_lab.exactpoly")
-
-    p = sub.add_parser("corona-check", help="verify a certificate independently")
-    p.add_argument("--in", dest="infile", required=True, help="instance JSON")
-    p.add_argument("--cert", required=True, help="certificate JSON")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-8)
-    p.add_argument("--samples", type=_integer(0, MAX_POINTS), default=CHECK_SAMPLES)
-    p.add_argument("--seed", type=_integer(0), default=0,
-                   help="seed for the random verification points")
-    _add_common(p, _cmd_corona_check, "corona_lab.corona")
-
-    p = sub.add_parser("delta", help="measure min of sum |f_k| over the grid")
-    p.add_argument("--in", dest="infile", required=True, help="instance JSON")
-    _add_common(p, _cmd_delta, "corona_lab.corona")
-
-    p = sub.add_parser("interp-check", help="separation diagnostics of a sequence")
-    p.add_argument("--points", required=True, help="sequence JSON")
-    _add_common(p, _cmd_interp_check, "corona_lab.blaschke")
-
-    p = sub.add_parser("blaschke-eval", help="evaluate a finite Blaschke product")
-    p.add_argument("--zeros", required=True, help='inline JSON, e.g. "[[0,0]]"')
-    p.add_argument("--rotation", type=_FINITE, default=0.0)
-    p.add_argument("--at", required=True, help='inline JSON point, e.g. "[0.3,0]"')
-    _add_common(p, _cmd_blaschke_eval, "corona_lab.disc_geometry", "corona_lab.blaschke")
-
-    p = sub.add_parser("ladder", help="staged sector construction over a zero set")
-    p.add_argument("--zeros", required=True, help='JSON file {"zeros": [...]}')
-    p.add_argument("--candidates", required=True, help="sequence JSON")
-    p.add_argument("--eps", required=True, help="inline JSON list of tolerances")
-    p.add_argument("--eta", required=True, help="inline JSON list of radii")
-    p.add_argument("--ell", type=_RADIUS, required=True)
-    _add_common(p, _cmd_ladder, "corona_lab.blaschke")
-
-    p = sub.add_parser("hoffman-trace", help="sample f o L_c along a sequence (CSV)")
-    p.add_argument("--function", required=True, help="function JSON")
-    p.add_argument("--points", required=True, help="sequence JSON")
-    p.add_argument("--grid-radius", type=_RADIUS, default=DEFAULT_GRID_RADIUS)
-    p.add_argument("--grid-size", type=_integer(1, MAX_POINTS), default=DEFAULT_GRID_SIZE)
-    _add_common(p, _cmd_hoffman_trace, "corona_lab.hoffman")
-
-    p = sub.add_parser("l2-identity", help="L2 distance of B o L_c to the identity")
-    p.add_argument("--zeros", required=True, help="inline JSON list of zeros")
-    p.add_argument("--rotation", type=_FINITE, default=0.0)
-    p.add_argument("--c", default="[0,0]", help="recentering point, inline JSON")
-    p.add_argument("--n-fft", type=_integer(MIN_FFT_NODES, MAX_POINTS, power_of_two=True),
-                   default=DEFAULT_FFT_NODES)
-    _add_common(p, _cmd_l2_identity, "corona_lab.hoffman")
-
-    p = sub.add_parser("measure-fit", help="fit a step density to integral targets")
-    p.add_argument("--in", dest="infile", required=True,
-                   help='JSON file {"targets": [...], "partition": [...]}')
-    p.add_argument("--eps", type=_POSITIVE, default=1e-3)
-    _add_common(p, _cmd_measure_fit, "corona_lab.measures")
-
-    p = sub.add_parser("quartiles", help="quartile angles and case tag of a density")
-    p.add_argument("--density", required=True, help="density JSON")
-    p.add_argument("--window", type=_WINDOW, default=math.pi)
-    _add_common(p, _cmd_quartiles, "corona_lab.measures")
-
-    p = sub.add_parser("pushforward", help="density of the image measure under L_c")
-    p.add_argument("--density", required=True, help="density JSON")
-    p.add_argument("--c", required=True, help="inline JSON point")
-    p.add_argument("--samples", type=_integer(0, MAX_POINTS), default=0,
-                   help="emit a CSV of this many samples instead of JSON")
-    p.add_argument("--nodes", type=_integer(MIN_NODES, MAX_POINTS), default=None,
-                   help=f"mass quadrature node count (default {DEFAULT_NODES}); "
-                        "not with --samples")
-    _add_common(p, _cmd_pushforward, "corona_lab.measures")
-
-    p = sub.add_parser("align-arcs", help="move a density's quartile arc onto a target")
-    p.add_argument("--density", required=True, help="density JSON")
-    p.add_argument("--alpha", type=_FINITE, required=True)
-    p.add_argument("--beta", type=_FINITE, required=True)
-    p.add_argument("--case", choices=("a", "b", "c"), required=True)
-    _add_common(p, _cmd_align_arcs, "corona_lab.measures")
-
-    p = sub.add_parser("cluster-scenario", help="simultaneous limits along a sequence")
-    p.add_argument("--functions", required=True, help='JSON file {"functions": [...]}')
-    p.add_argument("--points", required=True, help="sequence JSON")
-    p.add_argument("--eps", type=_POSITIVE, default=1e-6)
-    p.add_argument("--min-tail", type=_integer(2), default=3)
-    _add_common(p, _cmd_cluster_scenario, "corona_lab.corona")
-
+    for name, (summary, handler, modules, arguments) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
+        p.add_argument("--selftest", action=_Selftest, modules=modules,
+                       help="run this module's invariant suite and exit")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         artifact, status = args.handler(args)
         _emit(args, artifact)
         return status

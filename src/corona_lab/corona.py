@@ -13,13 +13,13 @@ coefficients and rounded up: a true bound on the whole closed disc.
 """
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ExtractionError, UnsolvableError
 from .functions import FunctionSpec, roots_in_closed_disc
 from .quadrature import CHECK_SAMPLES, circle_nodes, polar_grid
+from .records import Record
 from .serialize import as_finite, as_list, as_number, strict_keys
 
 MIN_COUNT = 8
@@ -28,8 +28,7 @@ MIN_COUNT = 8
 MAX_COUNT = 2048
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Deterministic evaluation grid: rings accumulating at the boundary at
     rate `ratio`, plus uniform boundary nodes.
 
@@ -56,9 +55,6 @@ class GridSpec:
         return np.concatenate(([0j], polar_grid(self.radii(), self.angular),
                                np.exp(1j * circle_nodes(self.boundary))))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict, where: str = "grid") -> "GridSpec":
         strict_keys(d, required=("radial", "angular", "boundary", "ratio"), where=where)
@@ -77,8 +73,7 @@ class GridSpec:
 DEFAULT_GRID = GridSpec(radial=8, angular=64, boundary=256, ratio=0.5)
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record):
     """Measured joint lower bound min_z sum_k |f_k(z)| over a grid.
 
     The sum of moduli is subharmonic, so the minimum can sit strictly inside
@@ -88,9 +83,6 @@ class DeltaReport:
 
     value: float
     argmin: complex
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def measure_delta(functions, grid: GridSpec = DEFAULT_GRID) -> DeltaReport:
@@ -108,8 +100,7 @@ def measure_delta(functions, grid: GridSpec = DEFAULT_GRID) -> DeltaReport:
     return DeltaReport(float(total[k]), complex(pts[k]))
 
 
-@dataclass(frozen=True)
-class CoronaInstance:
+class CoronaInstance(Record):
     """A function tuple with the grid on which its joint lower bound is
     measured.  The bound itself is not stored: `measure_delta` forms it for
     the two readers that need it, the `delta` subcommand and `bezout_numeric`.
@@ -138,8 +129,7 @@ class CoronaInstance:
         return cls(fns, grid)
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(Record):
     """Solutions u_k with sum u_k f_k = 1, plus verification numbers.
 
     residual_sup is the measured maximum of |sum u_k f_k - 1| on the
@@ -280,15 +270,11 @@ def bezout_numeric(instance: CoronaInstance, degree_cap: int,
     return _certificate(instance, solutions, tol, "numeric")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     residual_sup: float
     norm_sup: float
     samples: int
     passing: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_certificate(instance: CoronaInstance, cert: BezoutCertificate,
@@ -315,8 +301,7 @@ def check_certificate(instance: CoronaInstance, cert: BezoutCertificate,
     return CheckReport(residual, norm_sup, z.size, residual <= tol)
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(Record):
     """Indices of the subsequence surviving every value filter, the limiting
     values, how many points survived after each stage, and per function the
     spread: the largest |f_k(z_j) - limit_k| over the surviving j, below
@@ -326,9 +311,6 @@ class ClusterReport:
     limits: tuple
     stage_counts: tuple
     spread: tuple
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def cluster_scenario(functions, seq, eps: float, min_tail: int = 3) -> ClusterReport:

@@ -7,11 +7,11 @@ take points or angles evaluate them through ``pointwise``.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .records import Record
 
 # denominators in disc automorphisms stay away from zero by this margin
 DENOM_EPS = 1e-15
@@ -81,8 +81,7 @@ def pseudo_distance(z, w) -> float:
     return abs(z - w) / abs(1 - w.conjugate() * z)
 
 
-@dataclass(frozen=True)
-class MobiusAut:
+class MobiusAut(Record):
     """Disc automorphism z -> (z + c) / (1 + conj(c) z)."""
 
     c: complex
@@ -180,8 +179,7 @@ def geodesic_endpoints(anchor_angle: float, through) -> tuple[float, float]:
     return a, float(canonical_angle(np.angle(far)))
 
 
-@dataclass(frozen=True)
-class OrthogonalArc:
+class OrthogonalArc(Record):
     """Boundary arc (alpha, beta) together with the geodesic over it."""
 
     alpha: float

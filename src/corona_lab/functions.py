@@ -5,13 +5,12 @@ finite Blaschke products, and rational functions whose poles all lie
 strictly outside the closed disc.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .disc_geometry import pointwise
 from .errors import ConfigError, DomainError
 from .quadrature import circle_nodes
+from .records import Record
 from .serialize import as_finite, complex_list, strict_keys
 
 POLYNOMIAL = "polynomial"
@@ -55,8 +54,7 @@ def _trim(coeffs) -> tuple:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(Record):
     """A function on the closed disc given by kind plus kind-specific data.
 
     payload layout by kind:

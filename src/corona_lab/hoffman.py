@@ -9,7 +9,6 @@ boundary L2 norm after recentering.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .disc_geometry import MobiusAut, check_disc, one_minus_abs2
 from .errors import AliasingError, DomainError
 from .quadrature import (DEFAULT_FFT_NODES, DEFAULT_GRID_RADIUS, DEFAULT_GRID_SIZE,
                          MIN_FFT_NODES, circle_nodes, polar_grid)
+from .records import Record
 from .serialize import csv_rows
 
 GRID_ANGULAR = 8
@@ -39,8 +39,7 @@ def disc_grid(grid_size: int = DEFAULT_GRID_SIZE,
     return polar_grid(max_radius * np.arange(1, radial + 1) / radial, GRID_ANGULAR)
 
 
-@dataclass(frozen=True)
-class CompositionTrace:
+class CompositionTrace(Record):
     """Samples of the recentered function f o L_{c_j} on a fixed grid.
 
     samples[j] holds the raw grid values for c_values[j]; no normalization
@@ -52,12 +51,16 @@ class CompositionTrace:
     samples: np.ndarray
 
     def to_csv(self) -> str:
-        """One line per sample; the grid columns are formatted once."""
+        """One line per sample, all by one % over one template; the grid
+        columns are formatted once, as csv_rows formats them."""
         grid = csv_rows((self.grid.real, self.grid.imag)).splitlines()
         samples = self.samples.ravel()
-        values = iter(csv_rows((samples.real, samples.imag)).splitlines())
-        return "grid_re,grid_im,j,re,im\n" + "".join(
-            f"{g},{j},{next(values)}\n" for j in range(len(self.c_values)) for g in grid)
+        values = [None] * (4 * samples.size)
+        values[0::4] = grid * len(self.c_values)
+        values[1::4] = np.arange(len(self.c_values)).repeat(len(grid)).tolist()
+        values[2::4] = samples.real.tolist()
+        values[3::4] = samples.imag.tolist()
+        return "grid_re,grid_im,j,re,im\n" + "%s,%d,%.17g,%.17g\n" * samples.size % tuple(values)
 
 
 def compose_trace(f, seq: DiscSequence, grid_radius: float = DEFAULT_GRID_RADIUS,
@@ -72,8 +75,7 @@ def compose_trace(f, seq: DiscSequence, grid_radius: float = DEFAULT_GRID_RADIUS
     return CompositionTrace(cs, pts, samples)
 
 
-@dataclass(frozen=True)
-class SchwarzRow:
+class SchwarzRow(Record):
     """Invariant-derivative data for the product B over a sequence at one of
     its points c.
 
@@ -119,8 +121,7 @@ def schwarz_check(seq: DiscSequence) -> list[SchwarzRow]:
             for j, c in enumerate(seq.points)]
 
 
-@dataclass(frozen=True)
-class L2Report:
+class L2Report(Record):
     """Boundary L2 distance from a recentered product to the identity map.
 
     With Fourier coefficients a_k of the boundary trace and the rotation

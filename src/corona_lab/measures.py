@@ -8,7 +8,6 @@ form built on first use: sorted starts, ends, values and two-sided prefix masses
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
 
@@ -21,6 +20,7 @@ from .errors import DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
 from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
                          integrate_piecewise, integrate_uniform_checked)
+from .records import Record
 from .serialize import as_finite, as_list, strict_keys
 
 TWO_PI = 2 * math.pi
@@ -52,8 +52,7 @@ def _sorted_arcs(arcs: list, label: str, window: float | None = None) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SimpleDensity:
+class SimpleDensity(Record):
     """Unit-mass step density given as disjoint (start, end, value) arcs."""
 
     pieces: tuple
@@ -186,8 +185,7 @@ def poisson_integral(f, z, nodes: int = DEFAULT_NODES, tol: float | None = None)
     return value
 
 
-@dataclass(frozen=True)
-class DensityFit:
+class DensityFit(Record):
     density: SimpleDensity
     residuals: tuple
     mass_error: float
@@ -375,8 +373,7 @@ def fit_simple_density(targets, partition, eps: float,
     return fit
 
 
-@dataclass(frozen=True)
-class QuartilePair:
+class QuartilePair(Record):
     """Angles splitting off a quarter of the mass on each side, plus the
     three-way location tag of the resulting arc."""
 

@@ -32,7 +32,8 @@ from .errors import ConfigError
 
 
 def as_complex(pair, where: str = "value") -> complex:
-    """A finite complex from a number or an [re, im] pair, or ConfigError naming where."""
+    """A finite complex from a number or an [re, im] pair, or ConfigError naming where;
+    a bool, bare or as a part, is not a number, as for as_number."""
     if type(pair) is list and len(pair) == 2:
         re, im = pair
         if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
@@ -43,6 +44,9 @@ def as_complex(pair, where: str = "value") -> complex:
         parts = pair
     else:
         raise ConfigError(f"{where}: expected [re, im] pair, got {pair!r}")
+    for value in (pair, *parts):
+        if isinstance(value, bool):         # an int to isinstance
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
     if not all(isinstance(part, (int, float)) for part in parts):
         raise ConfigError(f"{where}: expected numeric [re, im] pair")
     try:

@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import corona_lab
+from corona_lab import cli
 from corona_lab.cli import MAX_POINTS, _Selftest, build_parser, main
 from corona_lab.corona import GridSpec
-from corona_lab.errors import DomainError
+from corona_lab.errors import ConfigError, DomainError
 from corona_lab.measures import PushforwardDensity, SimpleDensity
 
 
@@ -778,6 +779,27 @@ def test_non_finite_point_is_a_usage_error(capsys, tmp_path):
     _assert_names_key(rc, err, "points[1]")
 
 
+@pytest.mark.parametrize("case", ["at", "c", "coeffs", "points"])
+def test_a_json_boolean_is_not_a_number(capsys, tmp_path, case):
+    # bool is an int to isinstance: each of these ran at z = 1 or 0 and exited 0,
+    # or, for the point, failed later with a DomainError naming no key
+    argv, message = {
+        "at": (["blaschke-eval", "--zeros", "[[0.5,0]]", "--at", "true"],
+               "--at: expected a number, got True"),
+        "c": (["l2-identity", "--zeros", "[[0.5,0]]", "--c", "false"],
+              "--c: expected a number, got False"),
+        "coeffs": (["corona-solve", "--in", write(tmp_path, "inst.json", {"functions": [
+            {"kind": "polynomial", "data": {"coeffs": [True, [0.5, False]]}}]})],
+            f"{tmp_path / 'inst.json'}.functions[0].coeffs[0]: expected a number, got True"),
+        "points": (["interp-check", "--points", write(tmp_path, "p.json",
+                                                      {"points": [[0.1, 0], True]})],
+                   f"{tmp_path / 'p.json'}.points[1]: expected a number, got True"),
+    }[case]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
+
+
 def test_pushforward_csv_matches_per_row_formatting(capsys, tmp_path):
     level = 2 * math.pi / 0.75
     pieces = [[-0.5, 0.25, level / 4], [0.25, 1.0, 3 * level / 4]]
@@ -997,9 +1019,71 @@ def test_measure_fit_runs_without_scipy(capsys, tmp_path):
     assert run(capsys, "measure-fit", "--in", spec) == (0, proc.stdout, "")
 
 
+# a valid argv of each subcommand, optional flags included; the files need not exist
+_VALID_ARGV = {
+    "corona-solve": ["--in", "i.json", "--method", "numeric", "--degree-cap", "3",
+                     "--tol", "1e-6"],
+    "corona-check": ["--in", "i.json", "--cert", "c.json", "--samples", "5", "--seed", "3"],
+    "delta": ["--in", "i.json", "--out", "o.json"],
+    "interp-check": ["--points", "p.json"],
+    "blaschke-eval": ["--zeros", "[[0.5,0]]", "--at", "[0.3,0]", "--rotation", "0.5"],
+    "ladder": ["--zeros", "z.json", "--candidates", "p.json", "--eps", "[0.5]",
+               "--eta", "[0.5]", "--ell", "0.5"],
+    "hoffman-trace": ["--function", "f.json", "--points", "p.json", "--grid-radius", "0.5",
+                      "--grid-size", "16"],
+    "l2-identity": ["--zeros", "[[0.5,0]]", "--c", "[0.1,0]", "--n-fft", "512"],
+    "measure-fit": ["--in", "fit.json", "--eps", "1e-2"],
+    "quartiles": ["--density", "d.json", "--window", "3"],
+    "pushforward": ["--density", "d.json", "--c", "[0.3,0]", "--samples", "4"],
+    "align-arcs": ["--density", "d.json", "--alpha", "0.5", "--beta", "2", "--case", "b"],
+    "cluster-scenario": ["--functions", "f.json", "--points", "p.json", "--eps", "1e-3",
+                         "--min-tail", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_a_subcommand_parser_parses_and_reports_as_the_full_one(capsys, command):
+    assert sorted(_VALID_ARGV) == sorted(subcommands())
+    own, full = build_parser(command), build_parser()
+    assert own is build_parser(command) and own is not full
+    argv = [command] + _VALID_ARGV[command]
+    assert own.parse_args(argv) == full.parse_args(argv)
+    texts = []
+    for parser in (own, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        texts.append(capsys.readouterr())
+    assert texts[0] == texts[1]
+    assert texts[0].out.startswith(f"usage: corona-lab {command} [-h]")
+    for bad in ([command], argv + ["--bogus"], argv + ["delta"]):
+        messages = []
+        for parser in (own, full):
+            with pytest.raises(ConfigError) as error:
+                parser.parse_args(bad)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+
+
+def test_main_builds_the_parser_of_the_subcommand_it_runs(capsys, monkeypatch):
+    # the full parser serves the top-level --help, no subcommand and an unknown one
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return build_parser(*args)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, "blaschke-eval", "--zeros", "[[0.5,0]]", "--at", "[0.3,0]")[0] == 0
+    assert run(capsys, "delta", "--help")[0] == 0
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys)[0] == 2
+    assert run(capsys, "no-such-command")[0] == 2
+    assert run(capsys, "--out", "x", "delta")[0] == 2
+    assert built == [("blaschke-eval",), ("delta",), (None,), (None,), (None,), (None,)]
+
+
 # the modules every subcommand below loads: the CLI, its three module-level
-# imports and disc_geometry; each case adds its own
-_CLI_MODULES = {"cli", "disc_geometry", "errors", "quadrature", "serialize"}
+# imports, disc_geometry and the records it builds; each case adds its own
+_CLI_MODULES = {"cli", "disc_geometry", "errors", "quadrature", "records", "serialize"}
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -1022,14 +1106,17 @@ def test_a_subcommand_loads_only_the_modules_it_uses(capsys, tmp_path, command, 
     code = ("import json, sys, corona_lab.cli\n"
             f"rc = corona_lab.cli.main({argv!r})\n"
             "json.dump([rc, sorted(m for m in sys.modules if m.startswith('corona_lab.')),\n"
-            "           'numpy.polynomial' in sys.modules], sys.stderr)\n")
+            "           'numpy.polynomial' in sys.modules, 'dataclasses' in sys.modules],\n"
+            "          sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, timeout=120)
-    rc, loaded, polynomial = json.loads(proc.stderr)
+    rc, loaded, polynomial, dataclasses = json.loads(proc.stderr)
     assert rc == 0
     assert loaded == sorted(f"corona_lab.{m}" for m in _CLI_MODULES | extra)
     # the Gauss-Legendre table, and numpy.polynomial with it, wait for a panel
     assert not polynomial
+    # records are built without dataclasses' code generation
+    assert not dataclasses
     # a fresh process gives the bytes of an in-process call
     assert run(capsys, *argv) == (0, proc.stdout, "")
 

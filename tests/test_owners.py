@@ -5,7 +5,8 @@ spec's product is built once, by FunctionSpec.finite_blaschke, artifacts are
 written by cli.main, which cli.run alone calls, the process is ended by
 cli.run, JSON text is written by serialize.dumps, the Gauss-Legendre table
 is built by quadrature.gl_rule, and exact polynomial products by
-exactpoly.poly_mul, in a module without numpy.  Every top-level function in src/ has a caller there or is public,
+exactpoly.poly_mul, in a module without numpy.  Record classes are built on
+records.Record, and src/ generates no code.  Every top-level function in src/ has a caller there or is public,
 and every setting is set by a caller there, so code and settings that only
 the tests use stay out of src/."""
 
@@ -157,6 +158,16 @@ def test_exactpoly_imports_math_and_errors_only():
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "np"] == []
 
 
+def test_records_are_built_without_generated_code():
+    # records.Record writes once the methods that dataclasses would generate
+    # and compile for each class when its module is imported
+    def imports_dataclasses(node):
+        return (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    assert _sites(imports_dataclasses) == []
+    assert _sites(lambda node: any(_calls(name)(node) for name in ("exec", "eval", "compile"))) == []
+
+
 def test_every_top_level_function_is_referenced_in_src_or_public():
     # the selftest suites are reached by name through --selftest, and the
     # module's __getattr__ and __dir__ by Python; a function's references
@@ -182,7 +193,8 @@ def test_every_top_level_function_is_referenced_in_src_or_public():
 
 def test_every_setting_is_set_by_a_caller_in_src():
     # a setting is a defaulted parameter of a function or method, or a
-    # defaulted dataclass field; some call in src/ outside the selftest
+    # defaulted field of a record (a subclass of records.Record, whose
+    # fields are its annotations); some call in src/ outside the selftest
     # suites must pass it, by keyword or by position.  Callees are matched
     # by name, and cls(...) is its class; calls through np. and rng. are
     # numpy's, whatever their name.  main(argv) is the entry point,
@@ -193,8 +205,7 @@ def test_every_setting_is_set_by_a_caller_in_src():
     def visit(node, module, cls, fn):
         if isinstance(node, ast.ClassDef):
             cls = node.name
-            if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-                   for d in node.decorator_list):
+            if any(getattr(base, "id", None) == "Record" for base in node.bases):
                 fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
                 settings.extend((module, cls, f.target.id, i)
                                 for i, f in enumerate(fields) if f.value is not None)

@@ -152,6 +152,10 @@ def _old_as_complex(pair, where="value"):
         parts = pair
     else:
         raise ConfigError(f"{where}: expected [re, im] pair, got {pair!r}")
+    # a JSON boolean is rejected as as_number rejects it, bare or as a part
+    for value in (pair, *parts):
+        if isinstance(value, bool):
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
     if not all(isinstance(part, (int, float)) for part in parts):
         raise ConfigError(f"{where}: expected numeric [re, im] pair")
     try:
