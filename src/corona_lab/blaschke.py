@@ -25,6 +25,12 @@ BLOCK = 8
 # verification grid used when measuring minima of |B| over a closed disc
 MIN_GRID_RADIAL = 25
 MIN_GRID_ANGULAR = 64
+# min_modulus_on_disc: the far part's share of the zeros' gap sum
+FAR_SHARE = 0.1
+# min_modulus_on_disc: relative slack per zero in the candidate test, and the
+# least near minimum times floor at which that slack holds
+SLACK_PER_ZERO = 2.0 ** -45
+TINY = 2.0 ** -500
 
 
 def _unimodular_prefactor(a: complex) -> complex:
@@ -33,6 +39,39 @@ def _unimodular_prefactor(a: complex) -> complex:
     # an exact power-of-two scale keeps abs() out of the subnormal range
     a = a * 2.0 ** 600
     return a.conjugate() / abs(a)
+
+
+@pointwise(complex)
+def _factor_product(start, zeros, z):
+    """start * prod_k (a_k - z) / (1 - conj(a_k) z), BLOCK factors per complex division.
+
+    Each block of zeros contributes N / D with N = prod (a - z) and
+    D = prod (1 - conj(a) z), built in place in reused buffers.  Each
+    denominator is formed as (1 - |a|^2) + conj(a) (a - z): with
+    1 - |a|^2 rounded once, both terms are at most 2 |1 - conj(a) z| on
+    the closed disc, so it keeps its relative accuracy where
+    1 - conj(a) z cancels (z near a zero close to the circle).  There
+    1 - |a| <= |1 - conj(a) z| <= 2 and |a - z| <= |1 - conj(a) z|, so
+    (1 - |a|)^BLOCK <= |D| <= 2^BLOCK never leaves the normal range, and
+    N = (block value) D is subnormal only where the block's value is
+    below 2^-1022 / |D|.  An exact zero gives exactly 0.  Every step is
+    elementwise, so a point's value does not depend on the other points.
+    """
+    out = np.full(z.shape, start, dtype=complex)
+    num, den, tmp = (np.empty(z.shape, dtype=complex) for _ in range(3))
+    for begin in range(0, len(zeros), BLOCK):
+        a, *rest = zeros[begin:begin + BLOCK]
+        np.subtract(a, z, out=num)
+        np.multiply(a.conjugate(), num, out=den)
+        den += one_minus_abs2(a)
+        for a in rest:
+            num *= np.subtract(a, z, out=tmp)
+            tmp *= a.conjugate()
+            tmp += one_minus_abs2(a)
+            den *= tmp
+        num /= den
+        out *= num
+    return out
 
 
 class BlaschkeProduct(Record):
@@ -53,40 +92,13 @@ class BlaschkeProduct(Record):
     def degree(self) -> int:
         return len(self.zeros)
 
-    @pointwise(complex)
     def __call__(self, z):
-        """Values at z, BLOCK factors per complex division.
-
-        The unimodular constant e^{i rotation} prod u_k is formed once; each
-        block of zeros then contributes N / D with N = prod (a - z) and
-        D = prod (1 - conj(a) z), built in place in reused buffers.  Each
-        denominator is formed as (1 - |a|^2) + conj(a) (a - z): with
-        1 - |a|^2 rounded once, both terms are at most 2 |1 - conj(a) z| on
-        the closed disc, so it keeps its relative accuracy where
-        1 - conj(a) z cancels (z near a zero close to the circle).  There
-        1 - |a| <= |1 - conj(a) z| <= 2 and |a - z| <= |1 - conj(a) z|, so
-        (1 - |a|)^BLOCK <= |D| <= 2^BLOCK never leaves the normal range, and
-        N = (block value) D is subnormal only where the block's value is
-        below 2^-1022 / |D|.  An exact zero gives exactly 0.
-        """
+        """Values at z: the unimodular constant e^{i rotation} prod u_k,
+        formed once, times _factor_product over the zeros."""
         constant = np.exp(1j * self.rotation)
         for a in self.zeros:
             constant *= _unimodular_prefactor(a)
-        out = np.full(z.shape, constant, dtype=complex)
-        num, den, tmp = (np.empty(z.shape, dtype=complex) for _ in range(3))
-        for start in range(0, self.degree, BLOCK):
-            a, *rest = self.zeros[start:start + BLOCK]
-            np.subtract(a, z, out=num)
-            np.multiply(a.conjugate(), num, out=den)
-            den += one_minus_abs2(a)
-            for a in rest:
-                num *= np.subtract(a, z, out=tmp)
-                tmp *= a.conjugate()
-                tmp += one_minus_abs2(a)
-                den *= tmp
-            num /= den
-            out *= num
-        return out
+        return _factor_product(constant, self.zeros, z)
 
     @pointwise(complex)
     def derivative(self, z):
@@ -132,32 +144,91 @@ class BlaschkeProduct(Record):
         return cls(tuple(zeros), as_finite(d.get("rotation", 0.0), f"{where}.rotation"))
 
 
-def min_modulus_on_disc(b: BlaschkeProduct, radius: float) -> float:
-    """Measured minimum of |b| over a polar grid on the closed disc of the
-    given radius.
+def min_modulus_on_disc(zeros, radius: float) -> float:
+    """Measured minimum of prod_k |(a_k - z)/(1 - conj(a_k) z)| over a polar
+    grid on the closed disc of the given radius.
 
     A grid minimum is at least the true minimum, so it is a measurement, not
-    a lower bound; modulus_lower_bound gives a bound.
+    a lower bound; modulus_lower_bound gives a bound.  The value is the
+    grid minimum of _factor_product started from 1, found without
+    evaluating every zero at every grid point:
+
+    * the far part, the zeros of smallest gap 1 - |a| whose gap sum stays
+      below FAR_SHARE of the whole, keeps its modulus above the floor
+      _gap_sum_floor gives on the grid's closed disc;
+    * the near part, the other zeros, is evaluated on the whole grid;
+    * the full product is evaluated only where near * floor is at most the
+      near part's minimum times 1 + slack.  There alone can the grid
+      minimum lie: the far part's modulus is at most 1, and the slack
+      covers the relative rounding of both evaluations, which stays below
+      SLACK_PER_ZERO per zero while the near minimum times the floor is
+      above TINY, so that no value the kernel forms is subnormal.  Below
+      TINY every grid point is evaluated.
+
+    The kernel is elementwise, so the result equals the minimum over the
+    whole grid bit for bit.
     """
     if not (0 <= radius < 1):
         raise DomainError("radius must lie in [0, 1)")
+    zeros = np.asarray(zeros, dtype=complex).ravel()
+    moduli = np.hypot(zeros.real, zeros.imag)
+    if not (moduli < 1).all():
+        raise DomainError(f"zero must satisfy |zero| < 1, got |zero| = {moduli.max()}")
     grid = polar_grid(np.linspace(0.0, radius, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
-    return float(np.min(np.abs(b(grid))))
+    # the grid's points lie within a few ulps of the radius; next to the
+    # circle the cap leaves the floor of any far zero at 0
+    eta = min(radius * (1 + 2.0 ** -50), math.nextafter(1.0, 0.0))
+    gaps = 1 - moduli
+    order = np.argsort(gaps, kind="stable")
+    far = np.zeros(zeros.size, dtype=bool)
+    far[order[:np.searchsorted(np.cumsum(gaps[order]), FAR_SHARE * gaps.sum(), "right")]] = True
+    floor = _gap_sum_floor(zeros[far], eta)
+    near = np.abs(_factor_product(1.0, zeros[~far].tolist(), grid))
+    lowest = float(near.min())
+    if lowest * floor >= TINY:
+        grid = grid[near * floor <= lowest * (1 + SLACK_PER_ZERO * (zeros.size + 1))]
+    return float(np.min(np.abs(_factor_product(1.0, zeros.tolist(), grid))))
+
+
+def _gap_sum_floor(zeros: np.ndarray, eta: float) -> float:
+    """Lower bound for prod_k |(a_k - z)/(1 - conj(a_k) z)| on |z| <= eta,
+    rounded down: max(0, 1 - (1+eta)/(1-eta) * sum_k (1 - |a_k|)).
+
+    Each factor drops below 1 by at most (1+eta)/(1-eta) (1-|a|) there
+    (Garnett, Bounded Analytic Functions, ch. I), and a product of terms
+    1 - d_k is at least 1 - sum d_k.  In floating point: np.hypot errs by
+    at most one ulp, so h = np.hypot less the spacing above h is at most
+    |a|; math.fsum rounds the sum of the gaps from those once, and a second
+    fsum of the residual rounds it up where it fell short; the rest is
+    exact integer arithmetic on the binary fractions, rounded down once.
+    """
+    h = np.hypot(zeros.real, zeros.imag)
+    below = h - (np.nextafter(h, 2) - h)
+    terms = [float(h.size), *(-below).tolist()]
+    total = math.fsum(terms)
+    if math.fsum([*terms, -total]) > 0:
+        total = math.nextafter(total, math.inf)
+    p, q = float(eta).as_integer_ratio()
+    s, t = total.as_integer_ratio()
+    # 1 - (q+p)/(q-p) * s/t = num/den, den > 0
+    num, den = (q - p) * t - (q + p) * s, (q - p) * t
+    floor = num / den
+    n, d = floor.as_integer_ratio()
+    if n * den > num * d:
+        floor = math.nextafter(floor, -math.inf)
+    return max(0.0, floor)
 
 
 def modulus_lower_bound(b: BlaschkeProduct, eta: float) -> float:
     """Certified lower bound for |b| on |z| <= eta.
 
-    Each factor drops below 1 by at most (1+eta)/(1-eta) (1-|a|) there, and
-    a product of terms 1 - d_k is at least 1 - sum d_k, so the bound is
-    max(0, 1 - (1+eta)/(1-eta) * sum_k (1 - |zeros[k]|)).
+    It is max(0, 1 - (1+eta)/(1-eta) * sum_k (1 - |zeros[k]|)), rounded
+    down; _gap_sum_floor gives the inequality and its rounding.
     """
     eta = float(eta)
     if not (0 <= eta < 1):
         raise DomainError("eta must lie in [0, 1)")
-    gap_sum = sum(1 - abs(a) for a in b.zeros)
-    m = (1 + eta) / (1 - eta)
-    return max(0.0, 1.0 - m * gap_sum)
+    return _gap_sum_floor(np.array(b.zeros, dtype=complex), eta)
 
 
 def _transported_gaps(zeros, c: complex) -> np.ndarray:
@@ -259,7 +330,7 @@ class Sector(Record):
         r = abs(z)
         if not (self.s <= r < self.t):
             return False
-        return abs(float(np.angle(z))) <= self.half_angle
+        return abs(math.atan2(z.imag, z.real)) <= self.half_angle
 
 
 class RungRecord(Record):
@@ -347,8 +418,12 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     * pick the smallest zero modulus above r_j whose transported tail sum is
       below delta_j / 2; if none qualifies, jump past the outermost zero.
 
-    Every stage is verified by measuring the grid minimum of the composed
-    product on |z| <= eta_j; failure to find a candidate raises
+    Every stage is verified by measuring the grid minimum of |B o L_{c_j}|
+    on |z| <= eta_j, B the product over the zeros outside the rung's
+    excluded band.  Each factor's modulus is Mobius invariant, so
+    min_modulus_on_disc takes the zeros transported by c_j, the ones the
+    tail sums read, and evaluates the whole product only at the grid points
+    where the minimum can lie.  Failure to find a candidate raises
     ConstructionError naming the rung.
     """
     ell = float(ell)
@@ -366,8 +441,10 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     zeros = tuple(check_disc(z, "zero") for z in zeros)
     zs = np.array(zeros, dtype=complex)
     moduli = np.hypot(zs.real, zs.imag)
-    # the home sector S[ell, 1): ell <= |z| and |arg z| <= (1 - ell)/2
-    outside = np.flatnonzero((moduli < ell) | (np.abs(np.angle(zs)) > (1 - ell) / 2))
+    # the home sector S[ell, 1): ell <= |z| and |arg z| <= (1 - ell)/2, the
+    # angles from libm, as Sector.contains takes them, not numpy's SIMD loop
+    angles = np.array([math.atan2(z.imag, z.real) for z in zeros])
+    outside = np.flatnonzero((moduli < ell) | (np.abs(angles) > (1 - ell) / 2))
     if outside.size:
         raise DomainError(f"zero {zeros[outside[0]]} lies outside the home sector")
     order = np.argsort(moduli, kind="stable")
@@ -406,7 +483,8 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
         chosen_points.append(c)
         next_candidate = pick + 1
 
-        gaps = _transported_gaps(by_modulus, c)
+        moved = MobiusAut(c).inverse(zs)
+        gaps = 1 - np.abs(moved[order])
         tails = np.cumsum(gaps[::-1])[::-1]
         ok = np.flatnonzero((mods > r_j) & (tails[tail_start] < delta / 2))
         if ok.size:
@@ -419,9 +497,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
                 f"rung {j}: no admissible next radius above {r_j}", rung=j)
         s_values.append(s_next)
 
-        rung_zeros = tuple(zs[(moduli < r_j) | (moduli >= s_next)])
-        composed = compose_with_mobius(BlaschkeProduct(rung_zeros), c)
-        measured = min_modulus_on_disc(composed, eta)
+        measured = min_modulus_on_disc(moved[(moduli < r_j) | (moduli >= s_next)], eta)
         records.append(RungRecord(j, eta, eps, measured))
 
     # slot k of the cuts s_0, r_0, s_1, ..., s_m is band k/2 for an even k, else the gap
@@ -475,7 +551,7 @@ def selftest() -> list[tuple[str, bool]]:
         b = BlaschkeProduct(zs)
         eta = 0.5
         bound = modulus_lower_bound(b, eta)
-        ok = ok and min_modulus_on_disc(b, eta) >= bound
+        ok = ok and min_modulus_on_disc(b.zeros, eta) >= bound
     checks.append(("modulus lower bound is sound", ok))
 
     seq = DiscSequence((0 + 0j, 0.5 + 0j))

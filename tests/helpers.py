@@ -3,8 +3,8 @@ so that every top-level function there has a caller there."""
 
 import numpy as np
 
-from corona_lab.blaschke import BlaschkeProduct, _transported_gaps
-from corona_lab.disc_geometry import check_disc
+from corona_lab.blaschke import BLOCK, BlaschkeProduct, _transported_gaps, _unimodular_prefactor
+from corona_lab.disc_geometry import check_disc, one_minus_abs2
 from corona_lab.functions import FunctionSpec
 
 
@@ -32,3 +32,27 @@ def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray
     factor = (1 + abs(c)) / (1 - abs(c))
     bound = factor * (1 - np.abs(np.array(b.zeros, dtype=complex)))
     return actual, bound
+
+
+def blaschke_values_by_the_loop(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+    """BlaschkeProduct.__call__ as one loop over blocks of BLOCK zeros, the
+    form it had before the loop moved into blaschke._factor_product; z is a
+    flat array of at least two points."""
+    constant = np.exp(1j * b.rotation)
+    for a in b.zeros:
+        constant *= _unimodular_prefactor(a)
+    out = np.full(z.shape, constant, dtype=complex)
+    num, den, tmp = (np.empty(z.shape, dtype=complex) for _ in range(3))
+    for start in range(0, b.degree, BLOCK):
+        a, *rest = b.zeros[start:start + BLOCK]
+        np.subtract(a, z, out=num)
+        np.multiply(a.conjugate(), num, out=den)
+        den += one_minus_abs2(a)
+        for a in rest:
+            num *= np.subtract(a, z, out=tmp)
+            tmp *= a.conjugate()
+            tmp += one_minus_abs2(a)
+            den *= tmp
+        num /= den
+        out *= num
+    return out

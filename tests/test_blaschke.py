@@ -5,17 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corona_lab.blaschke import (BLOCK, THIN_THRESHOLD, BlaschkeProduct, DiscSequence,
-                                 Sector, carleson_diagnostics,
-                                 compose_with_mobius, construct_ladder,
+from corona_lab.blaschke import (BLOCK, MIN_GRID_ANGULAR, MIN_GRID_RADIAL, THIN_THRESHOLD,
+                                 BlaschkeProduct, DiscSequence, Sector, _factor_product,
+                                 carleson_diagnostics, compose_with_mobius, construct_ladder,
                                  min_modulus_on_disc, modulus_lower_bound)
 from corona_lab.disc_geometry import MobiusAut, pseudo_distance
 from corona_lab.errors import ConfigError, ConstructionError, DomainError, InfeasibleError
+from corona_lab.quadrature import polar_grid
 
-from helpers import transport_tail_bounds
+from helpers import blaschke_values_by_the_loop, transport_tail_bounds
 
 RNG = np.random.default_rng(771002)
 
@@ -209,6 +210,8 @@ def test_product():
 def test_zero_outside_disc_rejected():
     with pytest.raises(DomainError):
         BlaschkeProduct((1.0,))
+    with pytest.raises(DomainError):
+        min_modulus_on_disc((0.5, 1.0), 0.5)
 
 
 def test_modulus_lower_bound_values():
@@ -232,7 +235,97 @@ def test_modulus_lower_bound_sound():
         b = BlaschkeProduct(zeros)
         eta = float(RNG.choice([0.3, 0.5, 0.8]))
         bound = modulus_lower_bound(b, eta)
-        assert min_modulus_on_disc(b, eta) >= bound - 1e-12
+        assert min_modulus_on_disc(b.zeros, eta) >= bound - 1e-12
+
+
+def test_values_equal_the_block_loop_byte_for_byte():
+    # __call__ passes its unimodular constant to _factor_product as the start
+    rng = np.random.default_rng(2027)
+    inside = 0.97 * np.sqrt(rng.uniform(0, 1, 300)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+    z = np.concatenate([inside, np.exp(1j * rng.uniform(-np.pi, np.pi, 40)), [0, 1e-200]])
+    for degree in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 60):
+        zeros = tuple(random_zero(rng) for _ in range(degree))
+        zeros += tuple((1 - 1e-12) * np.exp(1j * rng.uniform(-np.pi, np.pi, degree // 4)))
+        b = BlaschkeProduct(zeros + zeros[:1] + ((0j,) if degree % 2 else ()),
+                            float(rng.uniform(-math.pi, math.pi)))
+        points = np.concatenate([z, np.array(b.zeros[:3], dtype=complex)])
+        assert b(points).tobytes() == blaschke_values_by_the_loop(b, points).tobytes()
+
+
+def _grid_minimum(zeros, radius):
+    """Minimum of |_factor_product| from 1 over the whole grid of min_modulus_on_disc."""
+    grid = polar_grid(np.linspace(0.0, radius, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
+    return float(np.min(np.abs(_factor_product(1.0, [complex(a) for a in zeros], grid))))
+
+
+@st.composite
+def _zero_sets(draw):
+    """(zeros, radius): clusters 10^-k from the circle, zeros of modulus up to
+    0.97, zeros on grid points, and piles of one zero next to a grid point,
+    under which the product underflows there and nowhere else."""
+    radius = draw(st.sampled_from([0.0, 0.5, 0.75, 0.875, 0.97, 0.999]) | st.floats(0, 0.99))
+    grid = polar_grid(np.linspace(0.0, radius, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
+    zeros = []
+    for kind in draw(st.lists(st.sampled_from(["cluster", "disc", "grid", "pile"]), max_size=4)):
+        if kind == "cluster":
+            k = draw(st.integers(1, 15))
+            theta = draw(st.floats(-math.pi, math.pi))
+            zeros += [(1 - 10.0 ** -k) * cmath.exp(1j * (theta + 0.01 * j))
+                      for j in range(draw(st.integers(1, 40)))]
+        elif kind == "disc":
+            zeros += draw(st.lists(_disc(0.97), min_size=1, max_size=30))
+        elif kind == "grid":
+            zeros.append(complex(grid[draw(st.integers(0, grid.size - 1))]))
+        else:
+            at = complex(grid[draw(st.integers(0, grid.size - 1))])
+            zeros += [at * 0.999 + 1e-3j] * draw(st.integers(100, 300))
+    return [a for a in zeros if abs(a) < 1], radius
+
+
+# near ties that only the candidate test's slack settles: a far zero one or
+# two ulps from the circle aligned with a grid point, and a few conjugate
+# pairs, so that two grid points tie to rounding in the near part
+NEAR_TIES = [
+    ([-0.29558641526441054 - 0.08966515878984167j, 0.08863601595470183 - 0.373313855996057j,
+      -0.9569403357322086 - 0.29028467725446233j, 0.08863601595470183 + 0.373313855996057j,
+      0.3299930840304907 - 0.2188404424537029j, -0.29558641526441054 + 0.08966515878984167j,
+      0.3299930840304907 + 0.2188404424537029j, -0.0012376073063235622 - 0.039857354677060974j,
+      -0.0012376073063235622 + 0.039857354677060974j], 0.08921465419037265),
+    ([-0.11055040184116745 - 0.28688155369489915j, 0.055095166690416385 + 0.5593906149415113j,
+      0.3882335936102556 + 0.34383618780284547j, -0.11055040184116745 + 0.28688155369489915j,
+      0.09801714032956031 - 0.9951847266721968j, 0.3882335936102556 - 0.34383618780284547j,
+      0.055095166690416385 - 0.5593906149415113j], 0.18771470817385766),
+    ([0.28747091333390246 - 0.6642947822677074j, -0.9807852804032303 - 0.19509032201612858j,
+      -0.8594111253104797 + 0.17094750148792376j, 0.28747091333390246 + 0.6642947822677074j,
+      -0.8594111253104797 - 0.17094750148792376j], 0.154258208143599),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zero_sets())
+@example(([], 0.5))
+@example(([0.3 - 0.2j], 0.0))
+@example(NEAR_TIES[0])
+@example(NEAR_TIES[1])
+@example(NEAR_TIES[2])
+def test_pruned_minimum_equals_the_whole_grid_minimum(case):
+    zeros, radius = case
+    assert min_modulus_on_disc(zeros, radius) == _grid_minimum(zeros, radius)
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.5, 0.75])
+def test_modulus_lower_bound_holds_at_near_ties_against_mpmath(eta):
+    # zeros on [0, 1) put every factor's minimum over |z| <= eta at z = eta,
+    # so the product's minimum is prod (a - eta)/(1 - a eta); with gaps of
+    # 2^-40 the gap-sum bound is within rounding of it
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for k in range(1, 60):
+        a = 1 - k * 2.0 ** -40
+        for zeros in [(a,), (a, 1 - 2.0 ** -45, 1 - 3 * 2.0 ** -44)]:
+            exact = mp.fprod((mp.mpf(x) - eta) / (1 - mp.mpf(x) * eta) for x in zeros)
+            assert mp.mpf(modulus_lower_bound(BlaschkeProduct(zeros), eta)) <= exact, (k, zeros)
 
 
 def test_compose_with_mobius_pointwise():
@@ -378,6 +471,48 @@ LADDER_ZEROS = tuple(1 - 2.0 ** -k for k in range(1, 31))
 LADDER_CANDIDATES = DiscSequence(tuple(1 - 3.0 ** -n for n in range(1, 33)))
 LADDER_EPS = [2.0 ** -j for j in range(1, 6)]
 LADDER_ETA = [1 - 2.0 ** -j for j in range(1, 6)]
+
+
+def _rung_minima_against_mpmath(zeros, lad):
+    """Relative error of each rung's min_modulus against the same grid
+    minimum at 50 digits: prod |(w - z)/(1 - conj(w) z)| over the zeros w
+    that c transports (the doubles min_modulus_on_disc receives), at the
+    grid points whose double value is within 1e-9 of the double minimum;
+    the doubles err by far less, so the minimum lies among them."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    zs = np.array(zeros, dtype=complex)
+    moduli = np.hypot(zs.real, zs.imag)
+    errors = []
+    for rec, c, r, s_next in zip(lad.verification, lad.chosen_points, lad.r_values,
+                                 lad.s_values[1:]):
+        moved = MobiusAut(c).inverse(zs[(moduli < r) | (moduli >= s_next)]).tolist()
+        grid = polar_grid(np.linspace(0.0, rec.eta, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
+        values = np.abs(_factor_product(1.0, moved, grid))
+        ws = [mp.mpc(w.real, w.imag) for w in moved]
+        near_min = grid[values <= values.min() * (1 + 1e-9)]
+        ref = min(mp.fprod(abs((w - z) / (1 - mp.conj(w) * z)) for w in ws)
+                  for z in (mp.mpc(p.real, p.imag) for p in near_min))
+        errors.append(float(abs(mp.mpf(rec.min_modulus) - ref) / ref))
+    return errors
+
+
+def test_rung_minima_against_mpmath():
+    # criterion 10's ladder, and a smoke-size ladder of the benchmark's
+    # disc-sequences shape (gaps 1/(2 k^2), angles alternating about the
+    # candidate ray); each error is a few ulps per zero
+    rng = np.random.default_rng(1)
+    angles = rng.uniform(0.04, 0.2, 10) * (-1.0) ** np.arange(10)
+    bench = tuple(complex((1 - 0.5 / k ** 2) * np.exp(1j * angles[k - 1])) for k in range(1, 11))
+    cases = [(LADDER_ZEROS, LADDER_CANDIDATES, LADDER_EPS, LADDER_ETA),
+             (bench, DiscSequence(tuple(1 - 3.0 ** -m for m in range(1, 33))),
+              [0.5, 0.25, 0.125], [0.5, 0.75, 0.875])]
+    for zeros, cands, eps, eta in cases:
+        lad = construct_ladder(zeros, cands, eps, eta, 0.5)
+        errors = _rung_minima_against_mpmath(zeros, lad)
+        assert len(errors) == len(eps)
+        assert max(errors) < 4 * len(zeros) * np.finfo(float).eps, errors
 
 
 def test_ladder_frozen_instance():

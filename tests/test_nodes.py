@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import corona_lab
+from corona_lab import blaschke
 from corona_lab.blaschke import MIN_GRID_ANGULAR, MIN_GRID_RADIAL, min_modulus_on_disc
 from corona_lab.corona import DEFAULT_GRID, GridSpec, verification_nodes
 from corona_lab.hoffman import disc_grid, l2_distance_to_identity
@@ -47,14 +48,17 @@ def test_grid_points_equal_the_hand_built_grid(grid):
     assert np.array_equal(verification_nodes(grid), linspace_angles(2 * grid.boundary + 17))
 
 
-def test_min_modulus_grid_equals_the_hand_built_grid():
+def test_min_modulus_grid_equals_the_hand_built_grid(monkeypatch):
     seen = []
+    kernel = blaschke._factor_product
 
-    def record(z):
+    def record(start, zeros, z):
         seen.append(z)
-        return np.abs(z)
+        return kernel(start, zeros, z)
 
-    assert min_modulus_on_disc(record, 0.7) == 0.0
+    monkeypatch.setattr(blaschke, "_factor_product", record)
+    # a zero at the origin forms no far part, so the first evaluation is the whole grid's
+    assert min_modulus_on_disc((0j,), 0.7) == 0.0
     want = rings(np.linspace(0.0, 0.7, MIN_GRID_RADIAL), linspace_angles(MIN_GRID_ANGULAR))
     assert np.array_equal(seen[0], want)
 

@@ -5,7 +5,8 @@ spec's product is built once, by FunctionSpec.finite_blaschke, artifacts are
 written by cli.main, which cli.run alone calls, the process is ended by
 cli.run, JSON text is written by serialize.dumps, the Gauss-Legendre table
 is built by quadrature.gl_rule, and exact polynomial products by
-exactpoly.poly_mul, in a module without numpy.  Record classes are built on
+exactpoly.poly_mul, in a module without numpy.  blaschke takes angles from
+math.atan2, not np.angle.  Record classes are built on
 records.Record, and src/ generates no code.  Every top-level function in src/ has a caller there or is public,
 and every setting is set by a caller there, so code and settings that only
 the tests use stay out of src/."""
@@ -76,6 +77,12 @@ def test_one_minus_abs2_is_formed_in_disc_geometry_only():
 
     assert _sites(subtraction) == []
     assert _sites(veltkamp) == ["disc_geometry.py:one_minus_abs2"]
+
+
+def test_blaschke_takes_angles_from_libm():
+    # the home-sector decisions read each zero's angle from math.atan2;
+    # np.angle rounds differently at different numpy SIMD dispatch levels
+    assert [site for site in _sites(_calls("angle")) if site.startswith("blaschke.py:")] == []
 
 
 def test_roots_are_located_in_one_place():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corona_lab
-from corona_lab.blaschke import BlaschkeProduct
+from corona_lab.blaschke import BlaschkeProduct, _factor_product
 from corona_lab.disc_geometry import MobiusAut
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import PushforwardDensity, SimpleDensity, poisson_kernel
@@ -27,6 +27,8 @@ _ANGLES = st.floats(-4.0, 4.0, allow_nan=False)
 
 # every decorated kernel: (callable of its points, point strategy, 0-d result type)
 KERNELS = {
+    "_factor_product": (functools.partial(_factor_product, 0.6 - 0.8j, _B.zeros), _POINTS,
+                        complex),
     "BlaschkeProduct.__call__": (_B, _POINTS, complex),
     "BlaschkeProduct.derivative": (_B.derivative, _POINTS, complex),
     "MobiusAut.apply": (_M.apply, _POINTS, complex),
