@@ -10,7 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .disc_geometry import MobiusAut, canonical_angle, check_disc, one_minus_abs2, pointwise
+from .disc_geometry import (MobiusAut, canonical_angle, check_disc, one_minus_abs2, pointwise,
+                            pseudo_hyperbolic)
 from .errors import ConstructionError, DomainError, InfeasibleError
 from .quadrature import polar_grid
 from .records import Record
@@ -231,11 +232,6 @@ def modulus_lower_bound(b: BlaschkeProduct, eta: float) -> float:
     return _gap_sum_floor(np.array(b.zeros, dtype=complex), eta)
 
 
-def _transported_gaps(zeros, c: complex) -> np.ndarray:
-    """1 - |(z_k - c)/(1 - conj(c) z_k)| for every zero."""
-    return 1 - np.abs(MobiusAut(c).inverse(zeros))
-
-
 def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
     """Blaschke product equal to z -> b((z + c)/(1 + conj(c) z)) pointwise.
 
@@ -274,6 +270,11 @@ class DiscSequence(Record, frozen=False):
         return float(sum(1 - abs(z) for z in self.points))
 
     @cached_property
+    def one_minus_abs2(self) -> np.ndarray:
+        """1 - |z_k|^2 for every point, each rounded once."""
+        return np.array([one_minus_abs2(z) for z in self.points])
+
+    @cached_property
     def separation_tails(self) -> tuple:
         return tuple(carleson_diagnostics(self)[1])
 
@@ -294,11 +295,11 @@ def carleson_diagnostics(seq: DiscSequence) -> tuple[float, list[float]]:
     """Separation constant and per-point tails of an interior sequence.
 
     tails[k] = prod_{j != k} pseudo_distance(z_j, z_k), the product taken over
-    the rows of one pseudo-distance matrix whose diagonal is set to one; the
+    the rows of one pseudo_hyperbolic matrix whose diagonal is set to one; the
     constant is the minimum tail.  Duplicate points give a zero constant.
     """
     z = np.array(seq.points, dtype=complex)
-    dist = np.abs(z[:, None] - z[None, :]) / np.abs(1 - np.conj(z)[None, :] * z[:, None])
+    dist, _ = pseudo_hyperbolic(z[:, None], seq.one_minus_abs2[:, None], z, seq.one_minus_abs2)
     np.fill_diagonal(dist, 1.0)
     tails = np.prod(dist, axis=0)
     return float(tails.min()), tails.tolist()
@@ -408,10 +409,10 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     """Build the staged sector ladder over a zero set confined to S[ell, 1).
 
     Stage j works at tolerance eps_j on the disc |z| <= eta_j.  It needs the
-    transported gap sum of the rung's zero set below
-    delta_j = eps_j (1 - eta_j)/(1 + eta_j), which certifies a modulus lower
-    bound above 1 - eps_j.  The candidate scan and the choice of the next
-    inner radius each take half of delta_j:
+    transported gap sum, the sum of 1 - pseudo_distance(a, c_j) over the
+    rung's zeros a, below delta_j = eps_j (1 - eta_j)/(1 + eta_j), which
+    certifies a modulus lower bound above 1 - eps_j.  The candidate scan and
+    the choice of the next inner radius each take half of delta_j:
 
     * pick the first unused candidate whose transported gap sum over the
       inner band S[ell, r_j) is below delta_j / 2;
@@ -421,10 +422,9 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     Every stage is verified by measuring the grid minimum of |B o L_{c_j}|
     on |z| <= eta_j, B the product over the zeros outside the rung's
     excluded band.  Each factor's modulus is Mobius invariant, so
-    min_modulus_on_disc takes the zeros transported by c_j, the ones the
-    tail sums read, and evaluates the whole product only at the grid points
-    where the minimum can lie.  Failure to find a candidate raises
-    ConstructionError naming the rung.
+    min_modulus_on_disc takes the zeros transported by c_j and evaluates
+    the whole product only at the grid points where the minimum can lie.
+    Failure to find a candidate raises ConstructionError naming the rung.
     """
     ell = float(ell)
     if not (0 < ell < 1):
@@ -450,6 +450,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     order = np.argsort(moduli, kind="stable")
     by_modulus = zs[order]
     mods = moduli[order]
+    p_by_modulus = np.array([one_minus_abs2(z) for z in zeros])[order]
     # tail sums start at the first zero of each modulus, so tied zeros
     # (conjugate pairs) enter a tail together
     tail_start = np.searchsorted(mods, mods, "left")
@@ -468,10 +469,12 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
         r_values.append(r_j)
         delta = eps * (1 - eta) / (1 + eta)
 
-        inner = by_modulus[:np.searchsorted(mods, r_j, "left")]
+        inner = np.searchsorted(mods, r_j, "left")
         pick = None
         for n in range(next_candidate, len(candidates)):
-            if float(np.sum(_transported_gaps(inner, candidates.points[n]))) < delta / 2:
+            _, gaps = pseudo_hyperbolic(by_modulus[:inner], p_by_modulus[:inner],
+                                        candidates.points[n], candidates.one_minus_abs2[n])
+            if float(np.sum(gaps)) < delta / 2:
                 pick = n
                 break
         if pick is None:
@@ -483,8 +486,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
         chosen_points.append(c)
         next_candidate = pick + 1
 
-        moved = MobiusAut(c).inverse(zs)
-        gaps = 1 - np.abs(moved[order])
+        _, gaps = pseudo_hyperbolic(by_modulus, p_by_modulus, c, candidates.one_minus_abs2[pick])
         tails = np.cumsum(gaps[::-1])[::-1]
         ok = np.flatnonzero((mods > r_j) & (tails[tail_start] < delta / 2))
         if ok.size:
@@ -497,7 +499,8 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
                 f"rung {j}: no admissible next radius above {r_j}", rung=j)
         s_values.append(s_next)
 
-        measured = min_modulus_on_disc(moved[(moduli < r_j) | (moduli >= s_next)], eta)
+        moved = MobiusAut(c).inverse(zs[(moduli < r_j) | (moduli >= s_next)])
+        measured = min_modulus_on_disc(moved, eta)
         records.append(RungRecord(j, eta, eps, measured))
 
     # slot k of the cuts s_0, r_0, s_1, ..., s_m is band k/2 for an even k, else the gap

@@ -65,20 +65,42 @@ def check_disc(z, name: str = "z") -> complex:
 def one_minus_abs2(z: complex) -> float:
     """1 - |z|^2 rounded once: each square splits exactly into three
     products of half-length parts (Veltkamp), and fsum adds them exactly."""
-    terms = [1.0]
-    for x in (z.real, z.imag):
-        c = 134217729.0 * x         # 2^27 + 1
-        hi = c - (c - x)
-        lo = x - hi
-        terms += (-hi * hi, -2 * hi * lo, -lo * lo)
-    return math.fsum(terms)
+    x, y, split = z.real, z.imag, 134217729.0      # 2^27 + 1
+    cx, cy = split * x, split * y
+    xh, yh = cx - (cx - x), cy - (cy - y)
+    xl, yl = x - xh, y - yh
+    return math.fsum((1.0, -xh * xh, -2 * xh * xl, -xl * xl, -yh * yh, -2 * yh * yl, -yl * yl))
+
+
+def pseudo_hyperbolic(z, pz, w, pw):
+    """rho = |z - w| / |1 - conj(w) z| and 1 - rho, z broadcast against w,
+    pz and pw the points' one_minus_abs2.  With d^2 = |z - w|^2 from the
+    real and imaginary parts, |1 - conj(w) z|^2 = d^2 + pz pw, so
+    rho^2 = d^2 / (d^2 + pz pw) and 1 - rho = (1 - rho^2) / (1 + rho) with
+    1 - rho^2 = pz pw / (d^2 + pz pw): nothing cancels next to the circle.
+    Each step is one correctly rounded real operation, so a lone point gets
+    the bits it gets inside an array.  d^2 is normal for |z - w| > 2^-511.
+    """
+    rho = np.real(z) - np.real(w)
+    gap = np.imag(z) - np.imag(w)
+    rho *= rho
+    gap *= gap
+    rho += gap
+    gap = pz * pw
+    total = rho + gap
+    rho /= total
+    gap /= total
+    del total                       # at most three broadcast-sized arrays stay alive
+    rho = np.sqrt(rho)
+    gap /= rho + 1
+    return rho, gap
 
 
 def pseudo_distance(z, w) -> float:
     """Pseudo-hyperbolic distance |z - w| / |1 - conj(w) z| for interior points."""
     z = check_disc(z, "z")
     w = check_disc(w, "w")
-    return abs(z - w) / abs(1 - w.conjugate() * z)
+    return float(pseudo_hyperbolic(z, one_minus_abs2(z), w, one_minus_abs2(w))[0])
 
 
 class MobiusAut(Record):
@@ -92,30 +114,25 @@ class MobiusAut(Record):
     @pointwise(complex)
     def apply(self, z):
         """Evaluate at points of the closed disc."""
-        den = 1 + np.conj(self.c) * z
-        self._check_denominator(den, z)
-        return (z + self.c) / den
-
-    def _check_denominator(self, den, z) -> None:
-        """Reject a denominator 1 +- conj(c) z below DENOM_EPS, naming the cause.
-
-        On the closed disc |1 +- conj(c) z| >= 1 - |c|, so there the check
-        fires only when c itself lies within rounding of the circle.
-        """
-        size = np.abs(den)
-        if (size >= DENOM_EPS).all():
-            return
-        if np.all(np.abs(z[size < DENOM_EPS]) <= 1):
-            raise DomainError(f"mobius denominator lost precision: c = {self.c!r} lies "
-                              f"{1 - abs(self.c):.3g} from the unit circle")
-        raise DomainError("mobius denominator vanished; point outside closed disc")
+        return self._map(self.c, z)
 
     @pointwise(complex)
     def inverse(self, z):
-        """Inverse map; inverse(apply(z)) equals z up to rounding."""
-        den = 1 - np.conj(self.c) * z
-        self._check_denominator(den, z)
-        return (z - self.c) / den
+        """Inverse map, the map at -c; inverse(apply(z)) equals z up to rounding."""
+        return self._map(-self.c, z)
+
+    def _map(self, c, z):
+        """(z + c) / (1 + conj(c) z) for c = +-self.c.  On the closed disc
+        |1 + conj(c) z| >= 1 - |c|, so a denominator below DENOM_EPS there
+        means c lies within rounding of the circle; the error names the cause."""
+        den = 1 + np.conj(c) * z
+        size = np.abs(den)
+        if not (size >= DENOM_EPS).all():
+            if np.all(np.abs(z[size < DENOM_EPS]) <= 1):
+                raise DomainError(f"mobius denominator lost precision: c = {self.c!r} lies "
+                                  f"{1 - abs(self.c):.3g} from the unit circle")
+            raise DomainError("mobius denominator vanished; point outside closed disc")
+        return (z + c) / den
 
 
 def pseudo_disc_euclidean(c, eta: float) -> tuple[complex, float]:

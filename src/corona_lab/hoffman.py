@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .blaschke import BlaschkeProduct, DiscSequence, compose_with_mobius
-from .disc_geometry import MobiusAut, check_disc, one_minus_abs2
+from .disc_geometry import MobiusAut, check_disc
 from .errors import AliasingError, DomainError
 from .quadrature import (DEFAULT_FFT_NODES, DEFAULT_GRID_RADIUS, DEFAULT_GRID_SIZE,
                          MIN_FFT_NODES, circle_nodes, polar_grid)
@@ -109,8 +109,7 @@ def schwarz_check(seq: DiscSequence) -> list[SchwarzRow]:
     tails = seq.separation_tails
     pts = np.array(seq.points, dtype=complex)
     values = b(pts)
-    gaps = np.array([one_minus_abs2(c) for c in seq.points])
-    inv = gaps * np.abs(b.derivative(pts))
+    inv = seq.one_minus_abs2 * np.abs(b.derivative(pts))
     bad = np.flatnonzero(inv > 1 + INVARIANT_SLACK)
     if bad.size:
         j = int(bad[0])

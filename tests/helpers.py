@@ -3,8 +3,8 @@ so that every top-level function there has a caller there."""
 
 import numpy as np
 
-from corona_lab.blaschke import BLOCK, BlaschkeProduct, _transported_gaps, _unimodular_prefactor
-from corona_lab.disc_geometry import check_disc, one_minus_abs2
+from corona_lab.blaschke import BLOCK, BlaschkeProduct, _unimodular_prefactor
+from corona_lab.disc_geometry import check_disc, one_minus_abs2, pseudo_hyperbolic
 from corona_lab.functions import FunctionSpec
 
 
@@ -28,9 +28,11 @@ def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray
     and bound[k] = (1+|c|)/(1-|c|) (1 - |z_k|); actual <= bound always.
     """
     c = check_disc(c, "c")
-    actual = _transported_gaps(b.zeros, c)
+    zeros = np.array(b.zeros, dtype=complex)
+    _, actual = pseudo_hyperbolic(zeros, np.array([one_minus_abs2(a) for a in b.zeros]),
+                                  c, one_minus_abs2(c))
     factor = (1 + abs(c)) / (1 - abs(c))
-    bound = factor * (1 - np.abs(np.array(b.zeros, dtype=complex)))
+    bound = factor * (1 - np.abs(zeros))
     return actual, bound
 
 

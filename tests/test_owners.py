@@ -1,15 +1,16 @@
 """One owner per decision: 1 - |z|^2 is formed by disc_geometry.one_minus_abs2,
-roots are located against the closed disc by functions.roots_in_closed_disc,
-polynomial data is read through FunctionSpec.coeffs, a finite Blaschke
-spec's product is built once, by FunctionSpec.finite_blaschke, artifacts are
-written by cli.main, which cli.run alone calls, the process is ended by
-cli.run, JSON text is written by serialize.dumps, the Gauss-Legendre table
-is built by quadrature.gl_rule, and exact polynomial products by
-exactpoly.poly_mul, in a module without numpy.  blaschke takes angles from
-math.atan2, not np.angle.  Record classes are built on
-records.Record, and src/ generates no code.  Every top-level function in src/ has a caller there or is public,
-and every setting is set by a caller there, so code and settings that only
-the tests use stay out of src/."""
+the pseudo-hyperbolic distance and its complement by
+disc_geometry.pseudo_hyperbolic, roots are located against the closed disc by
+functions.roots_in_closed_disc, polynomial data is read through
+FunctionSpec.coeffs, a finite Blaschke spec's product is built once, by
+FunctionSpec.finite_blaschke, artifacts are written by cli.main, which cli.run
+alone calls, the process is ended by cli.run, JSON text is written by
+serialize.dumps, the Gauss-Legendre table is built by quadrature.gl_rule, and
+exact polynomial products by exactpoly.poly_mul, in a module without numpy.
+blaschke takes angles from math.atan2, not np.angle. Record classes are built
+on records.Record, and src/ generates no code. Every top-level function in src/
+has a caller there or is public, and every setting is set by a caller there, so
+code and settings that only the tests use stay out of src/."""
 
 import ast
 from pathlib import Path
@@ -18,8 +19,11 @@ import numpy as np
 import pytest
 
 import corona_lab
+from corona_lab import blaschke
+from corona_lab.blaschke import DiscSequence, carleson_diagnostics, construct_ladder
 from corona_lab.corona import CoronaInstance, bezout_exact
-from corona_lab.disc_geometry import one_minus_abs2, pseudo_disc_euclidean
+from corona_lab.disc_geometry import (one_minus_abs2, pseudo_disc_euclidean, pseudo_distance,
+                                      pseudo_hyperbolic)
 from corona_lab.errors import DomainError, UnsolvableError
 from corona_lab.exactpoly import iterated_xgcd, poly_from_complex, poly_to_complex
 from corona_lab.functions import FunctionSpec, roots_in_closed_disc
@@ -77,6 +81,64 @@ def test_one_minus_abs2_is_formed_in_disc_geometry_only():
 
     assert _sites(subtraction) == []
     assert _sites(veltkamp) == ["disc_geometry.py:one_minus_abs2"]
+
+
+def _is_abs_call(node) -> bool:
+    return _calls("abs")(node) and len(node.args) == 1
+
+
+def _one_minus(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1)
+
+
+def test_the_pseudo_hyperbolic_distance_is_formed_in_disc_geometry_only():
+    # |1 - conj(w) z| and 1 - |phi_c(a)| both cancel next to the circle;
+    # pseudo_hyperbolic forms rho and 1 - rho without either
+    def conj(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return _calls("conj")(node) or _calls("conjugate")(node)
+
+    def abs_of_one_minus_conj_product(node):
+        return _is_abs_call(node) and any(
+            _one_minus(n) and isinstance(n.right, ast.BinOp) and isinstance(n.right.op, ast.Mult)
+            and (conj(n.right.left) or conj(n.right.right)) for n in ast.walk(node.args[0]))
+
+    def one_minus_abs_of_transported(fn):
+        # a transported point is a MobiusAut apply or inverse, or a name bound to one
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        moves = [n for n in ast.walk(fn) if _calls("apply")(n) or _calls("inverse")(n)]
+        moved = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and n.value in moves
+                 for t in n.targets if isinstance(t, ast.Name)}
+        return any(_one_minus(n) and _is_abs_call(n.right) and any(
+            m in moves or isinstance(m, ast.Name) and m.id in moved
+            for m in ast.walk(n.right.args[0])) for n in ast.walk(fn))
+
+    def transported_gaps(node):
+        name = getattr(node, "name", getattr(node, "id", getattr(node, "attr", None)))
+        return name == "_transported_gaps"
+
+    kernel = "disc_geometry.py:pseudo_hyperbolic"
+    assert [site for site in _sites(abs_of_one_minus_conj_product) if site != kernel] == []
+    assert [site for site in _sites(one_minus_abs_of_transported) if site != kernel] == []
+    assert _sites(transported_gaps) == []
+
+
+def test_separation_tails_form_one_minus_abs2_once_per_point(monkeypatch):
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return one_minus_abs2(z)
+
+    monkeypatch.setattr(blaschke, "one_minus_abs2", counted)
+    pts = tuple(0.9 * np.exp(2j * np.pi * k / 11) * (1 - 0.05 * k) for k in range(11))
+    seq = DiscSequence(pts)
+    carleson_diagnostics(seq)
+    carleson_diagnostics(seq)
+    assert calls == list(pts)
 
 
 def test_blaschke_takes_angles_from_libm():
@@ -309,6 +371,48 @@ def test_pseudo_disc_near_the_circle_against_mpmath(mp, c, eta):
     den = 1 - e ** 2 * abs(w) ** 2
     assert _rel(center, (1 - e ** 2) * w / den) <= 4 * EPS
     assert _rel(radius, e * (1 - abs(w) ** 2) / den) <= 4 * EPS
+
+
+def _rho(mp, z, w):
+    z, w = _mpc(mp, z), _mpc(mp, w)
+    return abs(z - w) / abs(1 - mp.conj(w) * z)
+
+
+def test_pseudo_distance_next_to_the_circle_against_mpmath(mp):
+    # |z|, |w| in 1 - h [0.5, 2] and angles within 3h: |1 - conj(w) z| is of
+    # order h, and forming it by subtraction erred by up to 8e-5 on these pairs
+    h = 1e-12
+    rng = np.random.default_rng(1812)
+    for _ in range(200):
+        theta = rng.uniform(-np.pi, np.pi)
+        z = (1 - h * rng.uniform(0.5, 2)) * np.exp(1j * theta)
+        w = (1 - h * rng.uniform(0.5, 2)) * np.exp(1j * (theta + 3 * h * rng.uniform(-1, 1)))
+        assert _rel(pseudo_distance(z, w), _rho(mp, z, w)) <= 4 * EPS, (z, w)
+
+
+def test_separation_tails_next_to_the_circle_against_mpmath(mp):
+    # each tail is a product of eleven pseudo-distances, each within about
+    # one eps, and the product adds half an eps per factor
+    pts = tuple((1 - 10.0 ** -k) * np.exp(0.5j * 10.0 ** -k) for k in range(1, 13))
+    _, tails = carleson_diagnostics(DiscSequence(pts))
+    for k, tail in enumerate(tails):
+        ref = mp.fprod(_rho(mp, w, pts[k]) for j, w in enumerate(pts) if j != k)
+        assert _rel(tail, ref) <= len(pts) * EPS, (k, _rel(tail, ref))
+
+
+def test_transported_gaps_on_criterion_10_rungs_against_mpmath(mp):
+    # the gaps 1 - rho(a, c_j) whose sums choose each rung's candidate and
+    # next radius; the chosen candidates lie within 1e-13 of the circle
+    zeros = tuple(1 - 2.0 ** -k for k in range(1, 31))
+    lad = construct_ladder(zeros, DiscSequence(tuple(1 - 3.0 ** -n for n in range(1, 33))),
+                           [2.0 ** -j for j in range(1, 6)], [1 - 2.0 ** -j for j in range(1, 6)],
+                           0.5)
+    assert len(lad.chosen_points) == 5
+    p = np.array([one_minus_abs2(a) for a in zeros])
+    for c in lad.chosen_points:
+        _, gaps = pseudo_hyperbolic(np.array(zeros), p, c, one_minus_abs2(c))
+        for a, gap in zip(zeros, gaps.tolist()):
+            assert _rel(gap, 1 - _rho(mp, a, c)) <= 4 * EPS, (c, a)
 
 
 def test_roots_in_closed_disc_gives_python_complex_values():

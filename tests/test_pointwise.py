@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import corona_lab
 from corona_lab.blaschke import BlaschkeProduct, _factor_product
-from corona_lab.disc_geometry import MobiusAut
+from corona_lab.disc_geometry import MobiusAut, one_minus_abs2, pseudo_hyperbolic
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import PushforwardDensity, SimpleDensity, poisson_kernel
 
@@ -65,6 +65,28 @@ def test_lone_point_rounds_as_inside_an_array(name, data):
         assert _bits(got) == _bits(inside[at]), type(lone)
     assert type(kernel(z)) is scalar
     assert type(kernel(np.array(z))) is scalar
+
+
+# points anywhere in the disc and points 10^-k from the circle
+_DISC = _POINTS | st.builds(lambda k, t: (1 - 10.0 ** -k) * complex(math.cos(t), math.sin(t)),
+                            st.integers(1, 15), _ANGLES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_DISC, w=_DISC, others=st.lists(_DISC, min_size=1, max_size=8), data=st.data())
+def test_pseudo_hyperbolic_rounds_a_lone_point_as_inside_an_array(z, w, others, data):
+    # not a pointwise kernel: it broadcasts its two point arguments, every
+    # step is one correctly rounded real operation, and swapping z and w
+    # keeps every bit
+    at = data.draw(st.integers(0, len(others)))
+    arr = np.array(others[:at] + [z] + others[at:])
+    p = np.array([one_minus_abs2(a) for a in arr.tolist()])
+    lone = pseudo_hyperbolic(z, one_minus_abs2(z), w, one_minus_abs2(w))
+    for inside in (pseudo_hyperbolic(arr, p, w, one_minus_abs2(w)),
+                   pseudo_hyperbolic(w, one_minus_abs2(w), arr, p),
+                   pseudo_hyperbolic(arr[:, None], p[:, None], w, one_minus_abs2(w))):
+        for got, want in zip(lone, inside):
+            assert _bits(got) == _bits(want.reshape(-1)[at])
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
