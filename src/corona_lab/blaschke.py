@@ -22,6 +22,8 @@ THIN_THRESHOLD = 0.9
 
 # zeros per complex division in BlaschkeProduct.__call__
 BLOCK = 8
+# carleson_diagnostics: entries per block of its pseudo-distance matrix
+TAIL_BLOCK = 2 ** 18
 
 # verification grid used when measuring minima of |B| over a closed disc
 MIN_GRID_RADIAL = 25
@@ -236,21 +238,22 @@ def compose_with_mobius(b: BlaschkeProduct, c) -> BlaschkeProduct:
     """Blaschke product equal to z -> b((z + c)/(1 + conj(c) z)) pointwise.
 
     With m = MobiusAut(c), each zero a moves to a' = m.inverse(a), and
-    factor(a, m(z)) = u_a (1 - a conj(c)) / ((1 - conj(a) c) u_a') factor(a', z)
-    with u the unimodular prefactor; the rotation gains the angles of these
-    unimodular constants.
+    factor(a, m(z)) = u_a conj(d) / (d u_a') factor(a', z) with u the
+    unimodular prefactor and d = 1 - conj(a) c = (1 - |c|^2) + c conj(c - a),
+    the form that does not cancel; the rotation gains these constants' angles.
     """
     m = MobiusAut(c)
     moved = m.inverse(b.zeros).tolist()
+    g = one_minus_abs2(m.c)
     turn = b.rotation
     for a, w in zip(b.zeros, moved):
-        k = (_unimodular_prefactor(a) * (1 - a * m.c.conjugate())
-             / ((1 - a.conjugate() * m.c) * _unimodular_prefactor(w)))
+        d = g + m.c * (m.c - a).conjugate()
+        k = _unimodular_prefactor(a) * d.conjugate() / (d * _unimodular_prefactor(w))
         turn += math.atan2(k.imag, k.real)
     return BlaschkeProduct(tuple(moved), turn)
 
 
-class DiscSequence(Record, frozen=False):
+class DiscSequence(Record):
     """Finite list of interior points with cached interpolation diagnostics."""
 
     points: tuple
@@ -259,15 +262,15 @@ class DiscSequence(Record, frozen=False):
         pts = tuple(check_disc(z, "point") for z in self.points)
         if not pts:
             raise DomainError("sequence must be nonempty")
-        self.points = pts
+        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
     @cached_property
     def gap_sum(self) -> float:
-        """sum_k (1 - |z_k|), the summability quantity behind convergence."""
-        return float(sum(1 - abs(z) for z in self.points))
+        """sum_k (1 - |z_k|), each term as (1 - |z_k|^2)/(1 + |z_k|), which does not cancel."""
+        return float(sum(p / (1 + abs(z)) for z, p in zip(self.points, self.one_minus_abs2)))
 
     @cached_property
     def one_minus_abs2(self) -> np.ndarray:
@@ -294,14 +297,20 @@ class DiscSequence(Record, frozen=False):
 def carleson_diagnostics(seq: DiscSequence) -> tuple[float, list[float]]:
     """Separation constant and per-point tails of an interior sequence.
 
-    tails[k] = prod_{j != k} pseudo_distance(z_j, z_k), the product taken over
-    the rows of one pseudo_hyperbolic matrix whose diagonal is set to one; the
-    constant is the minimum tail.  Duplicate points give a zero constant.
+    tails[k] = prod_{j != k} pseudo_distance(z_j, z_k), the product taken in
+    row order down column k of a pseudo_hyperbolic matrix built TAIL_BLOCK
+    entries of columns at a time, its diagonal set to one; the constant is
+    the minimum tail.  Duplicate points give a zero constant.
     """
     z = np.array(seq.points, dtype=complex)
-    dist, _ = pseudo_hyperbolic(z[:, None], seq.one_minus_abs2[:, None], z, seq.one_minus_abs2)
-    np.fill_diagonal(dist, 1.0)
-    tails = np.prod(dist, axis=0)
+    p = seq.one_minus_abs2
+    width = max(1, TAIL_BLOCK // len(z))
+    tails = np.empty(len(z))
+    for start in range(0, len(z), width):
+        cols = slice(start, start + width)
+        dist, _ = pseudo_hyperbolic(z[:, None], p[:, None], z[cols], p[cols])
+        np.fill_diagonal(dist[start:], 1.0)
+        tails[cols] = np.prod(dist, axis=0)
     return float(tails.min()), tails.tolist()
 
 

@@ -153,9 +153,6 @@ def _cmd_delta(args) -> tuple:
 
 def _cmd_interp_check(args) -> tuple:
     seq = _load_sequence(args.points)
-    if len(seq) ** 2 > MAX_POINTS:
-        raise ConfigError(f"--points: {len(seq)} points ask for a pseudo-distance matrix "
-                          f"of more than {MAX_POINTS} entries")
     return {
         "count": len(seq),
         "gap_sum": seq.gap_sum,

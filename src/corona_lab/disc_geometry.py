@@ -13,8 +13,6 @@ import numpy as np
 from .errors import DomainError
 from .records import Record
 
-# denominators in disc automorphisms stay away from zero by this margin
-DENOM_EPS = 1e-15
 # OrthogonalArc.contains: largest distance from the arc's circle that counts as on it
 ARC_TOL = 1e-8
 
@@ -122,17 +120,16 @@ class MobiusAut(Record):
         return self._map(-self.c, z)
 
     def _map(self, c, z):
-        """(z + c) / (1 + conj(c) z) for c = +-self.c.  On the closed disc
-        |1 + conj(c) z| >= 1 - |c|, so a denominator below DENOM_EPS there
-        means c lies within rounding of the circle; the error names the cause."""
-        den = 1 + np.conj(c) * z
-        size = np.abs(den)
-        if not (size >= DENOM_EPS).all():
-            if np.all(np.abs(z[size < DENOM_EPS]) <= 1):
-                raise DomainError(f"mobius denominator lost precision: c = {self.c!r} lies "
-                                  f"{1 - abs(self.c):.3g} from the unit circle")
+        """(z + c) / (1 + conj(c) z) for c = +-self.c, the denominator formed as
+        (1 - |c|^2) + conj(c) (z + c): on the closed disc both terms are at most
+        2 |1 + conj(c) z|, so nothing cancels and only a point outside gives 0."""
+        s = z + c
+        den = s * c.conjugate()
+        den += one_minus_abs2(c)
+        if not den.all():
             raise DomainError("mobius denominator vanished; point outside closed disc")
-        return (z + c) / den
+        s /= den
+        return s
 
 
 def pseudo_disc_euclidean(c, eta: float) -> tuple[complex, float]:

@@ -491,8 +491,8 @@ def align_arcs(s_sharp: SimpleDensity, target: OrthogonalArc, case: str) -> Simp
 
 class PushforwardDensity:
     """Density of the image measure under the boundary map of a disc
-    automorphism: u(theta) = s(arg L_c(e^{i theta})) |L_c'| with the boundary
-    Jacobian (1 - |c|^2)/|1 + conj(c) e^{i theta}|^2."""
+    automorphism: u(theta) = s(arg L_c(e^{i theta})) |L_c'|, the boundary Jacobian
+    (1 - |c|^2)/|1 + conj(c) e^{i theta}|^2 being the Poisson kernel at -c."""
 
     def __init__(self, base: SimpleDensity, c):
         self.base = base
@@ -503,10 +503,8 @@ class PushforwardDensity:
         pre = self.automorphism.inverse(edges)
         self.breakpoints = sorted(np.angle(pre).tolist())
 
-    @pointwise(float)
     def jacobian(self, theta):
-        e = np.exp(1j * theta)
-        return one_minus_abs2(self.c) / np.abs(1 + np.conj(self.c) * e) ** 2
+        return poisson_kernel(-self.c, theta)
 
     @pointwise(float)
     def __call__(self, theta):

@@ -11,17 +11,14 @@ class Record:
     """Base of a record class.  Construction takes the fields by position or
     keyword, as a function with the fields for parameters would, stores them
     and calls __post_init__; records compare, hash and print by their fields
-    as a tuple.  A record is frozen unless its class is declared with
-    frozen=False, which makes it assignable and unhashable."""
+    as a tuple.  A record is frozen: __post_init__ normalises fields through
+    object.__setattr__, and cached properties keep their values in its dict."""
 
     _fields = ()
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
-        if not frozen:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = (
-                object.__setattr__, object.__delattr__, None)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):

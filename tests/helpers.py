@@ -36,6 +36,13 @@ def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray
     return actual, bound
 
 
+def dyadic_rings(count) -> tuple:
+    """2^j points on the circle of radius 1 - 2^-j, j = 1, ..., count: a
+    separated sequence of 2^(count + 1) - 2 points whose tails stay normal."""
+    return tuple(complex((1 - 2.0 ** -j) * np.exp(2j * np.pi * (k + 0.5) / 2 ** j))
+                 for j in range(1, count + 1) for k in range(2 ** j))
+
+
 def blaschke_values_by_the_loop(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
     """BlaschkeProduct.__call__ as one loop over blocks of BLOCK zeros, the
     form it had before the loop moved into blaschke._factor_product; z is a

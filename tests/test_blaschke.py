@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corona_lab import blaschke
 from corona_lab.blaschke import (BLOCK, MIN_GRID_ANGULAR, MIN_GRID_RADIAL, THIN_THRESHOLD,
                                  BlaschkeProduct, DiscSequence, Sector, _factor_product,
                                  carleson_diagnostics, compose_with_mobius, construct_ladder,
@@ -16,7 +18,7 @@ from corona_lab.disc_geometry import MobiusAut, pseudo_distance
 from corona_lab.errors import ConfigError, ConstructionError, DomainError, InfeasibleError
 from corona_lab.quadrature import polar_grid
 
-from helpers import blaschke_values_by_the_loop, transport_tail_bounds
+from helpers import blaschke_values_by_the_loop, dyadic_rings, transport_tail_bounds
 
 RNG = np.random.default_rng(771002)
 
@@ -390,6 +392,15 @@ def test_disc_sequence_diagnostics():
         DiscSequence(())
 
 
+def test_a_sequence_keeps_the_points_its_diagnostics_describe():
+    # an assignable sequence kept the tails and gap sum of its old points
+    seq = DiscSequence((0.1, 0.5))
+    tails = seq.separation_tails
+    with pytest.raises(AttributeError):
+        seq.points = (0.1, 0.9)
+    assert seq.points == (0.1, 0.5) and seq.separation_tails is tails
+
+
 def test_geometric_sequence_diagnostics():
     # radii 1 - 4^-j: the constant sits at an interior index, not the ends
     seq = DiscSequence(tuple(1 - 4.0 ** -j for j in range(1, 11)))
@@ -411,6 +422,29 @@ def test_carleson_diagnostics_match_pairwise_product():
     np.testing.assert_allclose(tails, want, rtol=1e-12)
     assert const == min(tails)
     assert DiscSequence((0.3, 0.5j, 0.3)).carleson_constant == 0.0
+
+
+@pytest.mark.parametrize("n", [7, 400])
+def test_separation_tails_do_not_depend_on_the_block(monkeypatch, n):
+    # each column's product runs over the same rows in the same order
+    seq = DiscSequence(tuple(random_zero(np.random.default_rng(n), 0.98) for _ in range(n)))
+    const, tails = carleson_diagnostics(seq)
+    for width in (1, 3, 64):
+        monkeypatch.setattr(blaschke, "TAIL_BLOCK", width * n)
+        got_const, got = carleson_diagnostics(seq)
+        assert np.array(got).tobytes() == np.array(tails).tobytes() and got_const == const
+
+
+def test_separation_tails_of_4096_points_stay_in_bounded_memory():
+    # a whole 4096 x 4096 matrix and its temporaries took about 400 MiB
+    seq = DiscSequence(dyadic_rings(11) + (0j, 0.25j))
+    tracemalloc.start()
+    try:
+        carleson_diagnostics(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_sector_membership():
@@ -473,12 +507,13 @@ LADDER_EPS = [2.0 ** -j for j in range(1, 6)]
 LADDER_ETA = [1 - 2.0 ** -j for j in range(1, 6)]
 
 
-def _rung_minima_against_mpmath(zeros, lad):
+def _rung_minima_against_mpmath(zeros, lad, exact=False):
     """Relative error of each rung's min_modulus against the same grid
     minimum at 50 digits: prod |(w - z)/(1 - conj(w) z)| over the zeros w
-    that c transports (the doubles min_modulus_on_disc receives), at the
-    grid points whose double value is within 1e-9 of the double minimum;
-    the doubles err by far less, so the minimum lies among them."""
+    that c transports (the doubles min_modulus_on_disc receives, or with
+    exact set, the zeros transported at 50 digits), at the grid points whose
+    double value is within 1e-9 of the double minimum; the doubles err by
+    far less, so the minimum lies among them."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 50
@@ -487,10 +522,13 @@ def _rung_minima_against_mpmath(zeros, lad):
     errors = []
     for rec, c, r, s_next in zip(lad.verification, lad.chosen_points, lad.r_values,
                                  lad.s_values[1:]):
-        moved = MobiusAut(c).inverse(zs[(moduli < r) | (moduli >= s_next)]).tolist()
+        kept = zs[(moduli < r) | (moduli >= s_next)]
+        moved = MobiusAut(c).inverse(kept).tolist()
         grid = polar_grid(np.linspace(0.0, rec.eta, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
         values = np.abs(_factor_product(1.0, moved, grid))
-        ws = [mp.mpc(w.real, w.imag) for w in moved]
+        x = mp.mpc(c.real, c.imag)
+        ws = ([(a - x) / (1 - mp.conj(x) * a) for a in (mp.mpc(a.real, a.imag) for a in kept)]
+              if exact else [mp.mpc(w.real, w.imag) for w in moved])
         near_min = grid[values <= values.min() * (1 + 1e-9)]
         ref = min(mp.fprod(abs((w - z) / (1 - mp.conj(w) * z)) for w in ws)
                   for z in (mp.mpc(p.real, p.imag) for p in near_min))
@@ -513,6 +551,20 @@ def test_rung_minima_against_mpmath():
         errors = _rung_minima_against_mpmath(zeros, lad)
         assert len(errors) == len(eps)
         assert max(errors) < 4 * len(zeros) * np.finfo(float).eps, errors
+
+
+def test_rung_minima_against_the_exactly_transported_product():
+    # each transported zero is within 4 eps of L_c^-1(a) (test_owners), and
+    # at a grid point z, |z| <= eta, where each factor is above 1/2 (the
+    # product is above 1 - eps_j), moving w by dw moves log |factor| by at
+    # most |dw| (1/|w - z| + |z|/|1 - conj(w) z|) <= 3 |dw|/(1 - eta); the
+    # kernel adds its few ulps per zero.  Forming 1 - conj(c) a by
+    # subtraction erred by up to 2.8e-10 on these rungs
+    lad = construct_ladder(LADDER_ZEROS, LADDER_CANDIDATES, LADDER_EPS, LADDER_ETA, 0.5)
+    errors = _rung_minima_against_mpmath(LADDER_ZEROS, lad, exact=True)
+    n = len(LADDER_ZEROS)
+    for error, eta in zip(errors, LADDER_ETA):
+        assert error < 4 * n * np.finfo(float).eps * (1 + 3 / (1 - eta)), errors
 
 
 def test_ladder_frozen_instance():

@@ -17,11 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import corona_lab
-from corona_lab import cli
+from corona_lab import blaschke, cli
+from corona_lab.blaschke import DiscSequence, carleson_diagnostics
 from corona_lab.cli import MAX_POINTS, _Selftest, build_parser, main
 from corona_lab.corona import GridSpec
 from corona_lab.errors import ConfigError, DomainError
 from corona_lab.measures import PushforwardDensity, SimpleDensity
+
+from helpers import dyadic_rings
 
 
 def run(capsys, *argv):
@@ -524,9 +527,6 @@ _SPANNED_ARRAYS = {
                      "--grid-size", str(MAX_POINTS // 2 + 1)],
                     {"f.json": _BLASCHKE, "seq.json": {"points": [[0.1, 0]] * 2}},
                     "hoffman.compose_trace", "--grid-size"),
-    "interp matrix": (["interp-check", "--points", "seq.json"],
-                      {"seq.json": {"points": [[k / 4096, 0] for k in range(2049)]}},
-                      "blaschke.carleson_diagnostics", "--points"),
 }
 
 
@@ -546,6 +546,20 @@ def test_arrays_spanned_by_a_flag_and_an_input_stop_at_max_points(capsys, tmp_pa
     payload = json.loads(err)
     assert payload["error"] == "ConfigError" and payload["message"].startswith(f"{flag}: ")
     assert str(MAX_POINTS) in payload["message"]
+
+
+def test_interp_check_takes_sequences_beyond_2048_points(capsys, tmp_path, monkeypatch):
+    # the pseudo-distance matrix is built a block of columns at a time, so
+    # no length is refused, and the tails are those of one column per block
+    pts = dyadic_rings(11)
+    rc, out, _ = run(capsys, "interp-check", "--points",
+                     write(tmp_path, "seq.json", {"points": [[z.real, z.imag] for z in pts]}))
+    assert rc == 0
+    got = json.loads(out)
+    monkeypatch.setattr(blaschke, "TAIL_BLOCK", 1)
+    const, tails = carleson_diagnostics(DiscSequence(pts))
+    assert got["count"] == len(pts) > 2048
+    assert (got["carleson_constant"], got["tails"]) == (const, tails)
 
 
 def test_measure_fit_malformed_partition_names_key(capsys, tmp_path):

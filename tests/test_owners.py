@@ -1,8 +1,9 @@
 """One owner per decision: 1 - |z|^2 is formed by disc_geometry.one_minus_abs2,
 the pseudo-hyperbolic distance and its complement by
-disc_geometry.pseudo_hyperbolic, roots are located against the closed disc by
-functions.roots_in_closed_disc, polynomial data is read through
-FunctionSpec.coeffs, a finite Blaschke spec's product is built once, by
+disc_geometry.pseudo_hyperbolic, the automorphism denominator 1 + conj(c) z by
+the Blaschke kernels' identity (1 - |c|^2) + conj(c)(z + c), roots are located
+against the closed disc by functions.roots_in_closed_disc, polynomial data is
+read through FunctionSpec.coeffs, a finite Blaschke spec's product is built once, by
 FunctionSpec.finite_blaschke, artifacts are written by cli.main, which cli.run
 alone calls, the process is ended by cli.run, JSON text is written by
 serialize.dumps, the Gauss-Legendre table is built by quadrature.gl_rule, and
@@ -20,10 +21,11 @@ import pytest
 
 import corona_lab
 from corona_lab import blaschke
-from corona_lab.blaschke import DiscSequence, carleson_diagnostics, construct_ladder
+from corona_lab.blaschke import (BlaschkeProduct, DiscSequence, carleson_diagnostics,
+                                 compose_with_mobius, construct_ladder)
 from corona_lab.corona import CoronaInstance, bezout_exact
-from corona_lab.disc_geometry import (one_minus_abs2, pseudo_disc_euclidean, pseudo_distance,
-                                      pseudo_hyperbolic)
+from corona_lab.disc_geometry import (MobiusAut, one_minus_abs2, pseudo_disc_euclidean,
+                                      pseudo_distance, pseudo_hyperbolic)
 from corona_lab.errors import DomainError, UnsolvableError
 from corona_lab.exactpoly import iterated_xgcd, poly_from_complex, poly_to_complex
 from corona_lab.functions import FunctionSpec, roots_in_closed_disc
@@ -92,19 +94,16 @@ def _one_minus(node) -> bool:
             and isinstance(node.left, ast.Constant) and node.left.value == 1)
 
 
+def _conj(node) -> bool:
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return _calls("conj")(node) or _calls("conjugate")(node)
+
+
 def test_the_pseudo_hyperbolic_distance_is_formed_in_disc_geometry_only():
     # |1 - conj(w) z| and 1 - |phi_c(a)| both cancel next to the circle;
-    # pseudo_hyperbolic forms rho and 1 - rho without either
-    def conj(node):
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        return _calls("conj")(node) or _calls("conjugate")(node)
-
-    def abs_of_one_minus_conj_product(node):
-        return _is_abs_call(node) and any(
-            _one_minus(n) and isinstance(n.right, ast.BinOp) and isinstance(n.right.op, ast.Mult)
-            and (conj(n.right.left) or conj(n.right.right)) for n in ast.walk(node.args[0]))
-
+    # pseudo_hyperbolic forms rho and 1 - rho without either (no src/
+    # function forms 1 - conj(w) z at all: see the automorphism guard)
     def one_minus_abs_of_transported(fn):
         # a transported point is a MobiusAut apply or inverse, or a name bound to one
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -121,9 +120,27 @@ def test_the_pseudo_hyperbolic_distance_is_formed_in_disc_geometry_only():
         return name == "_transported_gaps"
 
     kernel = "disc_geometry.py:pseudo_hyperbolic"
-    assert [site for site in _sites(abs_of_one_minus_conj_product) if site != kernel] == []
     assert [site for site in _sites(one_minus_abs_of_transported) if site != kernel] == []
     assert _sites(transported_gaps) == []
+
+
+def _one_plus_or_minus_conj_product(node) -> bool:
+    """1 + conj(c) z, 1 - conj(a) z and their mirrors: a difference that
+    cancels where both points lie next to the circle."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
+        return False
+    for one, other in ((node.left, node.right), (node.right, node.left)):
+        if (isinstance(one, ast.Constant) and one.value == 1 and isinstance(other, ast.BinOp)
+                and isinstance(other.op, ast.Mult) and (_conj(other.left) or _conj(other.right))):
+            return True
+    return False
+
+
+def test_automorphism_denominators_use_the_blaschke_identity():
+    # 1 + conj(c) z is formed as (1 - |c|^2) + conj(c)(z + c), the identity
+    # the Blaschke kernels use, in the Mobius maps and the recentring
+    # rotation alike; the pushforward Jacobian is the Poisson kernel at -c
+    assert _sites(_one_plus_or_minus_conj_product) == []
 
 
 def test_separation_tails_form_one_minus_abs2_once_per_point(monkeypatch):
@@ -373,6 +390,12 @@ def test_pseudo_disc_near_the_circle_against_mpmath(mp, c, eta):
     assert _rel(radius, e * (1 - abs(w) ** 2) / den) <= 4 * EPS
 
 
+def _near(rng, h, theta, depth=1):
+    """A point depth h [0.5, 2] from the circle at an angle within 3h of theta."""
+    return complex((1 - depth * h * rng.uniform(0.5, 2))
+                   * np.exp(1j * (theta + 3 * h * rng.uniform(-1, 1))))
+
+
 def _rho(mp, z, w):
     z, w = _mpc(mp, z), _mpc(mp, w)
     return abs(z - w) / abs(1 - mp.conj(w) * z)
@@ -388,6 +411,46 @@ def test_pseudo_distance_next_to_the_circle_against_mpmath(mp):
         z = (1 - h * rng.uniform(0.5, 2)) * np.exp(1j * theta)
         w = (1 - h * rng.uniform(0.5, 2)) * np.exp(1j * (theta + 3 * h * rng.uniform(-1, 1)))
         assert _rel(pseudo_distance(z, w), _rho(mp, z, w)) <= 4 * EPS, (z, w)
+
+
+def test_mobius_maps_next_to_the_circle_against_mpmath(mp):
+    # c and w within h = 1e-12 of the circle and 3h of one angle: apply at
+    # -w and inverse at w, where 1 + conj(c) z is of order h, and forming it
+    # by subtraction erred by up to 4e-5 relative on these pairs
+    rng = np.random.default_rng(2901)
+    for _ in range(100):
+        theta = rng.uniform(-np.pi, np.pi)
+        c, w = _near(rng, 1e-12, theta), _near(rng, 1e-12, theta)
+        m = MobiusAut(c)
+        for z, got, sign in ((-w, m.apply(-w), 1), (w, m.inverse(w), -1)):
+            a, x = sign * _mpc(mp, c), _mpc(mp, z)
+            ref = (x + a) / (1 + mp.conj(a) * x)
+            assert _rel(got, ref) <= 4 * EPS, (c, z)
+
+
+def test_recentring_rotation_next_to_the_circle_against_mpmath(mp):
+    # B o L_c at 0 is B(c) = e^{i rotation} prod |a'|, so the composed
+    # product's rotation is arg B(c); five zeros within h of the circle and
+    # c about 50 h from it nearby, where 1 - conj(a) c is of order h
+    h = 1e-9
+    rng = np.random.default_rng(2902)
+    for _ in range(30):
+        theta = rng.uniform(-np.pi, np.pi)
+        zeros = tuple(_near(rng, h, theta) for _ in range(5))
+        c = _near(rng, h, theta, depth=50)
+        rotation = compose_with_mobius(BlaschkeProduct(zeros), c).rotation
+        x = _mpc(mp, c)
+        value = mp.fprod(mp.conj(a) / abs(a) * (a - x) / (1 - mp.conj(a) * x)
+                         for a in (_mpc(mp, z) for z in zeros))
+        assert abs(float(mp.arg(value * mp.expj(-rotation)))) <= 8 * EPS, (c, zeros)
+
+
+def test_gap_sum_next_to_the_circle_against_mpmath(mp):
+    # each term 1 - |z| formed by subtraction kept only its absolute
+    # accuracy, 1.8e-7 relative in the sum on these points
+    pts = tuple((1 - 1e-12 * (1 + k / 7)) * np.exp(1j * k) for k in range(12))
+    ref = mp.fsum(1 - abs(_mpc(mp, z)) for z in pts)
+    assert _rel(DiscSequence(pts).gap_sum, ref) <= len(pts) * EPS
 
 
 def test_separation_tails_next_to_the_circle_against_mpmath(mp):
