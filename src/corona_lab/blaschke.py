@@ -137,9 +137,6 @@ class BlaschkeProduct(Record):
             return NotImplemented
         return BlaschkeProduct(self.zeros + other.zeros, self.rotation + other.rotation)
 
-    def to_dict(self) -> dict:
-        return {"zeros": self.zeros, "rotation": self.rotation}
-
     @classmethod
     def from_dict(cls, d: dict, where: str = "blaschke") -> "BlaschkeProduct":
         strict_keys(d, required=("zeros",), optional=("rotation",), where=where)
@@ -285,9 +282,6 @@ class DiscSequence(Record):
     def carleson_constant(self) -> float:
         return min(self.separation_tails)
 
-    def to_dict(self) -> dict:
-        return {"points": self.points}
-
     @classmethod
     def from_dict(cls, d: dict, where: str = "sequence") -> "DiscSequence":
         strict_keys(d, required=("points",), where=where)
@@ -335,12 +329,13 @@ class Sector(Record):
     def half_angle(self) -> float:
         return (1 - self.ell) / 2
 
-    def contains(self, z) -> bool:
-        z = complex(z)
-        r = abs(z)
-        if not (self.s <= r < self.t):
-            return False
-        return abs(math.atan2(z.imag, z.real)) <= self.half_angle
+    @pointwise(complex)
+    def contains(self, z):
+        """Membership of each point: the modulus from np.hypot, the angle
+        from libm's atan2, not numpy's SIMD loop."""
+        r = np.hypot(z.real, z.imag)
+        angles = np.array([math.atan2(w.imag, w.real) for w in z.tolist()])
+        return (self.s <= r) & (r < self.t) & (np.abs(angles) <= self.half_angle)
 
 
 class RungRecord(Record):
@@ -435,9 +430,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     the whole product only at the grid points where the minimum can lie.
     Failure to find a candidate raises ConstructionError naming the rung.
     """
-    ell = float(ell)
-    if not (0 < ell < 1):
-        raise DomainError("ell must lie in (0, 1)")
+    home = Sector(ell, ell, 1.0)
     eps_seq = [float(e) for e in eps_seq]
     eta_seq = [float(e) for e in eta_seq]
     if len(eps_seq) != len(eta_seq) or not eps_seq:
@@ -449,13 +442,10 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
 
     zeros = tuple(check_disc(z, "zero") for z in zeros)
     zs = np.array(zeros, dtype=complex)
-    moduli = np.hypot(zs.real, zs.imag)
-    # the home sector S[ell, 1): ell <= |z| and |arg z| <= (1 - ell)/2, the
-    # angles from libm, as Sector.contains takes them, not numpy's SIMD loop
-    angles = np.array([math.atan2(z.imag, z.real) for z in zeros])
-    outside = np.flatnonzero((moduli < ell) | (np.abs(angles) > (1 - ell) / 2))
+    outside = np.flatnonzero(~home.contains(zs))
     if outside.size:
         raise DomainError(f"zero {zeros[outside[0]]} lies outside the home sector")
+    moduli = np.hypot(zs.real, zs.imag)
     order = np.argsort(moduli, kind="stable")
     by_modulus = zs[order]
     mods = moduli[order]
@@ -465,7 +455,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     tail_start = np.searchsorted(mods, mods, "left")
     outermost = float(mods[-1]) if mods.size else 0.0
 
-    s_values = [ell]
+    s_values = [home.ell]
     r_values = []
     chosen_indices = []
     chosen_points = []
@@ -523,7 +513,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
             partition[0 if k % 2 == 0 else 1 + k // 2 % 2].append(z)
 
     return LadderConstruction(
-        ell=ell,
+        ell=home.ell,
         s_values=tuple(s_values),
         r_values=tuple(r_values),
         chosen_indices=tuple(chosen_indices),

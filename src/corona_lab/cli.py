@@ -166,7 +166,7 @@ def _cmd_blaschke_eval(args) -> tuple:
     zeros = complex_list(_parse_inline(args.zeros, "--zeros"), "--zeros")
     b = BlaschkeProduct(tuple(zeros), args.rotation)
     at = as_complex(_parse_inline(args.at, "--at"), "--at")
-    if not abs(at) <= 1 + 1e-12:
+    if not abs(at) <= 1:
         raise ConfigError("--at must lie in the closed unit disc")
     return {"value": b(at)}, 0
 

@@ -167,19 +167,6 @@ def orthogonal_arc_midpoint(alpha: float, beta: float) -> complex:
     return complex(np.exp(1j * (alpha + beta) / 2)) * (math.cos(g) / (1 + math.sin(g)))
 
 
-def orthogonal_circle(alpha: float, beta: float) -> tuple[complex, float]:
-    """Center and radius of the circle through both endpoints, orthogonal to
-    the unit circle.  The part of it inside the disc is the geodesic arc."""
-    alpha = float(alpha)
-    beta = float(beta)
-    g = (beta - alpha) / 2
-    if not (0 < g < math.pi / 2):
-        raise DomainError("need 0 < beta - alpha < pi")
-    center = complex(np.exp(1j * (alpha + beta) / 2)) / math.cos(g)
-    radius = math.tan(g)
-    return center, radius
-
-
 def geodesic_endpoints(anchor_angle: float, through) -> tuple[float, float]:
     """Boundary angles of the geodesic through e^{i anchor_angle} and an
     interior point.  First angle returned equals anchor_angle.
@@ -213,7 +200,10 @@ class OrthogonalArc(Record):
         return orthogonal_arc_midpoint(self.alpha, self.beta)
 
     def circle(self) -> tuple[complex, float]:
-        return orthogonal_circle(self.alpha, self.beta)
+        """Center and radius of the circle through both endpoints, orthogonal
+        to the unit circle.  The part of it inside the disc is the geodesic."""
+        g = (self.beta - self.alpha) / 2
+        return complex(np.exp(1j * (self.alpha + self.beta) / 2)) / math.cos(g), math.tan(g)
 
     def contains(self, z) -> bool:
         """True if the interior point z lies within ARC_TOL of the geodesic arc."""

@@ -17,7 +17,7 @@ POLYNOMIAL = "polynomial"
 FINITE_BLASCHKE = "finite_blaschke"
 RATIONAL = "rational"
 
-# JSON keys of the payload entries of the coefficient kinds
+# JSON keys of the coefficient kinds' payload entries, for to_dict and from_dict alike
 _DATA_KEYS = {POLYNOMIAL: ("coeffs",), RATIONAL: ("num", "den")}
 
 # a root within this margin of the closed disc counts as lying in it
@@ -132,18 +132,14 @@ class FunctionSpec(Record):
     @classmethod
     def from_dict(cls, d: dict, where: str = "function") -> "FunctionSpec":
         strict_keys(d, required=("kind", "data"), where=where)
-        kind = d["kind"]
-        data = d["data"]
-        if kind == POLYNOMIAL:
-            strict_keys(data, required=("coeffs",), where=f"{where}.data")
-            return cls.polynomial(complex_list(data["coeffs"], f"{where}.coeffs"))
+        kind, data, at = d["kind"], d["data"], f"{where}.data"
+        if kind in (POLYNOMIAL, RATIONAL):
+            keys = _DATA_KEYS[kind]
+            strict_keys(data, required=keys, where=at)
+            build = cls.polynomial if kind == POLYNOMIAL else cls.rational
+            return build(*(complex_list(data[key], f"{at}.{key}") for key in keys))
         if kind == FINITE_BLASCHKE:
-            strict_keys(data, required=("zeros",), optional=("rotation",),
-                        where=f"{where}.data")
-            rotation = as_finite(data.get("rotation", 0.0), f"{where}.rotation")
-            return cls.finite_blaschke(complex_list(data["zeros"], f"{where}.zeros"), rotation)
-        if kind == RATIONAL:
-            strict_keys(data, required=("num", "den"), where=f"{where}.data")
-            return cls.rational(complex_list(data["num"], f"{where}.num"),
-                                complex_list(data["den"], f"{where}.den"))
+            strict_keys(data, required=("zeros",), optional=("rotation",), where=at)
+            rotation = as_finite(data.get("rotation", 0.0), f"{at}.rotation")
+            return cls.finite_blaschke(complex_list(data["zeros"], f"{at}.zeros"), rotation)
         raise ConfigError(f"{where}.kind: unknown function kind {kind!r}")

@@ -14,8 +14,7 @@ from operator import add
 import numpy as np
 
 from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
-                            geodesic_endpoints, one_minus_abs2, orthogonal_circle,
-                            pointwise)
+                            geodesic_endpoints, one_minus_abs2, pointwise)
 from .errors import DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
 from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
@@ -147,9 +146,6 @@ class SimpleDensity(Record):
             else:
                 merged.append((a, b, c))
         return SimpleDensity(tuple(tuple(p) for p in merged))
-
-    def to_dict(self) -> dict:
-        return {"pieces": self.pieces}
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "density") -> "SimpleDensity":
@@ -479,7 +475,7 @@ def align_arcs(s_sharp: SimpleDensity, target: OrthogonalArc, case: str) -> Simp
     aligned = _three_zone_rescale(s_sharp, a_star, b_star)
 
     qp2 = quartiles(aligned)
-    center, radius = orthogonal_circle(qp2.alpha, qp2.beta)
+    center, radius = OrthogonalArc(qp2.alpha, qp2.beta).circle()
     miss = abs(abs(midpoint - center) - radius)
     if miss > ALIGN_TOL:
         raise InfeasibleError(

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,40 @@ def test_blaschke_eval_rejects_exterior_point(capsys):
                      "--at", "[2,0]")
     assert rc == 2
     assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_blaschke_eval_takes_the_closed_disc_without_slack(capsys):
+    # 1e-13 outside the circle, next to the pole 1/conj(a) of a zero 1e-13 inside it
+    rc, out, err = run(capsys, "blaschke-eval", "--zeros", "[[0.9999999999999,0]]",
+                       "--at", "[1.0000000000001,0]")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": "--at must lie in the closed unit disc"}
+    rc, out, _ = run(capsys, "blaschke-eval", "--zeros", "[[0.5,0.25]]", "--at", "[0.6,0.8]")
+    assert rc == 0
+    assert abs(abs(complex(*json.loads(out)["value"])) - 1) < 2e-13
+
+
+@pytest.mark.parametrize("data, kind, bad", [
+    ({"coeffs": [[1, 0], [0.5, "x"]]}, "polynomial", [0.5, "x"]),
+    ({"num": [True], "den": [[1, 0]]}, "rational", True),
+    ({"num": [[1, 0]], "den": ["x"]}, "rational", "x"),
+    ({"zeros": [[0.5, None]]}, "finite_blaschke", [0.5, None]),
+    ({"zeros": [[0.5, 0]], "rotation": "x"}, "finite_blaschke", "x"),
+    ({"coeffs": [[1, 0]], "extra": 1}, "polynomial", {"coeffs": [[1, 0]], "extra": 1}),
+], ids=["coeff", "num", "den", "zero", "rotation", "unknown_key"])
+def test_function_file_errors_name_the_path_of_the_bad_value(capsys, tmp_path, data, kind, bad):
+    doc = {"kind": kind, "data": data}
+    fn = write(tmp_path, "f.json", doc)
+    points = write(tmp_path, "p.json", {"points": [[0.1, 0]]})
+    rc, out, err = run(capsys, "hoffman-trace", "--function", fn, "--points", points)
+    assert (rc, out) == (2, "")
+    message = json.loads(err)["message"]
+    assert message.startswith(fn)
+    at = doc
+    for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", message[len(fn):].split(": ")[0]):
+        at = at[key] if key else at[int(index)]
+    assert at == bad
 
 
 def test_blaschke_eval_rejects_nan_input(capsys):
@@ -804,7 +839,7 @@ def test_a_json_boolean_is_not_a_number(capsys, tmp_path, case):
               "--c: expected a number, got False"),
         "coeffs": (["corona-solve", "--in", write(tmp_path, "inst.json", {"functions": [
             {"kind": "polynomial", "data": {"coeffs": [True, [0.5, False]]}}]})],
-            f"{tmp_path / 'inst.json'}.functions[0].coeffs[0]: expected a number, got True"),
+            f"{tmp_path / 'inst.json'}.functions[0].data.coeffs[0]: expected a number, got True"),
         "points": (["interp-check", "--points", write(tmp_path, "p.json",
                                                       {"points": [[0.1, 0], True]})],
                    f"{tmp_path / 'p.json'}.points[1]: expected a number, got True"),

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from corona_lab.disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle,
                                       check_disc,
                                       geodesic_endpoints, orthogonal_arc_midpoint,
-                                      orthogonal_circle, pseudo_disc_euclidean,
-                                      pseudo_distance)
+                                      pseudo_disc_euclidean, pseudo_distance)
 from corona_lab.errors import DomainError
 
 RNG = np.random.default_rng(771001)
@@ -101,7 +100,7 @@ def test_arc_midpoint_lies_on_orthogonal_circle():
         a = RNG.uniform(-3.0, 1.5)
         b = a + RNG.uniform(0.05, 1.5)
         m = orthogonal_arc_midpoint(a, b)
-        center, radius = orthogonal_circle(a, b)
+        center, radius = OrthogonalArc(a, b).circle()
         assert abs(abs(m - center) - radius) < 1e-12
         # orthogonality to the unit circle
         assert abs(abs(center) ** 2 - (1 + radius ** 2)) < 1e-12

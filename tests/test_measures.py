@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corona_lab import measures
-from corona_lab.disc_geometry import OrthogonalArc, canonical_angle, orthogonal_circle
+from corona_lab.disc_geometry import OrthogonalArc, canonical_angle
 from corona_lab.errors import (ConfigError, DomainError, InfeasibleError,
                                QuadratureError)
 from corona_lab.functions import FunctionSpec
@@ -535,7 +535,7 @@ def test_align_case_a_hits_endpoints():
     qp = quartiles(aligned)
     assert abs(qp.alpha + 0.6) < 1e-10
     assert abs(qp.beta - 0.4) < 1e-10
-    center, radius = orthogonal_circle(qp.alpha, qp.beta)
+    center, radius = OrthogonalArc(qp.alpha, qp.beta).circle()
     assert abs(abs(target.midpoint - center) - radius) < 1e-8
 
 
@@ -550,14 +550,14 @@ def test_align_cases_b_and_c_pass_through_midpoint():
     tb = OrthogonalArc(0.9, 2.0)
     ab = align_arcs(sb, tb, "b")
     qb = quartiles(ab)
-    center, radius = orthogonal_circle(qb.alpha, qb.beta)
+    center, radius = OrthogonalArc(qb.alpha, qb.beta).circle()
     assert abs(abs(tb.midpoint - center) - radius) < 1e-8
 
     sc = SimpleDensity.uniform(-2.9, -0.1)
     tc = OrthogonalArc(-2.0, -0.9)
     ac = align_arcs(sc, tc, "c")
     qc = quartiles(ac)
-    center, radius = orthogonal_circle(qc.alpha, qc.beta)
+    center, radius = OrthogonalArc(qc.alpha, qc.beta).circle()
     assert abs(abs(tc.midpoint - center) - radius) < 1e-8
 
 

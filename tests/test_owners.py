@@ -8,10 +8,12 @@ FunctionSpec.finite_blaschke, artifacts are written by cli.main, which cli.run
 alone calls, the process is ended by cli.run, JSON text is written by
 serialize.dumps, the Gauss-Legendre table is built by quadrature.gl_rule, and
 exact polynomial products by exactpoly.poly_mul, in a module without numpy.
-blaschke takes angles from math.atan2, not np.angle. Record classes are built
-on records.Record, and src/ generates no code. Every top-level function in src/
-has a caller there or is public, and every setting is set by a caller there, so
-code and settings that only the tests use stay out of src/."""
+blaschke takes angles from math.atan2, not np.angle, and decides the home
+sector by Sector.contains alone. Record classes are built on records.Record,
+whose to_dict no record writes again, and src/ generates no code. Every
+top-level function in src/ has a caller there or is public, and every setting
+is set by a caller there, so code and settings that only the tests use stay
+out of src/."""
 
 import ast
 from pathlib import Path
@@ -162,6 +164,36 @@ def test_blaschke_takes_angles_from_libm():
     # the home-sector decisions read each zero's angle from math.atan2;
     # np.angle rounds differently at different numpy SIMD dispatch levels
     assert [site for site in _sites(_calls("angle")) if site.startswith("blaschke.py:")] == []
+
+
+def test_the_home_sector_is_decided_by_sector_contains_only():
+    # construct_ladder refuses its zeros through Sector.contains; the
+    # recentring rotation is blaschke's one other reader of an angle
+    found = []
+    for top in ast.parse((SRC / "blaschke.py").read_text()).body:
+        methods = top.body if isinstance(top, ast.ClassDef) else [top]
+        for fn in methods:
+            if (isinstance(fn, ast.FunctionDef)
+                    and any(_calls("atan2")(node) for node in ast.walk(fn))):
+                found.append(fn.name if fn is top else f"{top.name}.{fn.name}")
+    assert found == ["compose_with_mobius", "Sector.contains"]
+
+
+def test_records_take_their_json_form_from_record():
+    # Record.to_dict is the fields by name; a to_dict that returns the dict
+    # of its own fields, in order, read from self, is a second copy of it
+    copies = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(getattr(base, "id", None) == "Record" for base in cls.bases)):
+                continue
+            fields = [f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)]
+            own = ast.parse("return {%s}" % ", ".join(f"{f!r}: self.{f}" for f in fields))
+            copies.extend(f"{path.name}:{cls.name}" for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef) and fn.name == "to_dict"
+                          and ast.dump(ast.Module(fn.body, [])) == ast.dump(own))
+    assert copies == []
 
 
 def test_roots_are_located_in_one_place():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corona_lab
-from corona_lab.blaschke import BlaschkeProduct, _factor_product
+from corona_lab.blaschke import BlaschkeProduct, Sector, _factor_product
 from corona_lab.disc_geometry import MobiusAut, one_minus_abs2, pseudo_hyperbolic
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import PushforwardDensity, SimpleDensity, poisson_kernel
@@ -31,6 +31,7 @@ KERNELS = {
                         complex),
     "BlaschkeProduct.__call__": (_B, _POINTS, complex),
     "BlaschkeProduct.derivative": (_B.derivative, _POINTS, complex),
+    "Sector.contains": (Sector(0.2, 0.3, 0.8).contains, _POINTS, bool),
     "MobiusAut.apply": (_M.apply, _POINTS, complex),
     "MobiusAut.inverse": (_M.inverse, _POINTS, complex),
     "FunctionSpec.__call__[polynomial]": (

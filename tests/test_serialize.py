@@ -244,7 +244,8 @@ def test_list_entries_raise_other_errors_unnamed():
         olds.append(_read(_old_as_list, functions, "in.json.functions", FunctionSpec.from_dict))
         assert _read(as_list, functions, "in.json.functions", FunctionSpec.from_dict) == olds[-1]
     assert olds == [(errors.DomainError, "polynomial needs at least one coefficient"),
-                    (ConfigError, "in.json.functions[0].coeffs[0]: expected numeric [re, im] pair")]
+                    (ConfigError, "in.json.functions[0].data.coeffs[0]: "
+                                  "expected numeric [re, im] pair")]
 
 
 # ------------------------------------------------------------ round trips
