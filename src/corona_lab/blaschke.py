@@ -12,13 +12,10 @@ import numpy as np
 
 from .disc_geometry import (MobiusAut, canonical_angle, check_disc, one_minus_abs2, pointwise,
                             pseudo_hyperbolic)
-from .errors import ConstructionError, DomainError, InfeasibleError
+from .errors import ConstructionError, DomainError
 from .quadrature import polar_grid
 from .records import Record
 from .serialize import as_finite, complex_list, strict_keys
-
-# LadderConstruction.thin_product: the chosen points' last separation tail must exceed this
-THIN_THRESHOLD = 0.9
 
 # zeros per complex division in BlaschkeProduct.__call__
 BLOCK = 8
@@ -91,10 +88,6 @@ class BlaschkeProduct(Record):
             raise DomainError("rotation must be finite")
         object.__setattr__(self, "rotation", float(canonical_angle(rot)))
 
-    @property
-    def degree(self) -> int:
-        return len(self.zeros)
-
     def __call__(self, z):
         """Values at z: the unimodular constant e^{i rotation} prod u_k,
         formed once, times _factor_product over the zeros."""
@@ -131,11 +124,6 @@ class BlaschkeProduct(Record):
             d += q
             p *= f
         return d
-
-    def __mul__(self, other: "BlaschkeProduct") -> "BlaschkeProduct":
-        if not isinstance(other, BlaschkeProduct):
-            return NotImplemented
-        return BlaschkeProduct(self.zeros + other.zeros, self.rotation + other.rotation)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "blaschke") -> "BlaschkeProduct":
@@ -352,7 +340,11 @@ class LadderConstruction(Record):
 
     s_values has one more entry than r_values; the covered region is the
     sector ring from s_values[0] to s_values[-1], split alternately into the
-    kept bands [s_j, r_j) and the excluded bands [r_j, s_{j+1}).
+    kept bands [s_j, r_j) and the excluded bands [r_j, s_{j+1}).  It holds
+    the zero sets of the construction's two candidate products, bands with
+    the odd gaps and bands with the even gaps, each times the thin part over
+    chosen_points; a caller assembles one as
+    BlaschkeProduct(bands + gaps + chosen_points).
     """
 
     ell: float
@@ -362,36 +354,6 @@ class LadderConstruction(Record):
     chosen_points: tuple
     partition: tuple          # three zero tuples: bands, odd gaps, even gaps
     verification: tuple       # RungRecord per rung
-
-    def band_products(self) -> tuple[BlaschkeProduct, BlaschkeProduct, BlaschkeProduct]:
-        b1, b2, b3 = self.partition
-        return (BlaschkeProduct(tuple(b1)), BlaschkeProduct(tuple(b2)),
-                BlaschkeProduct(tuple(b3)))
-
-    def thin_product(self) -> BlaschkeProduct:
-        """Product over the chosen transport points, gated by a thinness check.
-
-        The last separation tail of the chosen subsequence must exceed
-        THIN_THRESHOLD, otherwise the points are too crowded to serve as the
-        thin part of a candidate.
-        """
-        seq = DiscSequence(self.chosen_points)
-        tail_last = seq.separation_tails[-1]
-        if not tail_last > THIN_THRESHOLD:
-            raise InfeasibleError(
-                f"chosen points fail thinness: last tail {tail_last:.6f} <= {THIN_THRESHOLD}",
-                residuals=[tail_last])
-        return BlaschkeProduct(self.chosen_points)
-
-    def candidate_products(self) -> tuple[BlaschkeProduct, BlaschkeProduct]:
-        """The two admissible assemblies band*oddgaps*thin and band*evengaps*thin.
-
-        Which one the caller wants depends on measured behavior downstream,
-        so both are returned.
-        """
-        b1, b2, b3 = self.band_products()
-        b4 = self.thin_product()
-        return b1 * b2 * b4, b1 * b3 * b4
 
     def to_dict(self) -> dict:
         b1, b2, b3 = self.partition
@@ -521,42 +483,3 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
         partition=tuple(tuple(part) for part in partition),
         verification=tuple(records),
     )
-
-
-def selftest() -> list[tuple[str, bool]]:
-    rng = np.random.default_rng(20240812)
-    checks = []
-
-    ok = True
-    for _ in range(20):
-        zs = tuple(0.95 * rng.uniform(0, 1) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-                   for _ in range(5))
-        b = BlaschkeProduct(zs, rng.uniform(-3, 3))
-        theta = rng.uniform(-np.pi, np.pi, 64)
-        ok = ok and float(np.max(np.abs(np.abs(b(np.exp(1j * theta))) - 1))) < 1e-12
-    checks.append(("boundary modulus one", ok))
-
-    ok = True
-    for _ in range(10):
-        zs = tuple(0.7 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) for _ in range(4))
-        b = BlaschkeProduct(zs)
-        c = 0.6 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        bt = compose_with_mobius(b, c)
-        m = MobiusAut(c)
-        pts = 0.9 * rng.uniform(0, 1, 50) * np.exp(1j * rng.uniform(-np.pi, np.pi, 50))
-        ok = ok and float(np.max(np.abs(b(m.apply(pts)) - bt(pts)))) < 1e-11
-    checks.append(("composition transports zeros", ok))
-
-    ok = True
-    for _ in range(10):
-        zs = tuple(1 - abs(rng.normal(0, 0.02)) - 0.001 for _ in range(6))
-        b = BlaschkeProduct(zs)
-        eta = 0.5
-        bound = modulus_lower_bound(b, eta)
-        ok = ok and min_modulus_on_disc(b.zeros, eta) >= bound
-    checks.append(("modulus lower bound is sound", ok))
-
-    seq = DiscSequence((0 + 0j, 0.5 + 0j))
-    const, tails = carleson_diagnostics(seq)
-    checks.append(("two point separation", abs(const - 0.5) < 1e-15 and len(tails) == 2))
-    return checks

@@ -5,14 +5,14 @@ Conventions: structured artifacts travel as JSON (complex numbers as
 seed produce byte-identical outputs.  Exit codes: 0 success, 1 domain error
 (machine-readable report on stderr), 2 usage error.
 
-Only errors, serialize and quadrature load with this module: each handler,
-and each --selftest, imports the library modules it uses when it runs, so a
+Only errors, serialize and quadrature load with this module: each handler
+imports the library modules it uses when it runs, and --selftest imports
+the selftest module, whose suites import the modules they check, so a
 process loads no module its subcommand does not use.
 """
 
 import argparse
 import functools
-import importlib
 import json
 import math
 import os
@@ -284,9 +284,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Selftest(argparse.Action):
-    """Imports the subcommand's modules (dotted names) and runs their suites
-    as soon as it is parsed, then exits as --help does, so required flags may
-    be absent: status 0 if every check passes, 1 otherwise."""
+    """Runs the suites of the subcommand's modules (dotted names) from the
+    selftest module as soon as it is parsed, then exits as --help does, so
+    required flags may be absent: status 0 if every check passes, 1 otherwise."""
 
     def __init__(self, option_strings, dest, modules, help=None):
         super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
@@ -294,9 +294,10 @@ class _Selftest(argparse.Action):
         self.modules = modules
 
     def __call__(self, parser, namespace, values, option_string=None):
+        from .selftest import SUITES
         passed = total = 0
         for module in self.modules:
-            for name, ok in importlib.import_module(module).selftest():
+            for name, ok in SUITES[module]():
                 total += 1
                 passed += bool(ok)
                 print(f"{'ok' if ok else 'FAIL'}  {name}")

@@ -283,25 +283,3 @@ def residual_l1_bound(functions, solutions) -> float:
     out = acc / scale
     num, q = out.as_integer_ratio()
     return out if num * scale >= acc * q else math.nextafter(out, math.inf)
-
-
-def selftest() -> list[tuple[str, bool]]:
-    checks = []
-
-    f = poly_from_complex((0, 0, 1))                     # z^2
-    g = poly_from_complex((-0.5, 1.0))                   # z - 1/2
-    d, cof = iterated_xgcd((f, g))
-    checks.append(("coprime pair has unit gcd", d == ((ONE,), 1)))
-    checks.append(("bezout identity exact", combination((f, g), cof) == d))
-    checks.append(("anchor cofactors (4, -4z - 2)",
-                   [poly_to_complex(c) for c in cof] == [[4], [-2, -4]]))
-    checks.append(("exact identity has zero residual bound",
-                   residual_l1_bound([[0, 0, 1], [-0.5, 1]], [[4], [-2, -4]]) == 0.0))
-
-    h, g2 = combination([f], [g]), combination([g], [g])
-    d2, cof2 = iterated_xgcd((h, g2))
-    checks.append(("common factor recovered",
-                   d2 == g and combination((h, g2), cof2) == d2))
-
-    checks.append(("division exact", poly_divmod(h[0], g[0]) == (f[0], ())))
-    return checks

@@ -98,11 +98,6 @@ class FunctionSpec(Record):
         for the other kinds."""
         return self.payload[0] if self.kind == POLYNOMIAL else None
 
-    def as_blaschke(self) -> "BlaschkeProduct":
-        if self.kind != FINITE_BLASCHKE:
-            raise DomainError("not a finite Blaschke spec")
-        return self.payload[0]
-
     @pointwise(complex)
     def __call__(self, z):
         if self.kind == POLYNOMIAL:

@@ -185,28 +185,3 @@ def l2_distance_to_identity(b: BlaschkeProduct, c=0j,
     parseval = float(np.sum(energy))
     dist_sq = max(0.0, parseval + 1 - 2 * abs(a1))
     return L2Report(math.sqrt(dist_sq), gamma, coeffs, parseval, alias_energy, n_fft)
-
-
-def selftest() -> list[tuple[str, bool]]:
-    checks = []
-
-    rep = l2_distance_to_identity(BlaschkeProduct((0j, 0j), math.pi), n_fft=256)
-    checks.append(("squaring map distance", abs(rep.distance - math.sqrt(2)) < 1e-12))
-
-    rep = l2_distance_to_identity(BlaschkeProduct((0j,)), n_fft=256)
-    checks.append(("identity map distance", rep.distance < 1e-12))
-
-    seq = DiscSequence((0.1 + 0j, 0.5 + 0j, 0.2j))
-    rows = schwarz_check(seq)
-    checks.append(("invariant equals separation tail",
-                   max(r.gap for r in rows) < 1e-12
-                   and max(abs(r.value) for r in rows) < 1e-12))
-
-    single = schwarz_check(DiscSequence((0.37 - 0.11j,)))
-    checks.append(("single factor invariant is one",
-                   abs(single[0].derivative_invariant - 1) < 1e-12))
-
-    trace = compose_trace(lambda z: np.full_like(z, 2.5), DiscSequence((0.9, 0.95, 0.99)))
-    checks.append(("constant trace is flat",
-                   trace.samples.shape == (3, 40) and bool(np.all(trace.samples == 2.5))))
-    return checks

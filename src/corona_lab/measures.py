@@ -475,8 +475,7 @@ def align_arcs(s_sharp: SimpleDensity, target: OrthogonalArc, case: str) -> Simp
     aligned = _three_zone_rescale(s_sharp, a_star, b_star)
 
     qp2 = quartiles(aligned)
-    center, radius = OrthogonalArc(qp2.alpha, qp2.beta).circle()
-    miss = abs(abs(midpoint - center) - radius)
+    miss = OrthogonalArc(qp2.alpha, qp2.beta).miss(midpoint)
     if miss > ALIGN_TOL:
         raise InfeasibleError(
             f"aligned quartile arc misses the midpoint by {miss:.3e}; "
@@ -517,26 +516,3 @@ class PushforwardDensity:
 
     def mass(self, nodes: int = DEFAULT_NODES) -> float:
         return float(self.integrate(lambda th: np.ones_like(th), nodes).real)
-
-
-def selftest() -> list[tuple[str, bool]]:
-    checks = []
-
-    checks.append(("poisson kernel closed form", abs(poisson_kernel(0.5, 0.0) - 3.0) < 1e-14))
-
-    f = FunctionSpec.polynomial((1, 2, 0.5))
-    z = 0.3 + 0.2j
-    val = poisson_integral(f, z, nodes=1024)
-    checks.append(("poisson integral reproduces values", abs(val - f(z)) < 1e-10))
-
-    s = SimpleDensity.uniform(-0.8, 0.8)
-    qp = quartiles(s)
-    checks.append(("uniform quartiles mirror", qp.beta == -qp.alpha and abs(qp.alpha + 0.4) < 1e-15))
-
-    u = PushforwardDensity(s, 0.3 + 0.1j)
-    checks.append(("pushforward preserves mass", abs(u.mass(nodes=1024) - 1) < 1e-10))
-
-    fit = fit_simple_density((), [(-0.5, 0.0), (0.0, 0.5)], eps=1e-6)
-    vals = fit.density(np.array([-0.25, 0.25]))
-    checks.append(("empty fit is uniform", abs(vals[0] - vals[1]) < 1e-14))
-    return checks

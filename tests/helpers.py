@@ -52,7 +52,7 @@ def blaschke_values_by_the_loop(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray
         constant *= _unimodular_prefactor(a)
     out = np.full(z.shape, constant, dtype=complex)
     num, den, tmp = (np.empty(z.shape, dtype=complex) for _ in range(3))
-    for start in range(0, b.degree, BLOCK):
+    for start in range(0, len(b.zeros), BLOCK):
         a, *rest = b.zeros[start:start + BLOCK]
         np.subtract(a, z, out=num)
         np.multiply(a.conjugate(), num, out=den)

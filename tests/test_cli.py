@@ -24,6 +24,7 @@ from corona_lab.cli import MAX_POINTS, _Selftest, build_parser, main
 from corona_lab.corona import GridSpec
 from corona_lab.errors import ConfigError, DomainError
 from corona_lab.measures import PushforwardDensity, SimpleDensity
+from corona_lab.selftest import SUITES
 
 from helpers import dyadic_rings
 
@@ -470,6 +471,49 @@ def test_selftest_flag_needs_no_other_flags(capsys):
         rc, out, _ = run(capsys, cmd, "--selftest")
         assert rc == 0, cmd
         assert "passed" in out
+
+
+# the check names each module's suite prints, in order
+_SUITE_LINES = {
+    "corona": ("exact solver closes the anchor pair", "numeric solver matches at low degree",
+               "random check accepts the certificate", "common zero detected"),
+    "exactpoly": ("coprime pair has unit gcd", "bezout identity exact",
+                  "anchor cofactors (4, -4z - 2)", "exact identity has zero residual bound",
+                  "common factor recovered", "division exact"),
+    "blaschke": ("boundary modulus one", "composition transports zeros",
+                 "modulus lower bound is sound", "two point separation"),
+    "disc_geometry": ("mobius inverse composes to identity",
+                      "pseudo distance symmetric and in [0, 1)", "pseudo disc closed form",
+                      "arc midpoint anchor value", "midpoint lies on its own arc"),
+    "hoffman": ("squaring map distance", "identity map distance",
+                "invariant equals separation tail", "single factor invariant is one",
+                "constant trace is flat"),
+    "measures": ("poisson kernel closed form", "poisson integral reproduces values",
+                 "uniform quartiles mirror", "pushforward preserves mass",
+                 "empty fit is uniform"),
+}
+
+
+@pytest.mark.parametrize("command, suites", [
+    ("corona-solve", ("corona", "exactpoly")),
+    ("corona-check", ("corona",)),
+    ("delta", ("corona",)),
+    ("interp-check", ("blaschke",)),
+    ("blaschke-eval", ("disc_geometry", "blaschke")),
+    ("ladder", ("blaschke",)),
+    ("hoffman-trace", ("hoffman",)),
+    ("l2-identity", ("hoffman",)),
+    ("measure-fit", ("measures",)),
+    ("quartiles", ("measures",)),
+    ("pushforward", ("measures",)),
+    ("align-arcs", ("measures",)),
+    ("cluster-scenario", ("corona",)),
+])
+def test_selftest_output_is_pinned(capsys, command, suites):
+    names = [name for suite in suites for name in _SUITE_LINES[suite]]
+    want = "".join(f"ok  {name}\n" for name in names)
+    want += f"selftest: {len(names)}/{len(names)} passed\n"
+    assert run(capsys, command, "--selftest") == (0, want, "")
 
 
 def test_flags_only_where_they_take_effect(capsys, tmp_path):
@@ -1141,19 +1185,26 @@ _CLI_MODULES = {"cli", "disc_geometry", "errors", "quadrature", "records", "seri
     ("quartiles", {"functions", "measures"}),
     ("l2-identity", {"blaschke", "hoffman"}),
     ("corona-solve", {"corona", "exactpoly", "functions"}),
+    # --selftest loads the suites and the modules they check; no other run
+    # loads the suites
+    ("blaschke-eval --selftest", {"blaschke", "selftest"}),
 ])
 def test_a_subcommand_loads_only_the_modules_it_uses(capsys, tmp_path, command, extra):
     instance = {"functions": [_poly([0, 0, 1]), _poly([-0.5, 1])]}
-    argv = [command] + {
+    argv = command.split() + {
         "blaschke-eval": ["--zeros", "[[0.5,0.1]]", "--at", "[0.3,-0.2]"],
         "delta": ["--in", write(tmp_path, "inst.json", instance)],
         "corona-solve": ["--in", write(tmp_path, "inst.json", instance)],
         "quartiles": ["--density", write(tmp_path, "d.json",
                                          {"pieces": [[-0.5, 0.5, 2 * math.pi]]})],
         "l2-identity": ["--zeros", "[[0.5,0.1],[0,0.2]]", "--c", "[0.1,0]"],
+        "blaschke-eval --selftest": [],
     }[command]
     code = ("import json, sys, corona_lab.cli\n"
-            f"rc = corona_lab.cli.main({argv!r})\n"
+            "try:\n"
+            f"    rc = corona_lab.cli.main({argv!r})\n"
+            "except SystemExit as e:\n"
+            "    rc = e.code\n"
             "json.dump([rc, sorted(m for m in sys.modules if m.startswith('corona_lab.')),\n"
             "           'numpy.polynomial' in sys.modules, 'dataclasses' in sys.modules],\n"
             "          sys.stderr)\n")
@@ -1199,13 +1250,14 @@ def test_the_package_surface_resolves_on_first_access():
 
 
 def test_every_module_suite_is_reachable_from_a_subcommand():
+    # every suite runs from some subcommand, and every module a subcommand
+    # names has a suite
     reached = {module for p in subcommands().values() for a in p._actions
                if isinstance(a, _Selftest) for module in a.modules}
-    with_suite = {f"corona_lab.{m.name}" for m in pkgutil.iter_modules(corona_lab.__path__)
-                  if not m.name.startswith("__")
-                  and hasattr(importlib.import_module(f"corona_lab.{m.name}"), "selftest")}
-    assert "corona_lab.exactpoly" in with_suite
-    assert reached == with_suite
+    assert "corona_lab.exactpoly" in reached
+    assert reached == set(SUITES)
+    modules = {f"corona_lab.{m.name}" for m in pkgutil.iter_modules(corona_lab.__path__)}
+    assert reached <= modules
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"[" * 100000],

@@ -293,6 +293,18 @@ def test_cluster_requires_approach_to_one():
         cluster_scenario((identity_function(),), DiscSequence((0.9, 0.5)), eps=1e-3)
 
 
+def test_cluster_refuses_points_that_move_away_next_to_one():
+    # distances 0.5, 1.1e-16, 8.9e-16, 8.9e-16: the third point moves away
+    # from 1 by far less than an absolute slack of 1e-15
+    away = DiscSequence((0.5, 1 - 2.0 ** -53, 1 - 2.0 ** -50, 1 - 2.0 ** -50))
+    with pytest.raises(DomainError, match="approach 1"):
+        cluster_scenario((identity_function(),), away, eps=1e-3, min_tail=2)
+    # equal distances pass: a repeated point and a conjugate pair
+    for z in (1 - 2.0 ** -50, 0.9 + 0.1j):
+        pts = DiscSequence((0.5, z, z.conjugate(), z))
+        assert cluster_scenario((identity_function(),), pts, eps=1e-3, min_tail=2).indices
+
+
 def test_cluster_extraction_error_reports_counts():
     pts = DiscSequence((0.5, 0.75, 0.875))
     with pytest.raises(ExtractionError) as exc:

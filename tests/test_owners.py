@@ -11,9 +11,10 @@ exact polynomial products by exactpoly.poly_mul, in a module without numpy.
 blaschke takes angles from math.atan2, not np.angle, and decides the home
 sector by Sector.contains alone. Record classes are built on records.Record,
 whose to_dict no record writes again, and src/ generates no code. Every
-top-level function in src/ has a caller there or is public, and every setting
-is set by a caller there, so code and settings that only the tests use stay
-out of src/."""
+top-level function in src/ has a caller there or is public, every method has
+a caller there, and every setting is set by a caller there, so code and
+settings that only the tests use stay out of src/.  The invariant suites of
+--selftest live in the selftest module alone, which only cli._Selftest loads."""
 
 import ast
 from pathlib import Path
@@ -228,8 +229,8 @@ def test_the_process_is_ended_by_cli_run_only():
 
 
 def test_a_blaschke_spec_builds_its_product_once():
-    # finite_blaschke keeps the product it validated; evaluation and
-    # as_blaschke read it instead of building a new one per call
+    # finite_blaschke keeps the product it validated; evaluation reads it
+    # instead of building a new one per call
     assert [site for site in _sites(_calls("BlaschkeProduct"))
             if site.startswith("functions.py:")] == ["functions.py:finite_blaschke"]
 
@@ -287,40 +288,54 @@ def test_records_are_built_without_generated_code():
 
 
 def test_every_top_level_function_is_referenced_in_src_or_public():
-    # the selftest suites are reached by name through --selftest, and the
-    # module's __getattr__ and __dir__ by Python; a function's references
-    # to itself, and the references inside the selftest suites, do not count
+    # every top-level function is named somewhere in src/ outside its own
+    # body, or is public; so is every method or property of a class, with
+    # argparse's hook _Parser.error the one exception.  Python calls the
+    # dunders, the module's __getattr__ and __dir__ among them
     defined, referenced = [], set()
+
+    def visit(node, module, cls, owners):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not owners and not node.name.startswith("__"):
+                owner = node.name if cls is None else f"{cls}.{node.name}"
+                defined.append((module, owner, node.name))
+            owners = owners | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name is not None and name not in owners:
+            referenced.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, cls, owners)
+
     for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if own is not None:
-                defined.append((path.name, own))
-            if own == "selftest":
-                continue
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute)
-                        else node.name if isinstance(node, ast.alias) else None)
-                if name is not None and name != own:
-                    referenced.add(name)
-    exempt = set(corona_lab._SOURCE) | {"selftest", "__getattr__", "__dir__"}
-    assert [f"{module}:{name}" for module, name in defined
-            if name not in referenced and name not in exempt] == []
+        visit(ast.parse(path.read_text()), path.name, None, frozenset())
+    exempt = set(corona_lab._SOURCE) | {"_Parser.error"}
+    assert [f"{module}:{owner}" for module, owner, name in defined
+            if name not in referenced and owner not in exempt] == []
+
+
+def test_the_invariant_suites_live_in_the_selftest_module_alone():
+    # no library module carries a suite, and --selftest alone loads them
+    assert _sites(lambda node: isinstance(node, ast.FunctionDef)
+                  and node.name == "selftest") == []
+    assert _sites(lambda node: isinstance(node, ast.ImportFrom)
+                  and node.module == "selftest") == ["cli.py:__call__"]
 
 
 def test_every_setting_is_set_by_a_caller_in_src():
     # a setting is a defaulted parameter of a function or method, or a
     # defaulted field of a record (a subclass of records.Record, whose
-    # fields are its annotations); some call in src/ outside the selftest
-    # suites must pass it, by keyword or by position.  Callees are matched
-    # by name, and cls(...) is its class; calls through np. and rng. are
-    # numpy's, whatever their name.  main(argv) is the entry point,
-    # Python calls the dunder methods, and poisson_integral keeps nodes and
-    # tol for its in-process callers
+    # fields are its annotations); some call in src/ must pass it, by
+    # keyword or by position.  Callees are matched by name, and cls(...) is
+    # its class; calls through np. and rng. are numpy's, whatever their
+    # name.  main(argv) is the entry point, Python calls the dunder methods,
+    # and poisson_integral keeps nodes and tol for its in-process callers
     settings, passed = [], set()
 
-    def visit(node, module, cls, fn):
+    def visit(node, module, cls):
         if isinstance(node, ast.ClassDef):
             cls = node.name
             if any(getattr(base, "id", None) == "Record" for base in node.bases):
@@ -328,7 +343,6 @@ def test_every_setting_is_set_by_a_caller_in_src():
                 settings.extend((module, cls, f.target.id, i)
                                 for i, f in enumerate(fields) if f.value is not None)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = fn or node.name
             params = node.args.posonlyargs + node.args.args
             if cls is not None and params and params[0].arg in ("self", "cls"):
                 params = params[1:]
@@ -338,17 +352,17 @@ def test_every_setting_is_set_by_a_caller_in_src():
             settings.extend((module, node.name, a.arg, None)
                             for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults)
                             if d is not None)
-        elif (isinstance(node, ast.Call) and fn != "selftest"
+        elif (isinstance(node, ast.Call)
               and getattr(getattr(node.func, "value", None), "id", None) not in ("np", "rng")):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             name = cls if name == "cls" else name
             passed.update((name, i) for i in range(len(node.args)))
             passed.update((name, k.arg) for k in node.keywords)
         for child in ast.iter_child_nodes(node):
-            visit(child, module, cls, fn)
+            visit(child, module, cls)
 
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.name, None, None)
+        visit(ast.parse(path.read_text()), path.name, None)
     exempt = {("cli.py", "main"), ("measures.py", "poisson_integral")}
     assert [f"{module}:{owner}({name})" for module, owner, name, i in settings
             if (module, owner) not in exempt and not owner.startswith("__")
