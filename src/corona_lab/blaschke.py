@@ -17,8 +17,10 @@ from .quadrature import polar_grid
 from .records import Record
 from .serialize import as_finite, complex_list, strict_keys
 
-# zeros per complex division in BlaschkeProduct.__call__
+# zeros per complex division in _factor_product
 BLOCK = 8
+# _factor_product: most entries in one group's (blocks x points) arrays
+GROUP_ENTRIES = 2 ** 11
 # carleson_diagnostics: entries per block of its pseudo-distance matrix
 TAIL_BLOCK = 2 ** 18
 
@@ -42,8 +44,9 @@ def _unimodular_prefactor(a: complex) -> complex:
 
 
 @pointwise(complex)
-def _factor_product(start, zeros, z):
-    """start * prod_k (a_k - z) / (1 - conj(a_k) z), BLOCK factors per complex division.
+def _factor_product(start, zeros, gaps, z):
+    """start * prod_k (a_k - z) / (1 - conj(a_k) z), BLOCK factors per complex
+    division, gaps[k] the zero's one_minus_abs2.
 
     Each block of zeros contributes N / D with N = prod (a - z) and
     D = prod (1 - conj(a) z), built in place in reused buffers.  Each
@@ -54,23 +57,58 @@ def _factor_product(start, zeros, z):
     1 - |a| <= |1 - conj(a) z| <= 2 and |a - z| <= |1 - conj(a) z|, so
     (1 - |a|)^BLOCK <= |D| <= 2^BLOCK never leaves the normal range, and
     N = (block value) D is subnormal only where the block's value is
-    below 2^-1022 / |D|.  An exact zero gives exactly 0.  Every step is
-    elementwise, so a point's value does not depend on the other points.
+    below 2^-1022 / |D|.  An exact zero gives exactly 0.
+
+    The zeros go in groups of GROUP_ENTRIES // len(z) whole blocks, or as
+    many as the zeros fill, and step j of every block in a group is one
+    numpy call on a (blocks x points) array, so that a few points do not
+    pay numpy's per-call overhead once per zero.  Above GROUP_ENTRIES / 2
+    points, or below two full blocks, a group is one block: scalar zeros
+    against 1-D rows, numpy's fastest form there.  Each element gets the
+    same operations in the same order at any group size: numerators and
+    denominators multiply in zero order, a block's first denominator is
+    conj(a) (a - z) and the others (a - z) conj(a) (under FMA the complex
+    product is not commutative in bits), one division per block, and the
+    block quotients multiply into start in block order.  Every step is
+    elementwise, so a point's value does not depend on the other points
+    or on the group size.
     """
+    zeros = np.asarray(zeros, dtype=complex)
+    blocks = max(1, min(GROUP_ENTRIES // max(z.size, 1), zeros.size // BLOCK))
+    wide = blocks > 1
+    if wide:
+        # step j of a group's blocks takes their zeros as a column slice
+        a = zeros[:, None]
+        conj_a, g = a.conj(), np.asarray(gaps, dtype=complex)[:, None]
+    else:
+        a, conj_a, g = zeros.tolist(), zeros.conj().tolist(), np.asarray(gaps).tolist()
+    buffers = [np.empty((blocks, z.size) if wide else z.shape, dtype=complex) for _ in range(3)]
     out = np.full(z.shape, start, dtype=complex)
-    num, den, tmp = (np.empty(z.shape, dtype=complex) for _ in range(3))
-    for begin in range(0, len(zeros), BLOCK):
-        a, *rest = zeros[begin:begin + BLOCK]
-        np.subtract(a, z, out=num)
-        np.multiply(a.conjugate(), num, out=den)
-        den += one_minus_abs2(a)
-        for a in rest:
-            num *= np.subtract(a, z, out=tmp)
-            tmp *= a.conjugate()
-            tmp += one_minus_abs2(a)
-            den *= tmp
+    for begin in range(0, zeros.size, blocks * BLOCK):
+        end = min(begin + blocks * BLOCK, zeros.size)
+        k = len(range(begin, end, BLOCK))
+        num, den, tmp = (buf[:k] for buf in buffers) if wide else buffers
+        # the last block is short of zeros from step `last` on
+        last = end - (k - 1) * BLOCK
+        at = slice(begin, end, BLOCK) if wide else begin
+        np.subtract(a[at], z, out=num)
+        np.multiply(conj_a[at], num, out=den)
+        den += g[at]
+        for j in range(begin + 1, min(begin + BLOCK, end)):
+            at = slice(j, end, BLOCK) if wide else j
+            n, d, t = (num, den, tmp) if j < last else (num[:-1], den[:-1], tmp[:-1])
+            n *= np.subtract(a[at], z, out=t)
+            t *= conj_a[at]
+            t += g[at]
+            d *= t
         num /= den
-        out *= num
+        # reduce multiplies its rows into the initial value in order; it
+        # takes no array for one, so later groups' rows go in one by one
+        if wide and begin == 0:
+            out = np.multiply.reduce(num, axis=0, initial=start)
+        else:
+            for q in (num if wide else [num]):
+                out *= q
     return out
 
 
@@ -88,13 +126,18 @@ class BlaschkeProduct(Record):
             raise DomainError("rotation must be finite")
         object.__setattr__(self, "rotation", float(canonical_angle(rot)))
 
+    @cached_property
+    def one_minus_abs2(self) -> np.ndarray:
+        """1 - |a|^2 of each zero, formed once per product."""
+        return np.array([one_minus_abs2(a) for a in self.zeros])
+
     def __call__(self, z):
         """Values at z: the unimodular constant e^{i rotation} prod u_k,
         formed once, times _factor_product over the zeros."""
         constant = np.exp(1j * self.rotation)
         for a in self.zeros:
             constant *= _unimodular_prefactor(a)
-        return _factor_product(constant, self.zeros, z)
+        return _factor_product(constant, self.zeros, self.one_minus_abs2, z)
 
     @pointwise(complex)
     def derivative(self, z):
@@ -109,9 +152,8 @@ class BlaschkeProduct(Record):
         p = np.full(z.shape, np.exp(1j * self.rotation), dtype=complex)
         d = np.zeros(z.shape, dtype=complex)
         q, f = (np.empty(z.shape, dtype=complex) for _ in range(2))
-        for a in self.zeros:
+        for a, g in zip(self.zeros, self.one_minus_abs2.tolist()):
             u = _unimodular_prefactor(a)
-            g = one_minus_abs2(a)
             np.subtract(a, z, out=f)
             np.multiply(a.conjugate(), f, out=q)
             q += g
@@ -171,11 +213,12 @@ def min_modulus_on_disc(zeros, radius: float) -> float:
     far = np.zeros(zeros.size, dtype=bool)
     far[order[:np.searchsorted(np.cumsum(gaps[order]), FAR_SHARE * gaps.sum(), "right")]] = True
     floor = _gap_sum_floor(zeros[far], eta)
-    near = np.abs(_factor_product(1.0, zeros[~far].tolist(), grid))
+    p = np.array([one_minus_abs2(a) for a in zeros.tolist()])
+    near = np.abs(_factor_product(1.0, zeros[~far], p[~far], grid))
     lowest = float(near.min())
     if lowest * floor >= TINY:
         grid = grid[near * floor <= lowest * (1 + SLACK_PER_ZERO * (zeros.size + 1))]
-    return float(np.min(np.abs(_factor_product(1.0, zeros.tolist(), grid))))
+    return float(np.min(np.abs(_factor_product(1.0, zeros, p, grid))))
 
 
 def _gap_sum_floor(zeros: np.ndarray, eta: float) -> float:

@@ -45,8 +45,8 @@ def dyadic_rings(count) -> tuple:
 
 def blaschke_values_by_the_loop(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
     """BlaschkeProduct.__call__ as one loop over blocks of BLOCK zeros, the
-    form it had before the loop moved into blaschke._factor_product; z is a
-    flat array of at least two points."""
+    form blaschke._factor_product had before it took the blocks a group at a
+    time; z is a flat array of at least two points."""
     constant = np.exp(1j * b.rotation)
     for a in b.zeros:
         constant *= _unimodular_prefactor(a)

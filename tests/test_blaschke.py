@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corona_lab import blaschke
-from corona_lab.blaschke import (BLOCK, MIN_GRID_ANGULAR, MIN_GRID_RADIAL,
+from corona_lab.blaschke import (BLOCK, GROUP_ENTRIES, MIN_GRID_ANGULAR, MIN_GRID_RADIAL,
                                  BlaschkeProduct, DiscSequence, Sector, _factor_product,
                                  carleson_diagnostics, compose_with_mobius, construct_ladder,
                                  min_modulus_on_disc, modulus_lower_bound)
-from corona_lab.disc_geometry import MobiusAut, pseudo_distance
+from corona_lab.disc_geometry import MobiusAut, one_minus_abs2, pseudo_distance
 from corona_lab.errors import ConfigError, ConstructionError, DomainError
 from corona_lab.quadrature import polar_grid
 
@@ -231,24 +231,41 @@ def test_modulus_lower_bound_sound():
         assert min_modulus_on_disc(b.zeros, eta) >= bound - 1e-12
 
 
+# point counts at each of the kernel's group sizes: many blocks at a few
+# points, two blocks at GROUP_ENTRIES // 2, one block of 1-D rows above it,
+# and either side of the cap itself
+POINT_COUNTS = (1, 2, 3, 28, 256, 1600, 4096, GROUP_ENTRIES // 2, GROUP_ENTRIES // 2 + 1,
+                GROUP_ENTRIES - 1, GROUP_ENTRIES, GROUP_ENTRIES + 1)
+
+
 def test_values_equal_the_block_loop_byte_for_byte():
-    # __call__ passes its unimodular constant to _factor_product as the start
-    rng = np.random.default_rng(2027)
-    inside = 0.97 * np.sqrt(rng.uniform(0, 1, 300)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
-    z = np.concatenate([inside, np.exp(1j * rng.uniform(-np.pi, np.pi, 40)), [0, 1e-200]])
-    for degree in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 60):
+    # __call__ passes its unimodular constant to _factor_product as the start;
+    # the zeros lie anywhere, 1e-12 from the circle and transported by an
+    # automorphism at |c| = 0.9; 17, 42 and 505 of them end in a short block
+    for degree in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 400):
+        rng = np.random.default_rng([2027, degree])
         zeros = tuple(random_zero(rng) for _ in range(degree))
         zeros += tuple((1 - 1e-12) * np.exp(1j * rng.uniform(-np.pi, np.pi, degree // 4)))
-        b = BlaschkeProduct(zeros + zeros[:1] + ((0j,) if degree % 2 else ()),
-                            float(rng.uniform(-math.pi, math.pi)))
-        points = np.concatenate([z, np.array(b.zeros[:3], dtype=complex)])
-        assert b(points).tobytes() == blaschke_values_by_the_loop(b, points).tobytes()
+        moved = MobiusAut(0.9 * cmath.exp(1j * rng.uniform(-np.pi, np.pi))).inverse(zeros[-3:])
+        zeros += tuple(moved.tolist()) + zeros[:2] + ((0j,) if degree % 2 else ())
+        b = BlaschkeProduct(zeros, float(rng.uniform(-math.pi, math.pi)))
+        radii = 0.97 * np.sqrt(rng.uniform(0, 1, 4200))
+        inside = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, 4200))
+        # from two points on, each point set holds an exact zero of the product
+        pool = np.concatenate([[0], b.zeros[:1], [1e-200], b.zeros[1:3],
+                               np.exp(1j * rng.uniform(-np.pi, np.pi, 40)), inside])
+        for m in POINT_COUNTS:
+            points = pool[:m]
+            want = blaschke_values_by_the_loop(b, np.resize(points, max(m, 2)))[:m]
+            assert b(points).tobytes() == want.tobytes(), (degree, m)
 
 
 def _grid_minimum(zeros, radius):
     """Minimum of |_factor_product| from 1 over the whole grid of min_modulus_on_disc."""
     grid = polar_grid(np.linspace(0.0, radius, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
-    return float(np.min(np.abs(_factor_product(1.0, [complex(a) for a in zeros], grid))))
+    zeros = [complex(a) for a in zeros]
+    gaps = [one_minus_abs2(a) for a in zeros]
+    return float(np.min(np.abs(_factor_product(1.0, zeros, gaps, grid))))
 
 
 @st.composite
@@ -516,7 +533,7 @@ def _rung_minima_against_mpmath(zeros, lad, exact=False):
         kept = zs[(moduli < r) | (moduli >= s_next)]
         moved = MobiusAut(c).inverse(kept).tolist()
         grid = polar_grid(np.linspace(0.0, rec.eta, MIN_GRID_RADIAL), MIN_GRID_ANGULAR)
-        values = np.abs(_factor_product(1.0, moved, grid))
+        values = np.abs(_factor_product(1.0, moved, [one_minus_abs2(w) for w in moved], grid))
         x = mp.mpc(c.real, c.imag)
         ws = ([(a - x) / (1 - mp.conj(x) * a) for a in (mp.mpc(a.real, a.imag) for a in kept)]
               if exact else [mp.mpc(w.real, w.imag) for w in moved])

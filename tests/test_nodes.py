@@ -52,9 +52,9 @@ def test_min_modulus_grid_equals_the_hand_built_grid(monkeypatch):
     seen = []
     kernel = blaschke._factor_product
 
-    def record(start, zeros, z):
+    def record(start, zeros, gaps, z):
         seen.append(z)
-        return kernel(start, zeros, z)
+        return kernel(start, zeros, gaps, z)
 
     monkeypatch.setattr(blaschke, "_factor_product", record)
     # a zero at the origin forms no far part, so the first evaluation is the whole grid's

@@ -161,6 +161,28 @@ def test_separation_tails_form_one_minus_abs2_once_per_point(monkeypatch):
     assert calls == list(pts)
 
 
+def test_blaschke_kernels_form_one_minus_abs2_once_per_zero(monkeypatch):
+    # _factor_product takes the zeros' 1 - |a|^2 in: min_modulus_on_disc
+    # forms it once per call for all zeros, a product once for its lifetime
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return one_minus_abs2(z)
+
+    monkeypatch.setattr(blaschke, "one_minus_abs2", counted)
+    zeros = [(1 - 0.5 / k ** 2) * np.exp(0.1j * k) for k in range(1, 30)]
+    blaschke.min_modulus_on_disc(zeros, 0.75)
+    assert calls == zeros
+    calls.clear()
+    b = BlaschkeProduct(tuple(zeros[:11]))
+    z = 0.5 * np.exp(1j * np.arange(5))
+    b(z)
+    b.derivative(z)
+    b(z[:1])
+    assert calls == list(b.zeros)
+
+
 def test_blaschke_takes_angles_from_libm():
     # the home-sector decisions read each zero's angle from math.atan2;
     # np.angle rounds differently at different numpy SIMD dispatch levels

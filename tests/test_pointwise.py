@@ -27,8 +27,8 @@ _ANGLES = st.floats(-4.0, 4.0, allow_nan=False)
 
 # every decorated kernel: (callable of its points, point strategy, 0-d result type)
 KERNELS = {
-    "_factor_product": (functools.partial(_factor_product, 0.6 - 0.8j, _B.zeros), _POINTS,
-                        complex),
+    "_factor_product": (functools.partial(_factor_product, 0.6 - 0.8j, _B.zeros,
+                                          _B.one_minus_abs2), _POINTS, complex),
     "BlaschkeProduct.__call__": (_B, _POINTS, complex),
     "BlaschkeProduct.derivative": (_B.derivative, _POINTS, complex),
     "Sector.contains": (Sector(0.2, 0.3, 0.8).contains, _POINTS, bool),
