@@ -15,7 +15,7 @@ from .disc_geometry import (MobiusAut, canonical_angle, check_disc, one_minus_ab
 from .errors import ConstructionError, DomainError
 from .quadrature import polar_grid
 from .records import Record
-from .serialize import as_finite, complex_list, strict_keys
+from .serialize import complex_list, strict_keys
 
 # zeros per complex division in _factor_product
 BLOCK = 8
@@ -166,12 +166,6 @@ class BlaschkeProduct(Record):
             d += q
             p *= f
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "blaschke") -> "BlaschkeProduct":
-        strict_keys(d, required=("zeros",), optional=("rotation",), where=where)
-        zeros = complex_list(d["zeros"], f"{where}.zeros")
-        return cls(tuple(zeros), as_finite(d.get("rotation", 0.0), f"{where}.rotation"))
 
 
 def min_modulus_on_disc(zeros, radius: float) -> float:
@@ -340,21 +334,15 @@ def carleson_diagnostics(seq: DiscSequence) -> tuple[float, list[float]]:
 
 
 class Sector(Record):
-    """Radial slice {r e^{i t} : s <= r < t_outer, |angle| <= (1 - ell)/2}."""
+    """The home sector S[ell, 1) = {r e^{i t} : ell <= r < 1, |t| <= (1 - ell)/2}."""
 
     ell: float
-    s: float
-    t: float
 
     def __post_init__(self):
-        ell, s, t = float(self.ell), float(self.s), float(self.t)
+        ell = float(self.ell)
         if not (0 < ell < 1):
             raise DomainError("ell must lie in (0, 1)")
-        if not (ell <= s < t <= 1):
-            raise DomainError("need ell <= s < t <= 1")
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
 
     @property
     def half_angle(self) -> float:
@@ -366,7 +354,7 @@ class Sector(Record):
         from libm's atan2, not numpy's SIMD loop."""
         r = np.hypot(z.real, z.imag)
         angles = np.array([math.atan2(w.imag, w.real) for w in z.tolist()])
-        return (self.s <= r) & (r < self.t) & (np.abs(angles) <= self.half_angle)
+        return (self.ell <= r) & (r < 1.0) & (np.abs(angles) <= self.half_angle)
 
 
 class RungRecord(Record):
@@ -435,7 +423,7 @@ def construct_ladder(zeros, candidates: DiscSequence, eps_seq, eta_seq,
     the whole product only at the grid points where the minimum can lie.
     Failure to find a candidate raises ConstructionError naming the rung.
     """
-    home = Sector(ell, ell, 1.0)
+    home = Sector(ell)
     eps_seq = [float(e) for e in eps_seq]
     eta_seq = [float(e) for e in eta_seq]
     if len(eps_seq) != len(eta_seq) or not eps_seq:

@@ -203,7 +203,7 @@ def _cmd_l2_identity(args) -> tuple:
     b = BlaschkeProduct(tuple(zeros), args.rotation)
     c = as_complex(_parse_inline(args.c, "--c"), "--c")
     report = l2_distance_to_identity(b, c, n_fft=args.n_fft)
-    return report.summary(), 0
+    return report.to_dict(), 0
 
 
 def _cmd_measure_fit(args) -> tuple:

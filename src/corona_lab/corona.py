@@ -116,10 +116,6 @@ class CoronaInstance(Record):
             if not isinstance(f, FunctionSpec):
                 raise DomainError("instance functions must be FunctionSpec values")
 
-    def to_dict(self) -> dict:
-        return {"functions": [f.to_dict() for f in self.functions],
-                "grid": self.grid.to_dict()}
-
     @classmethod
     def from_dict(cls, d: dict, where: str = "instance") -> "CoronaInstance":
         strict_keys(d, required=("functions",), optional=("grid",), where=where)

@@ -106,6 +106,8 @@ def schwarz_check(seq: DiscSequence) -> list[SchwarzRow]:
     the first such point.
     """
     b = BlaschkeProduct(seq.points)
+    # the product's zeros are the points, so it reads their 1 - |c|^2 from the sequence
+    vars(b)["one_minus_abs2"] = seq.one_minus_abs2
     tails = seq.separation_tails
     pts = np.array(seq.points, dtype=complex)
     values = b(pts)
@@ -141,7 +143,7 @@ class L2Report(Record):
     alias_energy: float
     n_fft: int
 
-    def summary(self) -> dict:
+    def to_dict(self) -> dict:
         return {
             "distance": self.distance,
             "gamma": self.gamma,

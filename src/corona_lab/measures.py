@@ -2,7 +2,7 @@
 
 A density is a finite list of half-open arcs with nonnegative constant
 values, normalized against dm = d(theta)/2pi to total mass one.  Values, cdf,
-tail, mass, quartiles and breakpoints are read by bisection from one array
+tail, quartiles and breakpoints are read by bisection from one array
 form built on first use: sorted starts, ends, values and two-sided prefix masses.
 """
 
@@ -100,9 +100,6 @@ class SimpleDensity(Record):
         # the last piece starting at or before th holds it unless it ended
         k = np.searchsorted(starts, th, "right") - 1
         return np.where((k >= 0) & (th < ends[k]), values[k], 0.0)
-
-    def mass(self) -> float:
-        return float(self._steps[3][-1])
 
     def cdf(self, theta: float) -> float:
         """Mass of [-pi, theta)."""

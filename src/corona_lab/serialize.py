@@ -83,13 +83,11 @@ def as_finite(value, where: str = "value") -> float:
     return number
 
 
-def as_list(value, where: str = "list", item=None) -> list:
-    """Entries of a JSON list, each read as item(entry, where) if given; a
+def as_list(value, where: str, item) -> list:
+    """Entries of a JSON list, each read as item(entry, where); a
     ConfigError names the first bad entry as "where[i]"."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{where}: expected a list, got {value!r}")
-    if item is None:
-        return list(value)
     try:
         return [item(x, where) for x in value]
     except ConfigError:

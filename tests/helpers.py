@@ -4,8 +4,10 @@ so that every top-level function there has a caller there."""
 import numpy as np
 
 from corona_lab.blaschke import BLOCK, BlaschkeProduct, _unimodular_prefactor
+from corona_lab.corona import CoronaInstance
 from corona_lab.disc_geometry import check_disc, one_minus_abs2, pseudo_hyperbolic
 from corona_lab.functions import FunctionSpec
+from corona_lab.measures import SimpleDensity
 
 
 def poly_one() -> tuple:
@@ -19,6 +21,17 @@ def identity_function() -> FunctionSpec:
 
 def constant_function(value) -> FunctionSpec:
     return FunctionSpec.polynomial((complex(value),))
+
+
+def instance_dict(instance: CoronaInstance) -> dict:
+    """The JSON form of an instance, as an instance file holds it."""
+    return {"functions": [f.to_dict() for f in instance.functions],
+            "grid": instance.grid.to_dict()}
+
+
+def density_mass(s: SimpleDensity) -> float:
+    """A density's total mass: the last of its prefix masses summed from -pi."""
+    return float(s._steps[3][-1])
 
 
 def transport_tail_bounds(b: BlaschkeProduct, c) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from corona_lab.blaschke import (BLOCK, GROUP_ENTRIES, MIN_GRID_ANGULAR, MIN_GRI
                                  min_modulus_on_disc, modulus_lower_bound)
 from corona_lab.disc_geometry import MobiusAut, one_minus_abs2, pseudo_distance
 from corona_lab.errors import ConfigError, ConstructionError, DomainError
+from corona_lab.functions import FunctionSpec
 from corona_lab.quadrature import polar_grid
 
 from helpers import blaschke_values_by_the_loop, dyadic_rings, transport_tail_bounds
@@ -456,16 +457,17 @@ def test_separation_tails_of_4096_points_stay_in_bounded_memory():
 
 
 def test_sector_membership():
-    sec = Sector(0.5, 0.75, 0.85)
+    sec = Sector(0.5)
     assert sec.contains(0.8)
-    assert sec.contains(0.75)           # inner radius included
-    assert not sec.contains(0.85)       # outer radius excluded
+    assert sec.contains(0.5)            # inner radius included
+    assert not sec.contains(0.49)
+    assert sec.contains(np.nextafter(1.0, 0.0))
+    assert not sec.contains(1.0)        # the circle excluded
     assert sec.contains(0.8 * np.exp(0.25j))
     assert not sec.contains(0.8 * np.exp(0.26j))
-    with pytest.raises(DomainError):
-        Sector(0.0, 0.2, 0.4)
-    with pytest.raises(DomainError):
-        Sector(0.5, 0.6, 0.6)
+    for ell in (0.0, 1.0, -0.5):
+        with pytest.raises(DomainError):
+            Sector(ell)
 
 
 def _ulps(x: float, k: int) -> float:
@@ -494,10 +496,10 @@ def _near_home_edge(draw, ell):
 @given(st.floats(0.05, 0.95), st.data())
 def test_home_sector_check_agrees_with_sector(ell, data):
     # construct_ladder refuses exactly the zero sets with a zero outside
-    # Sector(ell, ell, 1), and names the first; a 1e-12 tolerance ends any
+    # Sector(ell), and names the first; a 1e-12 tolerance ends any
     # other set at rung 1 or after one cheap rung
     zeros = data.draw(st.lists(_near_home_edge(ell), min_size=1, max_size=4))
-    home = Sector(ell, ell, 1.0)
+    home = Sector(ell)
     outside = [z for z in zeros if not home.contains(z)]
     try:
         construct_ladder(zeros, DiscSequence((0.5,)), [1e-12], [0.5], ell)
@@ -695,14 +697,12 @@ def test_ladder_schedule_validation():
 
 
 def test_serialization_roundtrip():
-    b = random_product(RNG, max_deg=5)
-    again = BlaschkeProduct.from_dict(b.to_dict())
-    assert again.zeros == b.zeros
-    assert again.rotation == b.rotation
     seq = DiscSequence((0.1, 0.2 + 0.3j))
     assert DiscSequence.from_dict(seq.to_dict()).points == seq.points
 
 
 def test_from_dict_non_numeric_rotation_names_key():
-    with pytest.raises(ConfigError, match=r"b\.rotation"):
-        BlaschkeProduct.from_dict({"zeros": [[0.5, 0]], "rotation": "x"}, "b")
+    # a product's JSON form is read back as a finite Blaschke function's data
+    with pytest.raises(ConfigError, match=r"b\.data\.rotation"):
+        FunctionSpec.from_dict({"kind": "finite_blaschke",
+                                "data": {"zeros": [[0.5, 0]], "rotation": "x"}}, "b")

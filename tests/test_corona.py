@@ -15,7 +15,7 @@ from corona_lab.errors import (ConfigError, DomainError, ExtractionError,
                                UnsolvableError)
 from corona_lab.functions import FunctionSpec
 
-from helpers import constant_function, identity_function
+from helpers import constant_function, identity_function, instance_dict
 
 ANCHOR = (FunctionSpec.polynomial([0, 0, 1]),       # z^2
           FunctionSpec.polynomial([-0.5, 1]))        # z - 1/2
@@ -64,13 +64,13 @@ def test_measure_delta_values():
 def test_instance_roundtrip_keeps_functions_and_grid():
     grid = GridSpec(radial=9, angular=16, boundary=32, ratio=0.25)
     inst = CoronaInstance(ANCHOR, grid)
-    d = inst.to_dict()
+    d = instance_dict(inst)
     assert set(d) == {"functions", "grid"}
     assert CoronaInstance.from_dict(d) == inst
     d.pop("grid")
     assert CoronaInstance.from_dict(d) == CoronaInstance(inst.functions)
     with pytest.raises(ConfigError, match="unknown key 'delta_hat'"):
-        CoronaInstance.from_dict({**inst.to_dict(), "delta_hat": 0.25})
+        CoronaInstance.from_dict({**instance_dict(inst), "delta_hat": 0.25})
 
 
 def test_exact_solver_anchor_certificate():

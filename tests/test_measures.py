@@ -18,7 +18,7 @@ from corona_lab.measures import (CASE_LEFT, CASE_RIGHT, CASE_STRADDLE,
                                  nnls, poisson_integral, poisson_kernel, quartiles)
 from corona_lab.quadrature import integrate_piecewise
 
-from helpers import constant_function, identity_function
+from helpers import constant_function, density_mass, identity_function
 
 RNG = np.random.default_rng(771005)
 TWO_PI = 2 * math.pi
@@ -130,7 +130,7 @@ def assert_matches_oracle(s, thetas):
         assert type(s(t)) is float
         assert s.cdf(t) == oracle_cdf(s, t)
         assert s.tail(t) == oracle_tail(s, t)
-    assert s.mass() == oracle_total(s)
+    assert density_mass(s) == oracle_total(s)
     assert s.breakpoints() == sorted({x for a, b, _ in s.pieces for x in (a, b)})
     alpha, beta = oracle_quartile_angles(s)
     if alpha is not None and beta is not None:
@@ -312,7 +312,7 @@ def test_fit_empty_targets_gives_uniform():
     fit = fit_simple_density((), partition, eps=1e-3)
     levels = {c for _, _, c in fit.density.pieces}
     assert len(levels) == 1
-    assert abs(fit.density.mass() - 1) < 1e-12
+    assert abs(density_mass(fit.density) - 1) < 1e-12
     assert fit.mass_error == 0.0
 
 
@@ -325,7 +325,7 @@ def test_fit_matches_moment_targets():
     assert max(fit.residuals) < 1e-3
     assert fit.mass_error == 0.0
     assert all(c >= 0 for _, _, c in fit.density.pieces)
-    assert abs(fit.density.mass() - 1) < 1e-12
+    assert abs(density_mass(fit.density) - 1) < 1e-12
 
 
 def test_fit_infeasible_target_raises_with_residuals():
@@ -625,7 +625,7 @@ def test_pushforward_keeps_the_base_mass(raw, radius, angle):
         pieces[-1][1] = math.pi
     s = SimpleDensity.normalized(tuple(pieces))
     u = PushforwardDensity(s, radius * complex(np.exp(1j * angle)))
-    assert abs(u.mass() - s.mass()) <= 1e-10
+    assert abs(u.mass() - density_mass(s)) <= 1e-10
 
 
 @pytest.mark.parametrize("width", [1e-12, 1e-14, 64 * math.ulp(0.3), 16 * math.ulp(0.3)],

@@ -12,11 +12,13 @@ blaschke takes angles from math.atan2, not np.angle, and decides the home
 sector by Sector.contains alone. Record classes are built on records.Record,
 whose to_dict no record writes again, and src/ generates no code. Every
 top-level function in src/ has a caller there or is public, every method has
-a caller there, and every setting is set by a caller there, so code and
+a caller there (through a receiver of its class where another class shares
+its name), and every setting is set by a caller there, so code and
 settings that only the tests use stay out of src/.  The invariant suites of
 --selftest live in the selftest module alone, which only cli._Selftest loads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from corona_lab.disc_geometry import (MobiusAut, one_minus_abs2, pseudo_disc_euc
 from corona_lab.errors import DomainError, UnsolvableError
 from corona_lab.exactpoly import iterated_xgcd, poly_from_complex, poly_to_complex
 from corona_lab.functions import FunctionSpec, roots_in_closed_disc
+from corona_lab.hoffman import schwarz_check
 from corona_lab.measures import PushforwardDensity, SimpleDensity, poisson_kernel
 
 EPS = np.finfo(float).eps
@@ -183,6 +186,20 @@ def test_blaschke_kernels_form_one_minus_abs2_once_per_zero(monkeypatch):
     assert calls == list(b.zeros)
 
 
+def test_the_schwarz_check_forms_one_minus_abs2_once_per_point(monkeypatch):
+    # the sequence's product reads its zeros' 1 - |c|^2 from the sequence
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return one_minus_abs2(z)
+
+    monkeypatch.setattr(blaschke, "one_minus_abs2", counted)
+    pts = tuple((1 - 0.5 ** (1 + k % 4)) * np.exp(2j * np.pi * k / 40) for k in range(40))
+    schwarz_check(DiscSequence(pts))
+    assert calls == list(pts)
+
+
 def test_blaschke_takes_angles_from_libm():
     # the home-sector decisions read each zero's angle from math.atan2;
     # np.angle rounds differently at different numpy SIMD dispatch levels
@@ -309,34 +326,185 @@ def test_records_are_built_without_generated_code():
     assert _sites(lambda node: any(_calls(name)(node) for name in ("exec", "eval", "compile"))) == []
 
 
-def test_every_top_level_function_is_referenced_in_src_or_public():
-    # every top-level function is named somewhere in src/ outside its own
-    # body, or is public; so is every method or property of a class, with
-    # argparse's hook _Parser.error the one exception.  Python calls the
-    # dunders, the module's __getattr__ and __dir__ among them
-    defined, referenced = [], set()
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def visit(node, module, cls, owners):
-        if isinstance(node, ast.ClassDef):
-            cls = node.name
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not owners and not node.name.startswith("__"):
+
+def _unreferenced(sources: dict, untyped_calls: dict) -> tuple[list, set]:
+    """'module.py:owner' of every top-level function and every non-dunder
+    method or property in sources (file name -> text) that no code there
+    names outside its own body, and the (site, name) of every call of a
+    shared method name whose receiver's class the resolver cannot tell.
+
+    A name is matched bare, except a method name that two or more classes
+    define: that names the method its receiver's class finds first in its
+    bases, so it counts only through a receiver of that class or of a
+    subclass.  A receiver's class is known for self and cls in a method, a
+    class name, a parameter annotated with a class, and a local whose every
+    binding is a constructor call or a call of a function or method whose
+    return annotation names a class.  untyped_calls maps each other site,
+    ('module.py:owner', name), to the receiver's class read from the code."""
+    trees = {name: ast.parse(text) for name, text in sorted(sources.items())}
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    methods = {cls: {fn.name: fn for fn in node.body if isinstance(fn, _FUNCTIONS)}
+               for cls, node in classes.items()}
+    functions = {fn.name: fn for tree in trees.values() for fn in tree.body
+                 if isinstance(fn, _FUNCTIONS)}
+    counts = Counter(name for own in methods.values() for name in own)
+    shared = {name for name, n in counts.items() if n > 1 and not name.startswith("__")}
+
+    def lookup(cls, name):
+        if name in methods[cls]:
+            return cls
+        bases = [b.id for b in classes[cls].bases if isinstance(b, ast.Name) and b.id in classes]
+        return next(filter(None, (lookup(base, name) for base in bases)), None)
+
+    def class_of(annotation):
+        name = getattr(annotation, "id", getattr(annotation, "value", None))
+        return name if isinstance(name, str) and name in classes else None
+
+    def type_of(node, scope):
+        if isinstance(node, ast.Name):
+            return scope.get(node.id, class_of(node))
+        if not isinstance(node, ast.Call):
+            return None
+        fn, callee = node.func, None
+        if isinstance(fn, ast.Name) and fn.id not in scope:
+            if fn.id in classes:
+                return fn.id
+            callee = functions.get(fn.id)
+        elif isinstance(fn, ast.Attribute) and (cls := type_of(fn.value, scope)):
+            owner = lookup(cls, fn.attr)
+            callee = owner and methods[owner][fn.attr]
+        return callee and class_of(callee.returns)
+
+    def bound(node, scope, cls):
+        """scope inside a module, function or lambda: each parameter's and
+        local's class, or None where its bindings do not agree on one."""
+        fixed, bindings = {}, []
+        args = getattr(node, "args", None)
+        params = [] if args is None else [p for p in (*args.posonlyargs, *args.args, args.vararg,
+                                                      *args.kwonlyargs, args.kwarg) if p]
+        for i, p in enumerate(params):
+            first = i == 0 and cls is not None and p.arg in ("self", "cls")
+            fixed[p.arg] = cls if first else class_of(p.annotation)
+        stack = list(node.body) if isinstance(node.body, list) else [node.body]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, (ast.Assign, ast.AnnAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                bindings.extend((t.id, n) for t in targets if isinstance(t, ast.Name))
+                stack.extend(t for t in targets if not isinstance(t, ast.Name))
+                stack.extend([n.value] if n.value is not None else [])
+                continue
+            if isinstance(n, _FUNCTIONS) and args is not None:
+                bindings.append((n.name, None))     # a nested function
+            elif isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+                bindings.append((n.id, None))
+            if not isinstance(n, (*_FUNCTIONS, ast.ClassDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(n))
+        scope = {**scope, **{name: None for name, _ in bindings}, **fixed}
+        while True:
+            types = {name: {kind} for name, kind in fixed.items()}
+            for name, n in bindings:
+                types.setdefault(name, set()).add(
+                    class_of(n.annotation) if isinstance(n, ast.AnnAssign)
+                    else n and type_of(n.value, scope))
+            new = {**scope, **{name: kinds.pop() if len(kinds) == 1 else None
+                               for name, kinds in types.items()}}
+            if new == scope:
+                return scope
+            scope = new
+
+    defined, referenced, resolved, untyped = [], set(), set(), set()
+
+    def visit(node, module, site, cls, owners, own, scope):
+        # cls is the class whose body holds node directly
+        if isinstance(node, (*_FUNCTIONS, ast.Lambda)):
+            scope = bound(node, scope, cls)
+            if not isinstance(node, ast.Lambda):
                 owner = node.name if cls is None else f"{cls}.{node.name}"
-                defined.append((module, owner, node.name))
-            owners = owners | {node.name}
+                if not owners and not node.name.startswith("__"):
+                    defined.append((module, owner, node.name, cls))
+                site = site or f"{module}:{owner}"
+                owners, own = owners | {node.name}, own | {(cls, node.name)}
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
                 else node.name if isinstance(node, ast.alias) else None)
         if name is not None and name not in owners:
             referenced.add(name)
+        if isinstance(node, ast.Attribute) and node.attr in shared:
+            receiver = type_of(node.value, scope)
+            if receiver is None:
+                untyped.add((site or f"{module}:", node.attr))
+            elif (method := (lookup(receiver, node.attr), node.attr)) not in own:
+                resolved.add(method)
+        inner = node.name if isinstance(node, ast.ClassDef) else None
         for child in ast.iter_child_nodes(node):
-            visit(child, module, cls, owners)
+            visit(child, module, site, inner, owners, own, scope)
 
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.name, None, frozenset())
+    for module, tree in trees.items():
+        visit(tree, module, None, None, frozenset(), frozenset(), bound(tree, {}, None))
+    resolved.update((lookup(cls, name), name) for (_, name), cls in untyped_calls.items())
+    return [f"{module}:{owner}" for module, owner, name, cls in defined
+            if ((cls, name) not in resolved if cls and name in shared
+                else name not in referenced)], untyped
+
+
+# the calls of a shared method name whose receiver's class the resolver
+# cannot tell, each with that class as the code gives it
+UNTYPED_CALLS = {
+    ("cli.py:_cmd_measure_fit", "to_dict"): "SimpleDensity",               # fit.density
+    ("corona.py:BezoutCertificate.to_dict", "to_dict"): "FunctionSpec",    # self.solutions
+    ("functions.py:FunctionSpec.to_dict", "to_dict"): "BlaschkeProduct",   # self.payload[0]
+}
+
+
+def test_every_top_level_function_is_referenced_in_src_or_public():
+    # every top-level function is named somewhere in src/ outside its own
+    # body, or is public; so is every method or property of a class, with
+    # argparse's hook _Parser.error the one exception, and a method whose
+    # name another class shares is named through a receiver of its class.
+    # Python calls the dunders, the module's __getattr__ and __dir__ among them
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    unreferenced, untyped = _unreferenced(sources, UNTYPED_CALLS)
     exempt = set(corona_lab._SOURCE) | {"_Parser.error"}
-    assert [f"{module}:{owner}" for module, owner, name in defined
-            if name not in referenced and owner not in exempt] == []
+    assert [site for site in unreferenced if site.split(":")[1] not in exempt] == []
+    assert untyped == set(UNTYPED_CALLS)
+
+
+_RESOLVER_CASES = """
+class Base:
+    def shared(self): ...
+    def read(self) -> "Base": ...
+class Sub(Base):
+    def run(self): return self.shared()
+class Other:
+    def shared(self): ...
+    def read(self): ...
+    def size(self): ...
+class Annotated:
+    def size(self): ...
+def use(a: Annotated, anything):
+    built = Sub()
+    returned = built.read()
+    anything.read()
+    return a.size(), returned.size
+ENTRY = use, Sub.run
+"""
+
+
+def test_the_method_guard_resolves_shared_names_by_class():
+    # Base.shared through self in a subclass, Annotated.size through an
+    # annotated parameter, Base.read through a constructor-bound local of a
+    # subclass; a method that only shares its name with those stays
+    # unreferenced however often the name is called, and a call through an
+    # untyped receiver credits no class until the table names one
+    unreferenced, untyped = _unreferenced({"m.py": _RESOLVER_CASES}, {})
+    assert unreferenced == ["m.py:Other.shared", "m.py:Other.read", "m.py:Other.size"]
+    assert untyped == {("m.py:use", "read")}
+    unreferenced, _ = _unreferenced({"m.py": _RESOLVER_CASES}, {("m.py:use", "read"): "Other"})
+    assert unreferenced == ["m.py:Other.shared", "m.py:Other.size"]
 
 
 def test_the_invariant_suites_live_in_the_selftest_module_alone():

@@ -31,7 +31,7 @@ KERNELS = {
                                           _B.one_minus_abs2), _POINTS, complex),
     "BlaschkeProduct.__call__": (_B, _POINTS, complex),
     "BlaschkeProduct.derivative": (_B.derivative, _POINTS, complex),
-    "Sector.contains": (Sector(0.2, 0.3, 0.8).contains, _POINTS, bool),
+    "Sector.contains": (Sector(0.2).contains, _POINTS, bool),
     "MobiusAut.apply": (_M.apply, _POINTS, complex),
     "MobiusAut.inverse": (_M.inverse, _POINTS, complex),
     "FunctionSpec.__call__[polynomial]": (

@@ -22,7 +22,7 @@ ONE = FunctionSpec.polynomial((1,))
 VALUES = {
     "BlaschkeProduct": ((0.5 + 0j, -0.25j), 0.5),
     "DiscSequence": ((0.5 + 0j, 0.25j, -0.75 + 0.125j),),
-    "Sector": (0.5, 0.6, 0.9),
+    "Sector": (0.5,),
     "RungRecord": (1, 0.5, 0.25, 0.125),
     "LadderConstruction": (0.5, (0.5, 0.7), (0.6,), (0,), (0.55 + 0j,), ((), (), ()), ()),
     "GridSpec": (8, 64, 256, 0.5),

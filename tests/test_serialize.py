@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from corona_lab import errors
-from corona_lab.blaschke import BlaschkeProduct, DiscSequence
+from corona_lab.blaschke import DiscSequence
 from corona_lab.corona import BezoutCertificate, CoronaInstance, GridSpec
 from corona_lab.errors import ConfigError
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import SimpleDensity
 from corona_lab.serialize import (_encode, as_complex, as_finite, as_list, as_number,
                                   complex_list, dumps)
+
+from helpers import instance_dict
 
 
 @pytest.mark.parametrize("value, text", [
@@ -217,7 +219,6 @@ def test_list_readers_match_the_old_readers(pairs, rows):
             == _read(_old_as_list, pairs, "f.coeffs", _old_as_complex))
     assert (_read(as_list, rows, "d.json.pieces", _pieces(True))
             == _read(_old_as_list, rows, "d.json.pieces", _pieces(False)))
-    assert _read(as_list, rows, "x") == _read(_old_as_list, rows, "x")
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -278,7 +279,6 @@ def _density(draw):
 
 
 _ARTIFACTS = st.one_of(
-    st.builds(BlaschkeProduct, st.lists(_inside, max_size=5).map(tuple), _rotation),
     st.lists(_inside, min_size=1, max_size=6).map(lambda pts: DiscSequence(tuple(pts))),
     _function,
     _grid,
@@ -293,11 +293,14 @@ _ARTIFACTS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_ARTIFACTS)
 def test_every_artifact_round_trips_in_process_and_through_json(obj):
-    d = obj.to_dict()
+    # an instance is written only as an input file; a product, as a finite
+    # Blaschke function's data
+    to_dict = instance_dict if isinstance(obj, CoronaInstance) else type(obj).to_dict
+    d = to_dict(obj)
     for doc in (d, json.loads(dumps(d))):
         back = type(obj).from_dict(doc)
         assert back == obj
-        assert dumps(back.to_dict()) == dumps(d)
+        assert dumps(to_dict(back)) == dumps(d)
 
 
 # ------------------------------------------------------------ error payloads
