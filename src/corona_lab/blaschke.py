@@ -17,9 +17,9 @@ from .quadrature import polar_grid
 from .records import Record
 from .serialize import complex_list, strict_keys
 
-# zeros per complex division in _factor_product
+# zeros per complex division in _groups' blocks
 BLOCK = 8
-# _factor_product: most entries in one group's (blocks x points) arrays
+# _groups: most entries in one group's (blocks x points) arrays
 GROUP_ENTRIES = 2 ** 11
 # carleson_diagnostics: entries per block of its pseudo-distance matrix
 TAIL_BLOCK = 2 ** 18
@@ -43,35 +43,36 @@ def _unimodular_prefactor(a: complex) -> complex:
     return a.conjugate() / abs(a)
 
 
-@pointwise(complex)
-def _factor_product(start, zeros, gaps, z):
-    """start * prod_k (a_k - z) / (1 - conj(a_k) z), BLOCK factors per complex
-    division, gaps[k] the zero's one_minus_abs2.
+def _groups(zeros, gaps, z, slope):
+    """The zeros of a product a group of whole BLOCKs at a time, gaps[k] the
+    zero's one_minus_abs2: for each group, (blocks x points) arrays of each
+    block's N = prod (a - z) and Dn = prod s, s = (1 - |a|^2) + conj(a) (a - z),
+    and with slope also Z = sum_k g_k prod_{j != k} (a_j - z) s_j, so that
+    the block's factors are N / Dn and their derivative -Z / Dn^2.
 
-    Each block of zeros contributes N / D with N = prod (a - z) and
-    D = prod (1 - conj(a) z), built in place in reused buffers.  Each
-    denominator is formed as (1 - |a|^2) + conj(a) (a - z): with
+    Each denominator is formed as (1 - |a|^2) + conj(a) (a - z): with
     1 - |a|^2 rounded once, both terms are at most 2 |1 - conj(a) z| on
     the closed disc, so it keeps its relative accuracy where
     1 - conj(a) z cancels (z near a zero close to the circle).  There
     1 - |a| <= |1 - conj(a) z| <= 2 and |a - z| <= |1 - conj(a) z|, so
-    (1 - |a|)^BLOCK <= |D| <= 2^BLOCK never leaves the normal range, and
-    N = (block value) D is subnormal only where the block's value is
-    below 2^-1022 / |D|.  An exact zero gives exactly 0.
+    (1 - |a|)^BLOCK <= |Dn| <= 2^BLOCK never leaves the normal range, and
+    N = (block value) Dn is subnormal only where the block's value is
+    below 2^-1022 / |Dn|.  An exact zero gives exactly N = 0, and Z, which
+    carries Z <- Z (a - z) s + g N Dn, never divides by a - z; Z / Dn and
+    Z / Dn^2 = -F' are in range wherever the derivative F' is.
 
-    The zeros go in groups of GROUP_ENTRIES // len(z) whole blocks, or as
-    many as the zeros fill, and step j of every block in a group is one
-    numpy call on a (blocks x points) array, so that a few points do not
-    pay numpy's per-call overhead once per zero.  Above GROUP_ENTRIES / 2
-    points, or below two full blocks, a group is one block: scalar zeros
-    against 1-D rows, numpy's fastest form there.  Each element gets the
-    same operations in the same order at any group size: numerators and
-    denominators multiply in zero order, a block's first denominator is
-    conj(a) (a - z) and the others (a - z) conj(a) (under FMA the complex
-    product is not commutative in bits), one division per block, and the
-    block quotients multiply into start in block order.  Every step is
-    elementwise, so a point's value does not depend on the other points
-    or on the group size.
+    A group holds GROUP_ENTRIES // len(z) blocks, or as many as the zeros
+    fill, and step j of every block in a group is one numpy call on a
+    (blocks x points) array, so that a few points do not pay numpy's
+    per-call overhead once per zero.  Above GROUP_ENTRIES / 2 points, or
+    below two full blocks, a group is one block: scalar zeros against 1-D
+    rows, numpy's fastest form there.  Each element gets the same
+    operations in the same order at any group size: products in zero
+    order, a block's first denominator conj(a) (a - z) and the others
+    (a - z) conj(a) (under FMA the complex product is not commutative in
+    bits).  Every step is elementwise, so a point's values do not depend
+    on the other points or on the group size.  The arrays are views into
+    buffers that the next group reuses.
     """
     zeros = np.asarray(zeros, dtype=complex)
     blocks = max(1, min(GROUP_ENTRIES // max(z.size, 1), zeros.size // BLOCK))
@@ -82,32 +83,63 @@ def _factor_product(start, zeros, gaps, z):
         conj_a, g = a.conj(), np.asarray(gaps, dtype=complex)[:, None]
     else:
         a, conj_a, g = zeros.tolist(), zeros.conj().tolist(), np.asarray(gaps).tolist()
-    buffers = [np.empty((blocks, z.size) if wide else z.shape, dtype=complex) for _ in range(3)]
-    out = np.full(z.shape, start, dtype=complex)
+    buffers = [np.empty((blocks, z.size) if wide else z.shape, dtype=complex)
+               for _ in range(5 if slope else 3)]
     for begin in range(0, zeros.size, blocks * BLOCK):
         end = min(begin + blocks * BLOCK, zeros.size)
         k = len(range(begin, end, BLOCK))
-        num, den, tmp = (buf[:k] for buf in buffers) if wide else buffers
+        rows = [buf[:k] for buf in buffers] if wide else buffers
+        num, den = rows[:2]
         # the last block is short of zeros from step `last` on
         last = end - (k - 1) * BLOCK
         at = slice(begin, end, BLOCK) if wide else begin
         np.subtract(a[at], z, out=num)
         np.multiply(conj_a[at], num, out=den)
         den += g[at]
+        if slope:
+            np.copyto(rows[3], g[at])
         for j in range(begin + 1, min(begin + BLOCK, end)):
             at = slice(j, end, BLOCK) if wide else j
-            n, d, t = (num, den, tmp) if j < last else (num[:-1], den[:-1], tmp[:-1])
-            n *= np.subtract(a[at], z, out=t)
-            t *= conj_a[at]
-            t += g[at]
+            step = rows if j < last else [row[:-1] for row in rows]
+            if slope:
+                n, d, t, zs, w = step
+                # Z <- Z (a - z) s + g N Dn, N and Dn over the zeros before a
+                np.multiply(n, d, out=w)
+                w *= g[at]
+                zs *= np.subtract(a[at], z, out=t)
+                n *= t
+                t *= conj_a[at]
+                t += g[at]
+                zs *= t
+                zs += w
+            else:
+                n, d, t = step
+                n *= np.subtract(a[at], z, out=t)
+                t *= conj_a[at]
+                t += g[at]
             d *= t
+        group = rows[:2] + rows[3:4]        # N, Dn and, with slope, Z
+        yield group if wide else [row[None] for row in group]
+
+
+@pointwise(complex)
+def _factor_product(start, zeros, gaps, z):
+    """start * prod_k (a_k - z) / (1 - conj(a_k) z), BLOCK factors per complex
+    division, gaps[k] the zero's one_minus_abs2.
+
+    _groups gives each block's N and Dn; the block quotients N / Dn multiply
+    into start in block order, the same bits at any group size.
+    """
+    out = np.full(z.shape, start, dtype=complex)
+    for group, (num, den) in enumerate(_groups(zeros, gaps, z, False)):
         num /= den
         # reduce multiplies its rows into the initial value in order; it
-        # takes no array for one, so later groups' rows go in one by one
-        if wide and begin == 0:
+        # takes no array for one, so later groups' rows go in one by one, as
+        # does a lone row, for which reduce is the slower
+        if group == 0 and len(num) > 1:
             out = np.multiply.reduce(num, axis=0, initial=start)
         else:
-            for q in (num if wide else [num]):
+            for q in num:
                 out *= q
     return out
 
@@ -131,40 +163,40 @@ class BlaschkeProduct(Record):
         """1 - |a|^2 of each zero, formed once per product."""
         return np.array([one_minus_abs2(a) for a in self.zeros])
 
-    def __call__(self, z):
-        """Values at z: the unimodular constant e^{i rotation} prod u_k,
-        formed once, times _factor_product over the zeros."""
+    @cached_property
+    def _constant(self) -> complex:
+        """The unimodular constant e^{i rotation} prod u_k, formed once."""
         constant = np.exp(1j * self.rotation)
         for a in self.zeros:
             constant *= _unimodular_prefactor(a)
-        return _factor_product(constant, self.zeros, self.one_minus_abs2, z)
+        return constant
+
+    def __call__(self, z):
+        """Values at z: the unimodular constant times _factor_product over the zeros."""
+        return _factor_product(self._constant, self.zeros, self.one_minus_abs2, z)
 
     @pointwise(complex)
     def derivative(self, z):
         """Analytic derivative by the product rule; valid at zeros too.
 
-        One pass over the zeros carries the partial product P and its
-        derivative D through D <- D f + P f', P <- P f.  With
-        q = u / (1 - conj(a) z), the denominator formed as in __call__, the
-        factor is f = (a - z) q and its derivative f' = -(1 - |a|^2) conj(u) q^2,
-        so each zero costs one division and none divides by a - z.
+        Each block of zeros from _groups gives its factors F = N / Dn and
+        their derivative F' = -Z / Dn^2 from one complex division, 1 / Dn;
+        the blocks carry the partial product P, from the unimodular
+        constant, and its derivative D through D <- D F + P F', P <- P F in
+        block order.  No step divides by a - z.
         """
-        p = np.full(z.shape, np.exp(1j * self.rotation), dtype=complex)
+        p = np.full(z.shape, self._constant, dtype=complex)
         d = np.zeros(z.shape, dtype=complex)
-        q, f = (np.empty(z.shape, dtype=complex) for _ in range(2))
-        for a, g in zip(self.zeros, self.one_minus_abs2.tolist()):
-            u = _unimodular_prefactor(a)
-            np.subtract(a, z, out=f)
-            np.multiply(a.conjugate(), f, out=q)
-            q += g
-            np.divide(u, q, out=q)
-            f *= q
-            d *= f
-            q *= q
-            q *= -g * u.conjugate()
-            q *= p
-            d += q
-            p *= f
+        for num, den, zsum in _groups(self.zeros, self.one_minus_abs2, z, True):
+            np.divide(1.0, den, out=den)
+            num *= den
+            zsum *= den
+            zsum *= den
+            for f, h in zip(num, zsum):
+                d *= f
+                h *= p
+                d -= h
+                p *= f
         return d
 
 

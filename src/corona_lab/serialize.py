@@ -1,8 +1,9 @@
 """JSON and CSV helpers: the one place that knows the artifact encoding.
 
 Complex values travel as [re, im] pairs of finite numbers both ways:
-``dumps`` writes any complex (numpy's included) as a pair, arrays as lists
-and numpy scalars as Python numbers, and ``as_complex`` reads a pair back.
+``dumps`` writes any complex (numpy's included) as a pair, arrays as lists,
+numpy scalars as Python numbers and records as their ``to_dict``, and
+``as_complex`` reads a pair back.
 Dicts are strict.  All emitters go through ``dumps`` or ``csv_rows`` so
 identical inputs produce byte identical files.
 
@@ -29,6 +30,7 @@ from json.encoder import encode_basestring_ascii as _string
 import numpy as np
 
 from .errors import ConfigError
+from .records import Record
 
 
 def as_complex(pair, where: str = "value") -> complex:
@@ -112,13 +114,16 @@ def strict_keys(d: dict, required, optional=(), where: str = "object") -> None:
 
 
 def _encode(obj):
-    """json's hook for what it cannot write itself; np.float64 is a float."""
+    """json's hook for what it cannot write itself; np.float64 is a float,
+    and a record, one held in a record's fields too, is its to_dict."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
+    if isinstance(obj, Record):
+        return obj.to_dict()
     raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 

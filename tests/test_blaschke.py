@@ -239,10 +239,12 @@ POINT_COUNTS = (1, 2, 3, 28, 256, 1600, 4096, GROUP_ENTRIES // 2, GROUP_ENTRIES 
                 GROUP_ENTRIES - 1, GROUP_ENTRIES, GROUP_ENTRIES + 1)
 
 
-def test_values_equal_the_block_loop_byte_for_byte():
-    # __call__ passes its unimodular constant to _factor_product as the start;
-    # the zeros lie anywhere, 1e-12 from the circle and transported by an
-    # automorphism at |c| = 0.9; 17, 42 and 505 of them end in a short block
+def _kernel_cases():
+    """(degree, product, 4245 points) for the kernel's bit tests: the zeros
+    lie anywhere, 1e-12 from the circle and transported by an automorphism
+    at |c| = 0.9, and repeat their first two; 17, 42 and 505 of them end in
+    a short block.  From two points on, each point prefix holds an exact
+    zero of the product."""
     for degree in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 400):
         rng = np.random.default_rng([2027, degree])
         zeros = tuple(random_zero(rng) for _ in range(degree))
@@ -252,13 +254,81 @@ def test_values_equal_the_block_loop_byte_for_byte():
         b = BlaschkeProduct(zeros, float(rng.uniform(-math.pi, math.pi)))
         radii = 0.97 * np.sqrt(rng.uniform(0, 1, 4200))
         inside = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, 4200))
-        # from two points on, each point set holds an exact zero of the product
         pool = np.concatenate([[0], b.zeros[:1], [1e-200], b.zeros[1:3],
                                np.exp(1j * rng.uniform(-np.pi, np.pi, 40)), inside])
+        yield degree, b, pool
+
+
+def test_values_equal_the_block_loop_byte_for_byte():
+    # __call__ passes its unimodular constant to _factor_product as the start
+    for degree, b, pool in _kernel_cases():
         for m in POINT_COUNTS:
             points = pool[:m]
             want = blaschke_values_by_the_loop(b, np.resize(points, max(m, 2)))[:m]
             assert b(points).tobytes() == want.tobytes(), (degree, m)
+
+
+def test_derivatives_have_the_same_bits_at_every_group_size():
+    # all 4245 points take one block of 1-D rows at a time; a prefix of them
+    # takes many blocks per group, and a shuffled set other neighbours
+    for degree, b, pool in _kernel_cases():
+        whole = b.derivative(pool)
+        for m in POINT_COUNTS:
+            assert b.derivative(pool[:m]).tobytes() == whole[:m].tobytes(), (degree, m)
+        order = np.random.default_rng(degree).permutation(pool.size)
+        assert b.derivative(pool[order]).tobytes() == whole[order].tobytes(), degree
+        assert b.derivative(pool[order[:5]]).tobytes() == whole[order[:5]].tobytes(), degree
+
+
+def test_derivative_at_double_zeros_across_block_boundaries_on_few_points():
+    # a few points walk three blocks of zeros as one group of (blocks x
+    # points) arrays and a short block as the next; the zeros at j BLOCK - 1
+    # and j BLOCK are equal, so each copy sits in its own block, and for
+    # j = 3 in its own group
+    zeros = list(0.8 * np.exp(1j * np.linspace(-3, 3, 3 * BLOCK + 3)))
+    for j in (1, 2, 3):
+        zeros[j * BLOCK] = zeros[j * BLOCK - 1]
+    b = BlaschkeProduct(tuple(zeros), 0.6)
+    a = np.array(b.zeros)
+    ends = [j * BLOCK - 1 for j in (1, 2, 3)]
+    double = a[ends]
+    simple = np.delete(a, ends + [j + 1 for j in ends])
+    many = b.derivative(np.concatenate([double, simple, 0.5 * np.exp(1j * np.arange(4200))]))
+    for points in (double, double[:1], simple[:1], simple[-3:], a[[0, BLOCK - 1, -1]]):
+        got = b.derivative(points)
+        assert np.all(b(points) == 0)
+        assert np.all((got == 0) == np.isin(points, double))
+        where = [np.flatnonzero(np.concatenate([double, simple]) == p)[0] for p in points]
+        assert got.tobytes() == many[where].tobytes()
+
+
+def test_derivative_relative_error_against_mpmath_at_block_edges():
+    # one block short of full, full, one over, and three full blocks and a
+    # short one, at group sizes from one point to 4096; the first 80 points
+    # hold up to 26 zeros, points 1e-9 from them, the circle at their angles
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    eps = np.finfo(float).eps
+    for degree in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+        rng = np.random.default_rng([2028, degree])
+        angles = rng.uniform(-np.pi, np.pi, degree)
+        radii = np.where(np.arange(degree) % 2, 1 - 1e-12, 0.9 * np.sqrt(rng.uniform(0, 1, degree)))
+        zeros = tuple(radii * np.exp(1j * angles))
+        b = BlaschkeProduct(zeros, 0.3)
+        a, k = np.array(b.zeros[:26]), min(degree, 26)
+        head = np.concatenate([a, a + 1e-9 * np.exp(1j * rng.uniform(-np.pi, np.pi, k)),
+                               np.exp(1j * angles[:k]), [0]])
+        head = np.concatenate([head, 0.99 * np.exp(1j * rng.uniform(-np.pi, np.pi, 80 - head.size))])
+        pool = np.concatenate([head, 0.95 * np.exp(1j * rng.uniform(-np.pi, np.pi, 4016))])
+        want = np.array([_mp_value_and_derivative(mp, zeros, 0.3, w) for w in head])[:, 1]
+        for m in (1, 28, 80, 4096):
+            got = b.derivative(pool[:m])[:80]
+            ref = want[:got.size]
+            nonzero = ref != 0
+            assert np.all(got[~nonzero] == 0)
+            err = np.abs(got[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])
+            assert err.max() <= 4 * degree * eps, (degree, m, err.max() / eps)
 
 
 def _grid_minimum(zeros, radius):

@@ -457,6 +457,7 @@ UNTYPED_CALLS = {
     ("cli.py:_cmd_measure_fit", "to_dict"): "SimpleDensity",               # fit.density
     ("corona.py:BezoutCertificate.to_dict", "to_dict"): "FunctionSpec",    # self.solutions
     ("functions.py:FunctionSpec.to_dict", "to_dict"): "BlaschkeProduct",   # self.payload[0]
+    ("serialize.py:_encode", "to_dict"): "Record",                         # obj
 }
 
 

@@ -17,11 +17,11 @@ from corona_lab.blaschke import DiscSequence
 from corona_lab.corona import BezoutCertificate, CoronaInstance, GridSpec
 from corona_lab.errors import ConfigError
 from corona_lab.functions import FunctionSpec
-from corona_lab.measures import SimpleDensity
+from corona_lab.measures import SimpleDensity, fit_simple_density
 from corona_lab.serialize import (_encode, as_complex, as_finite, as_list, as_number,
                                   complex_list, dumps)
 
-from helpers import instance_dict
+from helpers import identity_function, instance_dict
 
 
 @pytest.mark.parametrize("value, text", [
@@ -40,6 +40,21 @@ def test_dumps_encodes_complex_and_numpy_values(value, text):
 def test_dumps_rejects_other_objects():
     with pytest.raises(TypeError):
         dumps({"x": object()})
+
+
+def test_dumps_writes_a_record_held_in_a_record_as_its_to_dict():
+    # Record.to_dict holds the field records themselves; dumps writes each
+    # as its own to_dict, the bytes of json.dumps with _encode
+    instance = CoronaInstance((identity_function(), FunctionSpec.polynomial((0.5, 1j))),
+                              GridSpec(8, 16, 32, 0.25))
+    partition = [(-0.25 + 0.0625 * k, -0.25 + 0.0625 * (k + 1)) for k in range(8)]
+    fit = fit_simple_density(((identity_function(), 0.99),), partition, eps=1e-2)
+    for record, d in ((instance, instance_dict(instance)),
+                      (fit, {"density": fit.density.to_dict(), "residuals": fit.residuals,
+                             "mass_error": fit.mass_error})):
+        text = dumps(d)
+        assert dumps(record.to_dict()) == dumps(record) == text
+        assert json.dumps(record, sort_keys=True, indent=2, default=_encode) + "\n" == text
 
 
 @pytest.mark.parametrize("pair", [[math.nan, 0], [0, math.inf], [-math.inf, 1],
