@@ -51,16 +51,14 @@ class CompositionTrace(Record):
     samples: np.ndarray
 
     def to_csv(self) -> str:
-        """One line per sample, all by one % over one template; the grid
-        columns are formatted once, as csv_rows formats them."""
+        """One line per sample by one % over one template; the grid columns
+        are formatted once and lead each recentering point's lines."""
         grid = csv_rows((self.grid.real, self.grid.imag)).splitlines()
+        lead = np.array([line + "," for line in grid], dtype=object)
+        points = np.array([f"{j}," for j in range(len(self.c_values))], dtype=object)
         samples = self.samples.ravel()
-        values = [None] * (4 * samples.size)
-        values[0::4] = grid * len(self.c_values)
-        values[1::4] = np.arange(len(self.c_values)).repeat(len(grid)).tolist()
-        values[2::4] = samples.real.tolist()
-        values[3::4] = samples.imag.tolist()
-        return "grid_re,grid_im,j,re,im\n" + "%s,%d,%.17g,%.17g\n" * samples.size % tuple(values)
+        return "grid_re,grid_im,j,re,im\n" + csv_rows(
+            (samples.real, samples.imag), (np.tile(lead, len(points)), points.repeat(len(lead))))
 
 
 def compose_trace(f, seq: DiscSequence, grid_radius: float = DEFAULT_GRID_RADIUS,

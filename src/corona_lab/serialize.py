@@ -7,6 +7,11 @@ numpy scalars as Python numbers and records as their ``to_dict``, and
 Dicts are strict.  All emitters go through ``dumps`` or ``csv_rows`` so
 identical inputs produce byte identical files.
 
+``csv_rows`` writes each float in the bytes of '%.17g' without a conversion
+call per value: ``_csv_cells`` finds the digits of every value with
+1e-4 <= |x| < 10 at once in integer arithmetic and writes it as a template
+cell and an int; any other value is '%.17g' itself.
+
 ``dumps`` is the one JSON writer; ``json`` only parses.  It writes the
 bytes of ``json.dumps(obj, sort_keys=True, indent=2, default=_encode)``
 plus a newline, its test oracle, without json's pure-Python indenting
@@ -24,6 +29,7 @@ those messages are the same either way.
 import cmath
 import json
 import math
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
@@ -196,11 +202,95 @@ def dumps(obj) -> str:
     return _dump(obj, "\n", set()) + "\n"
 
 
-def csv_rows(columns) -> str:
-    """CSV lines of equal-length real columns, each value as %.17g."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = np.column_stack(columns).ravel().tolist()
-    return row * len(columns[0]) % tuple(values)
+@cache
+def _tables():
+    """5^s and 10^s exactly (s <= 22, so 10^s is an exact float too), 10^k up
+    to 10^17, and the %-template cells: at 160 * sign + 16 * digit + zeros
+    the sign, integer digit, point and leading fraction zeros before "%s",
+    and at 320 '%.17g', each ended by a comma; from 321 on the same cells
+    ended by a newline."""
+    cells = [f"{sign}{digit}.{'0' * zeros}%s" for sign in ("", "-") for digit in range(10)
+             for zeros in range(16)] + ["%.17g"]
+    return (np.array([5 ** s for s in range(23)], dtype=np.uint64),
+            np.array([float(10 ** s) for s in range(23)]),
+            np.array([10 ** k for k in range(18)], dtype=np.uint64),
+            np.array([cell + end for end in ",\n" for cell in cells], dtype=object))
+
+
+def _scaled(v, m, w, e):
+    """floor(v 10^(16 - e)), and whether the rest rounds it up, half to even.
+
+    v = m 2^(-16 - w) exactly, so v 10^s = m 5^s / 2^t with 30 < t < 50.  The
+    float product is within 2^11 of the quotient, so m 5^s - d 2^t is below
+    2^61 and its uint64 wrap-around is exact; its floor division by 2^t
+    corrects d."""
+    p5, p10f, _, _ = _tables()
+    s, t = 16 - e, w + e
+    d = (v * p10f[s]).astype(np.uint64)
+    r = (m * p5[s] - (d << t.view(np.uint64))).view(np.int64)
+    k = r >> t
+    d += k.view(np.uint64)
+    return d, (r - (k << t) + (d & 1).view(np.int64) - 1) >> (t - 1) > 0
+
+
+def _csv_cells(table) -> tuple:
+    """The %-template cells of a 2-D float array's CSV rows and their
+    arguments: each value's text is its '%.17g' text.
+
+    For 1e-4 <= |x| < 10 the 17 digits are D = x 10^(16 - X) rounded half to
+    even, X the decimal exponent, in integer arithmetic (after Adams, "Ryu
+    revisited", 2019).  X starts from np.log10 and is set by the exact check
+    10^16 <= floor(x 10^(16 - X)) < 10^17, so a wrong start changes no digit.
+    No rounding carries D to 10^17: the largest float below each power of
+    ten from 1e-3 to 10 is more than 5e-18 below it, relatively.  The cell
+    holds the sign, the integer digit, the point and the fraction's leading
+    zeros, and the argument is D's fraction less its trailing zeros.  Every
+    other value, an integer among them, is '%.17g' with the value itself."""
+    _, _, p10, cells = _tables()
+    x = np.asarray(table, dtype=np.float64)
+    flat = x.ravel()
+    a = np.abs(flat)
+    sel = np.flatnonzero((a >= 1e-4) & (a < 10))
+    v = a[sel]
+    bits = v.view(np.uint64)
+    m = (bits & (2 ** 52 - 1)) | 2 ** 52
+    w = 1059 - (bits >> 52).view(np.int64)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    d, up = _scaled(v, m, w, e)
+    bad = np.flatnonzero((d < p10[16]) | (d >= p10[17]))
+    while bad.size:
+        e[bad] += np.where(d[bad] < p10[16], -1, 1)
+        d[bad], up[bad] = _scaled(v[bad], m[bad], w[bad], e[bad])
+        bad = bad[(d[bad] < p10[16]) | (d[bad] >= p10[17])]
+    d += up
+    digit, frac = np.divmod(d, p10[np.minimum(16 - e, 17)])
+    zeros = np.maximum(-1 - e, 0)
+    few = np.flatnonzero(frac < p10[15])
+    zeros[few] = 16 - np.searchsorted(p10, frac[few], side="right")
+    at = np.full(flat.size, 320)
+    at[sel] = np.where(frac > 0, 160 * np.signbit(flat[sel]) + 16 * digit.view(np.int64) + zeros, 320)
+    strip = np.flatnonzero(frac % 10 == 0)
+    strip = strip[frac[strip] > 0]
+    while strip.size:
+        frac[strip] //= 10
+        strip = strip[frac[strip] % 10 == 0]
+    slow = np.flatnonzero(at == 320)
+    if slow.size:
+        args = np.empty(flat.size, dtype=object)
+        args[sel] = frac
+        args[slow] = flat[slow]
+        frac = args
+    at = at.reshape(x.shape)
+    at[:, -1] += 321
+    return cells[at], frac.tolist()
+
+
+def csv_rows(columns, lead=()) -> str:
+    """CSV lines of equal-length real columns, each value as %.17g, after
+    the lead columns: object arrays of text, each entry with its own comma
+    and without %."""
+    cells, args = _csv_cells(np.column_stack(columns))
+    return "".join(np.column_stack((*lead, cells)).ravel().tolist()) % tuple(args)
 
 
 def csv_text(header: str, columns) -> str:

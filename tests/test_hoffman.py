@@ -12,7 +12,6 @@ from corona_lab.errors import AliasingError, DomainError
 from corona_lab.functions import FunctionSpec
 from corona_lab.hoffman import (compose_trace, disc_grid, l2_distance_to_identity,
                                 schwarz_check)
-from corona_lab.serialize import csv_rows
 
 from helpers import constant_function, identity_function
 
@@ -95,19 +94,18 @@ def test_trace_csv_matches_per_row_formatting():
 
 @pytest.mark.parametrize("points, grid_size", [(2, 8), (8, 40), (40, 400), (400, 40)])
 def test_trace_csv_keeps_its_bytes_at_several_shapes(points, grid_size):
-    # the writer that one % over the whole block replaced: the grid and the
-    # sample lines from csv_rows, joined by one f-string per line
+    # each value by Python's own '%.17g', independent of csv_rows' kernel
     seq = DiscSequence(tuple((1 - 2.0 ** -(j % 12 + 1)) * np.exp(0.5j * j)
                              for j in range(points)))
     tr = compose_trace(FunctionSpec.finite_blaschke((0.3 - 0.2j, -0.5j), 0.7), seq,
                        grid_size=grid_size)
     tr.samples[0, 0] = complex(-0.0, 1e-300)
     tr.samples[-1, -1] = complex(5e-324, -1.5e300)
-    grid = csv_rows((tr.grid.real, tr.grid.imag)).splitlines()
-    samples = tr.samples.ravel()
-    values = iter(csv_rows((samples.real, samples.imag)).splitlines())
+    grid = [f"{g.real:.17g},{g.imag:.17g}" for g in tr.grid]
+    samples = iter(tr.samples.ravel().tolist())
     assert tr.to_csv() == "grid_re,grid_im,j,re,im\n" + "".join(
-        f"{g},{j},{next(values)}\n" for j in range(points) for g in grid)
+        f"{g},{j},{v.real:.17g},{v.imag:.17g}\n" for j in range(points) for g, v in
+        zip(grid, samples))
 
 
 def test_schwarz_single_zero_invariant_is_one():

@@ -6,7 +6,8 @@ against the closed disc by functions.roots_in_closed_disc, polynomial data is
 read through FunctionSpec.coeffs, a finite Blaschke spec's product is built once, by
 FunctionSpec.finite_blaschke, artifacts are written by cli.main, which cli.run
 alone calls, the process is ended by cli.run, JSON text is written by
-serialize.dumps, the Gauss-Legendre table is built by quadrature.gl_rule, and
+serialize.dumps, CSV floats are written by serialize's '%.17g' kernel, the
+Gauss-Legendre table is built by quadrature.gl_rule, and
 exact polynomial products by exactpoly.poly_mul, in a module without numpy.
 blaschke takes angles from math.atan2, not np.angle, and decides the home
 sector by Sector.contains alone. Record classes are built on records.Record,
@@ -287,6 +288,23 @@ def test_json_text_is_written_by_serialize_dumps_only():
 
     assert _sites(json_writer) == []
     assert _sites(imported_writer) == []
+
+
+def test_g17_text_is_written_by_the_csv_kernel_only():
+    # a '%.17g' template or a .17g format spec only in the table of
+    # csv_rows' kernel; docstrings may name it
+    docstrings = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                docstrings.add((node.body[0].lineno, node.body[0].value.value))
+
+    def g17(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and ".17g" in node.value and (node.lineno, node.value) not in docstrings)
+
+    assert _sites(g17) == ["serialize.py:_tables"]
 
 
 def test_delta_is_measured_by_its_two_readers_only():

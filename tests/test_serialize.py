@@ -1,6 +1,6 @@
-"""The artifact encoding: dumps against json.dumps, the readers against the
-readers they replaced, JSON round trips of every to_dict/from_dict pair,
-and the frozen bytes of every error payload."""
+"""The artifact encoding: dumps against json.dumps, CSV values against
+'%.17g', the readers against the readers they replaced, JSON round trips of
+every to_dict/from_dict pair, and the frozen bytes of every error payload."""
 
 import cmath
 import json
@@ -19,7 +19,7 @@ from corona_lab.errors import ConfigError
 from corona_lab.functions import FunctionSpec
 from corona_lab.measures import SimpleDensity, fit_simple_density
 from corona_lab.serialize import (_encode, as_complex, as_finite, as_list, as_number,
-                                  complex_list, dumps)
+                                  complex_list, csv_rows, dumps)
 
 from helpers import identity_function, instance_dict
 
@@ -157,6 +157,88 @@ def test_dumps_rejects_a_container_that_holds_itself():
 ])
 def test_dumps_matches_json_dumps_on_edge_cases(doc):
     assert dumps(doc) == _json_dumps(doc)
+
+
+# ------------------------------------------------------------ CSV values
+
+def _csv_values(x) -> list:
+    """csv_rows' text of each value of x, one column."""
+    return csv_rows((np.asarray(x, dtype=np.float64).ravel(),)).splitlines()
+
+
+def _g17(x) -> list:
+    """The oracle: Python's correctly rounded '%.17g' of each value."""
+    return [f"{v:.17g}" for v in np.asarray(x, dtype=np.float64).ravel().tolist()]
+
+
+def _ties(j: int, k) -> np.ndarray:
+    """k 2^-j with both signs: in the decade where they have 18 significant
+    digits, the last a 5, each is an exact tie at 17 digits."""
+    x = np.asarray(k, dtype=np.float64) * 2.0 ** -j
+    return np.concatenate((x, -x))
+
+
+_TIE_RNG = np.random.default_rng(36)
+
+
+def test_csv_values_of_random_bit_patterns_are_their_g17_text():
+    # every float64: subnormals, zeros, infinities and NaNs among them
+    bits = _TIE_RNG.integers(0, 2 ** 64, 200_000, dtype=np.uint64, endpoint=False)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                         np.finfo(float).max, 1.0, -3.0, 9.0, 1e-4, 10.0])
+    x = np.concatenate((bits.view(np.float64), specials))
+    assert _csv_values(x) == _g17(x)
+
+
+def test_csv_values_of_every_tie_below_one_at_j_18_are_their_g17_text():
+    # k 2^-18 for every k < 2^18 holds every k 2^-j in (0, 1) for j <= 18
+    x = _ties(18, np.arange(1, 2 ** 18))
+    assert _csv_values(x) == _g17(x)
+
+
+@pytest.mark.parametrize("j", [17, 19, 20, 21, 22])
+def test_csv_values_of_sampled_ties_are_their_g17_text(j):
+    # j = 17 puts the ties in [1, 10), j = 19..21 in [1e-2, 1e-1) .. [1e-4, 1e-3)
+    x = _ties(j, _TIE_RNG.integers(1, 10 * 2 ** j, 40_000))
+    assert _csv_values(x) == _g17(x)
+
+
+def test_csv_values_next_to_powers_of_ten_are_their_g17_text():
+    # the float just below a power of ten is the only one whose 17 digits
+    # could round up to 10^17; the kernel has no carry for it
+    p = 10.0 ** np.arange(-5, 17)
+    below, above = np.nextafter(p, 0), np.nextafter(p, np.inf)
+    x = np.concatenate((p, below, above, np.nextafter(below, 0), np.nextafter(above, np.inf)))
+    assert _csv_values(np.concatenate((x, -x))) == _g17(np.concatenate((x, -x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.floats(1e-5, 20) | st.floats(-20, -1e-5), max_size=40))
+def test_csv_values_are_their_g17_text(values):
+    assert _csv_values(values) == _g17(values)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_wrong_exponent_estimate_changes_no_csv_value(monkeypatch, shift):
+    # the estimate from np.log10 is corrected by an exact check, so its
+    # SIMD-dependent last bits cannot move a digit
+    x = np.concatenate((_ties(18, _TIE_RNG.integers(1, 2 ** 18, 20_000)),
+                        _ties(17, _TIE_RNG.integers(1, 10 * 2 ** 17, 20_000)),
+                        _TIE_RNG.uniform(-10, 10, 20_000),
+                        10.0 ** _TIE_RNG.uniform(-4, 1, 20_000),
+                        np.nextafter(10.0 ** np.arange(-4, 1), 0),
+                        np.nextafter(10.0 ** np.arange(-4, 1), 1)))
+    expected = _csv_values(x)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda v: log10(v) + shift)
+    assert _csv_values(x) == expected == _g17(x)
+
+
+def test_csv_rows_writes_lead_columns_as_text_before_the_values():
+    lead = (np.array(["a,", "b,"], dtype=object), np.array(["0,", "1,"], dtype=object))
+    text = csv_rows((np.array([0.5, -0.0]), np.array([1e-5, 2.75])), lead)
+    assert text == "a,0,0.5,1.0000000000000001e-05\nb,1,-0,2.75\n"
+    assert csv_rows((np.array([]), np.array([]))) == ""
 
 
 # ------------------------------------------------------------ reader oracle
