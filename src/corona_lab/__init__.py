@@ -16,7 +16,7 @@ _SOURCE = {name: module for module, names in {
     "corona": ("BezoutCertificate", "CoronaInstance", "GridSpec", "bezout_exact",
                "bezout_numeric", "check_certificate", "cluster_scenario", "measure_delta"),
     "disc_geometry": ("MobiusAut", "OrthogonalArc", "geodesic_endpoints",
-                      "orthogonal_arc_midpoint", "pseudo_disc_euclidean", "pseudo_distance"),
+                      "pseudo_disc_euclidean", "pseudo_distance"),
     "errors": ("AliasingError", "ConfigError", "ConstructionError", "CoronaLabError",
                "DomainError", "ExtractionError", "InfeasibleError", "QuadratureError",
                "UnsolvableError"),

@@ -20,9 +20,9 @@ import sys
 
 from .errors import ConfigError, CoronaLabError
 from .quadrature import (CHECK_SAMPLES, DEFAULT_FFT_NODES, DEFAULT_GRID_RADIUS,
-                         DEFAULT_GRID_SIZE, DEFAULT_NODES, MIN_FFT_NODES, circle_nodes)
-from .serialize import (as_complex, as_finite, as_list, complex_list, csv_text, dumps,
-                        load_json, strict_keys)
+                         DEFAULT_GRID_SIZE, DEFAULT_NODES, MIN_FFT_NODES)
+from .serialize import (as_complex, as_finite, as_list, complex_list, dumps, load_json,
+                        strict_keys)
 
 MIN_NODES = 4
 # point counts given as flags stop here, about 64 MB per complex array, the
@@ -96,12 +96,7 @@ def _load_functions(path: str) -> tuple:
 
 def _load_density(path: str):
     from .measures import SimpleDensity
-    doc = load_json(path)
-    if isinstance(doc, dict):
-        # measure-fit artifacts carry diagnostics next to the pieces
-        doc = {k: v for k, v in doc.items()
-               if k not in ("residuals", "mass_error")}
-    return SimpleDensity.from_dict(doc, path)
+    return SimpleDensity.from_dict(load_json(path), path)
 
 
 def _load_sequence(path: str):
@@ -232,8 +227,7 @@ def _cmd_measure_fit(args) -> tuple:
         # the interval quartiles --window takes
         raise ConfigError(f"{infile}.window: expected a number in (0, pi], got {doc['window']!r}")
     fit = fit_simple_density(entries, partition, eps=args.eps, window=window)
-    return {**fit.density.to_dict(), "residuals": fit.residuals,
-            "mass_error": fit.mass_error}, 0
+    return fit.to_dict(), 0
 
 
 def _cmd_quartiles(args) -> tuple:
@@ -250,8 +244,7 @@ def _cmd_pushforward(args) -> tuple:
     if args.samples:
         if args.nodes is not None:
             raise ConfigError("--nodes: applies to the mass integral, not to --samples")
-        theta = circle_nodes(args.samples)
-        return csv_text("theta,u", (theta, u(theta))), 0
+        return u.to_csv(args.samples), 0
     nodes = DEFAULT_NODES if args.nodes is None else args.nodes
     return {"mass": u.mass(nodes), "breakpoints": u.breakpoints}, 0
 

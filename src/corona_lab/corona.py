@@ -170,9 +170,12 @@ class BezoutCertificate(Record):
 def _residual_sup(functions, solutions, z) -> float:
     """Maximum of |sum_k f_k u_k - 1| over the points z."""
     acc = np.zeros(z.shape, dtype=complex)
-    for f, u in zip(functions, solutions):
-        acc = acc + np.asarray(f(z), dtype=complex) * np.asarray(u(z), dtype=complex)
-    return float(np.max(np.abs(acc - 1)))
+    # an overflowing term makes the residual infinite or NaN, which the
+    # certificate and the check report as such, without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, u in zip(functions, solutions):
+            acc = acc + np.asarray(f(z), dtype=complex) * np.asarray(u(z), dtype=complex)
+        return float(np.max(np.abs(acc - 1)))
 
 
 def verification_nodes(grid: GridSpec) -> np.ndarray:
@@ -251,12 +254,13 @@ def bezout_numeric(instance: CoronaInstance, degree_cap: int,
     n_nodes = max(instance.grid.boundary, 2 * n_funcs * n_unknown_per)
     z = np.exp(1j * circle_nodes(n_nodes))
 
-    cols = []
-    for f in instance.functions:
-        fv = np.asarray(f(z), dtype=complex)
-        for j in range(n_unknown_per):
-            cols.append(fv * z ** j)
-    a_mat = np.stack(cols, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvs = [np.asarray(f(z), dtype=complex) for f in instance.functions]
+        a_mat = np.stack([fv * z ** j for fv in fvs for j in range(n_unknown_per)], axis=1)
+    bad = np.flatnonzero(~np.isfinite(a_mat).all(axis=0))
+    if bad.size:
+        raise DomainError(f"functions[{bad[0] // n_unknown_per}]: not finite on the "
+                          "collocation nodes")
     rhs = np.ones(n_nodes, dtype=complex)
     coeffs, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
 

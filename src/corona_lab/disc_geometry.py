@@ -147,23 +147,6 @@ def pseudo_disc_euclidean(c, eta: float) -> tuple[complex, float]:
     return g * c / den, eta * m / den
 
 
-def orthogonal_arc_midpoint(alpha: float, beta: float) -> complex:
-    """Point where the circle through e^{i alpha}, e^{i beta} orthogonal to the
-    unit circle crosses the bisecting radius.
-
-    Uses cos(g)/(1 + sin(g)) with g = (beta - alpha)/2, the numerically stable
-    form of (1 - sin g)/cos g.  Requires 0 < beta - alpha < pi.
-    """
-    alpha = float(alpha)
-    beta = float(beta)
-    if not beta > alpha:
-        raise DomainError("need alpha < beta")
-    g = (beta - alpha) / 2
-    if not g < math.pi / 2:
-        raise DomainError("arc spans half the circle or more; midpoint undefined")
-    return complex(np.exp(1j * (alpha + beta) / 2)) * (math.cos(g) / (1 + math.sin(g)))
-
-
 def geodesic_endpoints(anchor_angle: float, through) -> tuple[float, float]:
     """Boundary angles of the geodesic through e^{i anchor_angle} and an
     interior point.  First angle returned equals anchor_angle.
@@ -194,7 +177,12 @@ class OrthogonalArc(Record):
 
     @property
     def midpoint(self) -> complex:
-        return orthogonal_arc_midpoint(self.alpha, self.beta)
+        """Point where the geodesic crosses the bisecting radius, at distance
+        cos(g)/(1 + sin(g)) from 0 with g = (beta - alpha)/2, the stable form
+        of (1 - sin g)/cos g."""
+        g = (self.beta - self.alpha) / 2
+        along = math.cos(g) / (1 + math.sin(g))
+        return complex(np.exp(1j * (self.alpha + self.beta) / 2)) * along
 
     def circle(self) -> tuple[complex, float]:
         """Center and radius of the circle through both endpoints, orthogonal

@@ -2,8 +2,10 @@
 
 A density is a finite list of half-open arcs with nonnegative constant
 values, normalized against dm = d(theta)/2pi to total mass one.  Values, cdf,
-tail, quartiles and breakpoints are read by bisection from one array
-form built on first use: sorted starts, ends, values and two-sided prefix masses.
+tail, quartiles and breakpoints are read by bisection from one array form
+built on first use: sorted starts, ends, values and two-sided prefix masses.
+The density files' formats live here: DensityFit.to_dict writes a fit,
+SimpleDensity.from_dict reads any back, PushforwardDensity.to_csv samples u.
 """
 
 import math
@@ -15,12 +17,12 @@ import numpy as np
 
 from .disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
                             geodesic_endpoints, one_minus_abs2, pointwise)
-from .errors import DomainError, InfeasibleError, QuadratureError
+from .errors import ConfigError, DomainError, InfeasibleError, QuadratureError
 from .functions import FunctionSpec
-from .quadrature import (DEFAULT_NODES, GL_ORDER, gauss_legendre_panels,
+from .quadrature import (DEFAULT_NODES, GL_ORDER, circle_nodes, gauss_legendre_panels,
                          integrate_piecewise, integrate_uniform_checked)
 from .records import Record
-from .serialize import as_finite, as_list, strict_keys
+from .serialize import as_finite, as_list, csv_rows, strict_keys
 
 TWO_PI = 2 * math.pi
 
@@ -146,9 +148,16 @@ class SimpleDensity(Record):
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "density") -> "SimpleDensity":
-        strict_keys(d, required=("pieces",), where=where)
-        return cls(tuple(as_list(d["pieces"], f"{where}.pieces",
-                                 lambda p, at: tuple(as_list(p, at, as_finite)))))
+        """A density file, a fit's too: the diagnostics DensityFit.to_dict
+        writes beside the pieces are accepted and ignored."""
+        strict_keys(d, required=("pieces",), optional=("residuals", "mass_error"), where=where)
+
+        def piece(p, at):
+            values = tuple(as_list(p, at, as_finite))
+            if len(values) != 3:
+                raise ConfigError(f"{at}: expected a [start, end, value] triple, got {p!r}")
+            return values
+        return cls(tuple(as_list(d["pieces"], f"{where}.pieces", piece)))
 
 
 @pointwise(float)
@@ -182,6 +191,11 @@ class DensityFit(Record):
     density: SimpleDensity
     residuals: tuple
     mass_error: float
+
+    def to_dict(self) -> dict:
+        """The measure-fit artifact: the pieces, with the diagnostics beside them."""
+        return {"pieces": self.density.pieces, "residuals": self.residuals,
+                "mass_error": self.mass_error}
 
 
 # Gauss-Legendre panels per full circle when integrating a target over a bin
@@ -495,13 +509,15 @@ class PushforwardDensity:
         pre = self.automorphism.inverse(edges)
         self.breakpoints = sorted(np.angle(pre).tolist())
 
-    def jacobian(self, theta):
-        return poisson_kernel(-self.c, theta)
-
     @pointwise(float)
     def __call__(self, theta):
         image = self.automorphism.apply(np.exp(1j * theta))
-        return self.base(np.angle(image)) * self.jacobian(theta)
+        return self.base(np.angle(image)) * poisson_kernel(-self.c, theta)
+
+    def to_csv(self, samples: int) -> str:
+        """The pushforward CSV: u at circle_nodes(samples) under the header theta,u."""
+        theta = circle_nodes(samples)
+        return "theta,u\n" + csv_rows((theta, self(theta)))
 
     def integrate(self, g, nodes: int = DEFAULT_NODES) -> complex:
         """Integral of g(theta) u(theta) dm on the exact base pieces: theta = arg L_c^-1(e^{i phi})

@@ -84,8 +84,7 @@ def corona() -> list[tuple[str, bool]]:
 
 
 def disc_geometry() -> list[tuple[str, bool]]:
-    from .disc_geometry import (MobiusAut, OrthogonalArc, orthogonal_arc_midpoint,
-                                pseudo_disc_euclidean, pseudo_distance)
+    from .disc_geometry import MobiusAut, OrthogonalArc, pseudo_disc_euclidean, pseudo_distance
 
     rng = np.random.default_rng(20240811)
     checks = []
@@ -109,7 +108,7 @@ def disc_geometry() -> list[tuple[str, bool]]:
     c, r = pseudo_disc_euclidean(0.5, 0.5)
     checks.append(("pseudo disc closed form", abs(c - 0.4) < 1e-14 and abs(r - 0.4) < 1e-14))
 
-    mid = orthogonal_arc_midpoint(-math.pi / 3, math.pi / 3)
+    mid = OrthogonalArc(-math.pi / 3, math.pi / 3).midpoint
     checks.append(("arc midpoint anchor value", abs(mid - (2 - math.sqrt(3))) < 1e-14))
 
     arc = OrthogonalArc(-0.4, 0.7)

@@ -5,7 +5,9 @@ Complex values travel as [re, im] pairs of finite numbers both ways:
 numpy scalars as Python numbers and records as their ``to_dict``, and
 ``as_complex`` reads a pair back.
 Dicts are strict.  All emitters go through ``dumps`` or ``csv_rows`` so
-identical inputs produce byte identical files.
+identical inputs produce byte identical files.  The format of an artifact
+belongs to the object it holds: its ``to_dict`` for JSON, and for CSV its
+``to_csv``, which writes the header and the rows through ``csv_rows``.
 
 ``csv_rows`` writes each float in the bytes of '%.17g' without a conversion
 call per value: ``_csv_cells`` finds the digits of every value with
@@ -291,11 +293,6 @@ def csv_rows(columns, lead=()) -> str:
     and without %."""
     cells, args = _csv_cells(np.column_stack(columns))
     return "".join(np.column_stack((*lead, cells)).ravel().tolist()) % tuple(args)
-
-
-def csv_text(header: str, columns) -> str:
-    """CSV of equal-length real columns under header."""
-    return header + "\n" + csv_rows(columns)
 
 
 def load_json(path: str):

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -23,8 +24,10 @@ from corona_lab.blaschke import DiscSequence, carleson_diagnostics
 from corona_lab.cli import MAX_POINTS, _Selftest, build_parser, main
 from corona_lab.corona import GridSpec
 from corona_lab.errors import ConfigError, DomainError
-from corona_lab.measures import PushforwardDensity, SimpleDensity
+from corona_lab.measures import (PushforwardDensity, SimpleDensity, fit_simple_density,
+                                 quartiles)
 from corona_lab.selftest import SUITES
+from corona_lab.serialize import dumps
 
 from helpers import dyadic_rings
 
@@ -179,6 +182,26 @@ def test_corona_solve_unsolvable_exit_one(capsys, tmp_path):
     assert rc == 1
     payload = json.loads(err)
     assert payload["error"] == "UnsolvableError"
+
+
+def test_solves_and_checks_on_overflowing_data_write_only_their_artifacts(capsys, tmp_path):
+    # 1e308 (1 + z) overflows on the circle: the numeric solver refuses its
+    # collocation matrix, and the exact solve and its check report an
+    # infinite residual; no warning reaches stderr
+    inst = write(tmp_path, "inst.json", {"functions": [
+        {"kind": "polynomial", "data": {"coeffs": [[1e308, 0], [1e308, 0]]}},
+        {"kind": "polynomial", "data": {"coeffs": [[0, 0], [1, 0]]}},
+    ]})
+    assert run(capsys, "corona-solve", "--in", inst, "--method", "numeric") == (1, "", dumps({
+        "error": "DomainError",
+        "message": "functions[0]: not finite on the collocation nodes"}))
+    cert = str(tmp_path / "cert.json")
+    assert run(capsys, "corona-solve", "--in", inst, "--method", "exact", "--out", cert) == (
+        0, "", "")
+    assert json.loads(Path(cert).read_text())["residual_sup"] == math.inf
+    rc, out, err = run(capsys, "corona-check", "--in", inst, "--cert", cert)
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["residual_sup"] == math.inf
 
 
 def test_corona_solve_exact_cofactors_beyond_float_range(capsys, tmp_path):
@@ -366,20 +389,32 @@ def test_measure_fit_uniform(capsys, tmp_path):
 
 
 def test_measure_fit_output_feeds_density_commands(capsys, tmp_path):
-    # the fit artifact keeps its diagnostics but still loads as a density
-    spec = write(tmp_path, "fit.json", {
-        "targets": [],
-        "partition": [[-0.25 + 0.5 * k / 8, -0.25 + 0.5 * (k + 1) / 8]
-                      for k in range(8)],
-    })
-    fitted = str(tmp_path / "fitted.json")
-    rc, _, _ = run(capsys, "measure-fit", "--in", spec, "--out", fitted)
-    assert rc == 0
-    rc, out, _ = run(capsys, "quartiles", "--density", fitted)
-    assert rc == 0
-    rep = json.loads(out)
-    assert rep["alpha"] == pytest.approx(-0.125)
-    assert rep["beta"] == pytest.approx(0.125)
+    # measures writes the fit and alignment files and reads every density
+    # file back: each loads in process and through quartiles; the fit keeps
+    # the bytes (their SHA-256 here) it had while cli flattened it itself
+    partition = [[-0.25 + 0.5 * k / 8, -0.25 + 0.5 * (k + 1) / 8] for k in range(8)]
+    spec = write(tmp_path, "fit.json", {"targets": [], "partition": partition})
+    fitted, aligned = str(tmp_path / "fitted.json"), str(tmp_path / "aligned.json")
+    assert run(capsys, "measure-fit", "--in", spec, "--out", fitted) == (0, "", "")
+    text = Path(fitted).read_text()
+    assert text == dumps(fit_simple_density((), partition, eps=1e-3))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "379b1739011be2f1037968c6eaca3ed561a6bbe34e95a5b40d87146e96337f31")
+    assert run(capsys, "align-arcs", "--density", fitted, "--alpha", "-0.1", "--beta", "0.1",
+               "--case", "a", "--out", aligned) == (0, "", "")
+    for path in (fitted, aligned):
+        s = SimpleDensity.from_dict(json.loads(Path(path).read_text()), path)
+        assert run(capsys, "quartiles", "--density", path) == (0, dumps(quartiles(s)), "")
+    qp = quartiles(SimpleDensity.from_dict(json.loads(text)))
+    assert (qp.alpha, qp.beta) == pytest.approx((-0.125, 0.125))
+
+
+@pytest.mark.parametrize("piece", [[-1.0, 1.0], [-1.0, 1.0, math.pi, 0.5]])
+def test_density_piece_of_the_wrong_width_names_key(capsys, tmp_path, piece):
+    density = write(tmp_path, "d.json", {"pieces": [piece]})
+    assert run(capsys, "quartiles", "--density", density) == (2, "", dumps({
+        "error": "ConfigError",
+        "message": f"{density}.pieces[0]: expected a [start, end, value] triple, got {piece!r}"}))
 
 
 def test_pushforward_json_and_csv(capsys, tmp_path):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corona_lab.disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle,
-                                      check_disc,
-                                      geodesic_endpoints, orthogonal_arc_midpoint,
-                                      pseudo_disc_euclidean, pseudo_distance)
+from corona_lab.disc_geometry import (MobiusAut, OrthogonalArc, canonical_angle, check_disc,
+                                      geodesic_endpoints, pseudo_disc_euclidean,
+                                      pseudo_distance)
 from corona_lab.errors import DomainError
 
 RNG = np.random.default_rng(771001)
@@ -90,7 +89,7 @@ def test_pseudo_disc_eta_guard():
 
 
 def test_arc_midpoint_anchor_value():
-    m = orthogonal_arc_midpoint(-math.pi / 3, math.pi / 3)
+    m = OrthogonalArc(-math.pi / 3, math.pi / 3).midpoint
     assert abs(m - (2 - math.sqrt(3))) < 1e-15
     assert m.imag == 0
 
@@ -99,8 +98,9 @@ def test_arc_midpoint_lies_on_orthogonal_circle():
     for _ in range(30):
         a = RNG.uniform(-3.0, 1.5)
         b = a + RNG.uniform(0.05, 1.5)
-        m = orthogonal_arc_midpoint(a, b)
-        center, radius = OrthogonalArc(a, b).circle()
+        arc = OrthogonalArc(a, b)
+        m = arc.midpoint
+        center, radius = arc.circle()
         assert abs(abs(m - center) - radius) < 1e-12
         # orthogonality to the unit circle
         assert abs(abs(center) ** 2 - (1 + radius ** 2)) < 1e-12
@@ -108,9 +108,9 @@ def test_arc_midpoint_lies_on_orthogonal_circle():
 
 def test_arc_midpoint_guards():
     with pytest.raises(DomainError):
-        orthogonal_arc_midpoint(0.5, 0.5)
+        OrthogonalArc(0.5, 0.5).midpoint
     with pytest.raises(DomainError):
-        orthogonal_arc_midpoint(-2.0, 2.0)
+        OrthogonalArc(-2.0, 2.0).midpoint
 
 
 def test_geodesic_endpoints_passes_through_point():

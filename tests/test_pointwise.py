@@ -43,7 +43,6 @@ KERNELS = {
     "poisson_kernel": (functools.partial(poisson_kernel, 0.3 + 0.2j), _ANGLES, float),
     "SimpleDensity.__call__": (_S, _ANGLES, float),
     "PushforwardDensity.__call__": (_U, _ANGLES, float),
-    "PushforwardDensity.jacobian": (_U.jacobian, _ANGLES, float),
 }
 
 

@@ -44,13 +44,14 @@ def test_dumps_rejects_other_objects():
 
 def test_dumps_writes_a_record_held_in_a_record_as_its_to_dict():
     # Record.to_dict holds the field records themselves; dumps writes each
-    # as its own to_dict, the bytes of json.dumps with _encode
+    # as its own to_dict, the bytes of json.dumps with _encode.  A fit
+    # writes its density's pieces flat, with its diagnostics beside them
     instance = CoronaInstance((identity_function(), FunctionSpec.polynomial((0.5, 1j))),
                               GridSpec(8, 16, 32, 0.25))
     partition = [(-0.25 + 0.0625 * k, -0.25 + 0.0625 * (k + 1)) for k in range(8)]
     fit = fit_simple_density(((identity_function(), 0.99),), partition, eps=1e-2)
     for record, d in ((instance, instance_dict(instance)),
-                      (fit, {"density": fit.density.to_dict(), "residuals": fit.residuals,
+                      (fit, {"pieces": fit.density.pieces, "residuals": fit.residuals,
                              "mass_error": fit.mass_error})):
         text = dumps(d)
         assert dumps(record.to_dict()) == dumps(record) == text
